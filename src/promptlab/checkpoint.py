@@ -13,6 +13,7 @@ import struct
 import numpy as np
 
 from .errors import CheckpointError
+from .fileio import atomic_open
 from .nets import ConvNetSpec, ModelParams
 from .prompt import VisualPrompt
 from .tensor import Tensor
@@ -31,7 +32,7 @@ _VERSION = 1
 
 
 def save_tensors(path, named: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<H", _VERSION))
         fh.write(struct.pack("<I", len(named)))

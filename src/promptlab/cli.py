@@ -20,7 +20,14 @@ from .errors import (
     PromptLabError,
     ShapeError,
 )
-from .harness import ExperimentConfig, run_ablation_grid, run_experiment, sweep_temperature
+from .harness import (
+    ExperimentConfig,
+    run_ablation_grid,
+    run_experiment,
+    session,
+    sweep_temperature,
+    train_and_save_prompt,
+)
 
 _ERROR_CODES = [
     (ConfigError, "config"),
@@ -53,64 +60,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_train_source(cfg: ExperimentConfig) -> None:
-    from .harness import _prepare_source
-
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    data = cfg.datasets()
-    _prepare_source(cfg, data, out, {})
-    print(f"source checkpoint written to {out / 'source.ckpt'}")
-
-
-def _cmd_train_prompt(cfg: ExperimentConfig) -> None:
-    from .checkpoint import save_prompt
-    from .harness import _prepare_source, _train_prompt_phase, export_prompt_image
-    from .metrics import write_metrics
-
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    data = cfg.datasets()
-    source = _prepare_source(cfg, data, out, {})
-    prompt, _clf, records = _train_prompt_phase(cfg, source, data, cfg.temperature, cfg.prompt_adversarial)
-    write_metrics(records, out / "prompt_metrics.csv")
-    save_prompt(out / "prompt.ckpt", prompt, temperature=cfg.temperature)
-    export_prompt_image(prompt, out / "prompt.ppm")
-    print(f"prompt checkpoint written to {out / 'prompt.ckpt'}")
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = ExperimentConfig.from_file(args.config, seed_override=args.seed, out_override=args.out)
+        out = cfg.output_dir
         if args.command == "train-source":
-            _cmd_train_source(cfg)
+            with session(cfg):
+                pass
+            print(f"source checkpoint written to {out / 'source.ckpt'}")
         elif args.command == "train-prompt":
-            _cmd_train_prompt(cfg)
+            with session(cfg) as (cfg, data, source, timing):
+                train_and_save_prompt(cfg, data, source, timing)
+            print(f"prompt checkpoint written to {out / 'prompt.ckpt'}")
         elif args.command == "eval":
             report = run_experiment(cfg)
-            print(f"report written to {cfg.output_dir / 'report.json'}")
+            print(f"report written to {out / 'report.json'}")
             for row in report["prompt_eval"]:
                 print(
                     f"epsilon={row['epsilon']:.3f} std_acc={row['standard_accuracy']:.4f} "
                     f"adv_acc={row['adversarial_accuracy']:.4f}"
                 )
         elif args.command == "sweep-T":
-            rows = sweep_temperature(cfg)
-            print("T,m,std_acc,adv_acc,std_delta,adv_delta")
-            for r in rows:
-                print(
-                    f"{r['T']},{r['m']},{r['std_acc']:.6f},{r['adv_acc']:.6f},"
-                    f"{r['std_delta']:.6f},{r['adv_delta']:.6f}"
-                )
+            sweep_temperature(cfg)
+            sys.stdout.write((out / "sweep.csv").read_text())
         elif args.command == "report":
-            rows = run_ablation_grid(cfg)
-            print("pbl,at,T,std_acc,adv_acc,wall_ms_per_epoch,peak_mem_bytes")
-            for r in rows:
-                print(
-                    f"{int(r['pbl'])},{int(r['at'])},{r['T']},{r['std_acc']:.6f},"
-                    f"{r['adv_acc']:.6f},{r['wall_ms_per_epoch']:.6f},{r['peak_mem_bytes']}"
-                )
+            run_ablation_grid(cfg)
+            sys.stdout.write((out / "ablation.csv").read_text())
     except PromptLabError as exc:
         for klass, code in _ERROR_CODES:
             if isinstance(exc, klass):

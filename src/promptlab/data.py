@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, ShapeError
+from .fileio import atomic_open
 
 __all__ = [
     "Dataset",
@@ -179,7 +180,7 @@ def save_raw(path, dataset: Dataset) -> None:
     if dataset.n_classes > 0xFFFF:
         raise DataFormatError("too many classes for the u16 label field")
     pixels = np.rint(dataset.images * 255.0).astype(np.uint8)
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<H", _VERSION))
         fh.write(struct.pack("<5I", n, c, h, w, dataset.n_classes))

@@ -14,15 +14,17 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .attack import AttackConfig, adversarial_accuracy, standard_accuracy
+from .attack import AttackConfig, adversarial_accuracy
 from .checkpoint import load_model, save_model, save_prompt
 from .data import Dataset, SynthSpec, generate_synthetic, load_raw, peek_raw_header
 from .errors import ConfigError
+from .fileio import atomic_open
 from .mapping import PblConfig
 from .metrics import write_metrics
 from .nets import ConvNetSpec, ModelParams, init_params
@@ -35,8 +37,12 @@ __all__ = [
     "run_experiment",
     "sweep_temperature",
     "run_ablation_grid",
+    "session",
+    "train_and_save_prompt",
     "export_prompt_image",
 ]
+
+_SPLITS = ("source_train", "source_test", "downstream_train", "downstream_test")
 
 # fixed positions in the seed-derivation table; changing them changes every run
 _SEED_SLOTS = {
@@ -60,6 +66,24 @@ def _need(d: dict, key: str, where: str):
     if key not in d:
         raise ConfigError(f"config is missing key '{where}.{key}'" if where else f"config is missing key '{key}'")
     return d[key]
+
+
+def _check_keys(raw: dict, shape: dict, where: str = "") -> None:
+    for key, value in raw.items():
+        path = f"{where}.{key}" if where else key
+        if key not in shape:
+            raise ConfigError(f"unknown config key '{path}'")
+        if isinstance(shape[key], dict) and isinstance(value, dict):
+            _check_keys(value, shape[key], path)
+
+
+def _config_shape() -> dict:
+    """Every key a config may hold: the defaults, the file-backed data form,
+    and the derived seeds a run records in its own config.json."""
+    shape = default_config()
+    shape["data"]["files"] = dict.fromkeys(_SPLITS)
+    shape["derived_seeds"] = None
+    return shape
 
 
 def default_config(seed: int = 0, output_dir: str = "runs/default") -> dict:
@@ -135,6 +159,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict, seed_override: int | None = None, out_override=None) -> "ExperimentConfig":
         raw = json.loads(json.dumps(raw))  # defensive deep copy
+        _check_keys(raw, _config_shape())
+        raw.pop("derived_seeds", None)  # re-derived from the seed below
         seed = int(_need(raw, "seed", "")) if seed_override is None else int(seed_override)
         raw["seed"] = seed
         if out_override is not None:
@@ -238,7 +264,7 @@ class ExperimentConfig:
     def prompt_hyper(self) -> TrainHyper:
         return self._hyper("prompt", "prompt_train")
 
-    def pbl(self, temperature: int | None = None) -> PblConfig | None:
+    def pbl(self, temperature: int | None = None) -> PblConfig:
         t = self.temperature if temperature is None else temperature
         return PblConfig(temperature=t, n=self.source_spec.n_classes)
 
@@ -259,14 +285,8 @@ class ExperimentConfig:
     def datasets(self) -> dict[str, Dataset]:
         data = _need(self.raw, "data", "")
         ds = self.derived_seeds
-        if "files" in data:
-            files = data["files"]
-            out = {}
-            for key in ("source_train", "source_test", "downstream_train", "downstream_test"):
-                path = Path(_need(files, key, "data.files"))
-                split = "train" if key.endswith("train") else "test"
-                out[key] = load_raw(path, split=split)
-            return out
+        if "files" in data:  # paths checked by _validate
+            return {key: load_raw(Path(data["files"][key]), split=key.split("_")[1]) for key in _SPLITS}
         src = _need(data, "source", "data")
         dst = _need(data, "downstream", "data")
         for section, where in ((src, "data.source"), (dst, "data.downstream")):
@@ -281,26 +301,20 @@ class ExperimentConfig:
 
     # -- validation --------------------------------------------------------
 
-    def _data_geometry(self) -> tuple[int, tuple[int, int, int]]:
-        """(K_t, downstream image size) without generating full datasets."""
-        data = _need(self.raw, "data", "")
-        if "files" in data:
-            path = Path(_need(data["files"], "downstream_train", "data.files"))
-            if not path.exists():
-                raise ConfigError(f"data.files.downstream_train path does not exist: {path}")
-            hdr = peek_raw_header(path)
-            return hdr["n_classes"], (hdr["c"], hdr["h"], hdr["w"])
-        dst = _need(data, "downstream", "data")
-        return int(_need(dst, "n_classes", "data.downstream")), tuple(_need(dst, "image_size", "data.downstream"))
-
     def _validate(self) -> None:
         data = _need(self.raw, "data", "")
         if "files" in data:
-            for key in ("source_train", "source_test", "downstream_train", "downstream_test"):
+            for key in _SPLITS:
                 path = Path(_need(data["files"], key, "data.files"))
                 if not path.exists():
                     raise ConfigError(f"data.files.{key} path does not exist: {path}")
-        k_t, (c, h, w) = self._data_geometry()
+            # (K_t, downstream image size) from the header, without loading the data
+            hdr = peek_raw_header(Path(data["files"]["downstream_train"]))
+            k_t, (c, h, w) = hdr["n_classes"], (hdr["c"], hdr["h"], hdr["w"])
+        else:
+            dst = _need(data, "downstream", "data")
+            k_t = int(_need(dst, "n_classes", "data.downstream"))
+            c, h, w = _need(dst, "image_size", "data.downstream")
         for t in set(self.temperature_grid) | {self.temperature}:
             if t < 1:
                 raise ConfigError(f"temperature must be >= 1, got {t}")
@@ -327,8 +341,22 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _prepare_source(cfg: ExperimentConfig, data: dict[str, Dataset], out: Path, timing: dict):
+def _write_text(path: Path, text: str) -> None:
+    with atomic_open(path, "w") as fh:
+        fh.write(text)
+
+
+def _write_json(path: Path, obj) -> None:
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def _write_table(path: Path, header: str, row_format: str, rows: list[dict]) -> None:
+    _write_text(path, "\n".join([header] + [row_format.format(**r) for r in rows]) + "\n")
+
+
+def _prepare_source(cfg: ExperimentConfig, data: dict[str, Dataset], timing: dict):
     """Train (or load) the source model; returns it frozen."""
+    out = cfg.output_dir
     if cfg.source_checkpoint is not None:
         params = load_model(cfg.source_checkpoint, cfg.source_spec, frozen=True)
         save_model(out / "source.ckpt", params)
@@ -358,6 +386,34 @@ def _prepare_source(cfg: ExperimentConfig, data: dict[str, Dataset], out: Path, 
     return params
 
 
+def _coerce(config, seed_override=None, out_override=None) -> ExperimentConfig:
+    if isinstance(config, ExperimentConfig):
+        if seed_override is not None or out_override is not None:
+            return ExperimentConfig.from_dict(config.raw, seed_override, out_override)
+        return config
+    if isinstance(config, dict):
+        return ExperimentConfig.from_dict(config, seed_override, out_override)
+    return ExperimentConfig.from_file(config, seed_override, out_override)
+
+
+@contextmanager
+def session(config, seed_override=None, out_override=None):
+    """The setup every entry point shares.
+
+    Validates ``config`` (an ExperimentConfig, a dict, or a path to a
+    JSON file), creates the output directory, builds the datasets and
+    trains or loads the source.  Yields ``(cfg, data, frozen source,
+    timing)``; ``timing.json`` is written when the block completes.
+    """
+    cfg = _coerce(config, seed_override, out_override)
+    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    timing: dict[str, float] = {}
+    data = cfg.datasets()
+    source = _prepare_source(cfg, data, timing)
+    yield cfg, data, source, timing
+    _write_json(cfg.output_dir / "timing.json", timing)
+
+
 def _train_prompt_phase(cfg, source, data, temperature, adversarial):
     pbl = cfg.pbl(temperature) if temperature is not None else None
     return train_prompt(
@@ -374,6 +430,19 @@ def _train_prompt_phase(cfg, source, data, temperature, adversarial):
     )
 
 
+def train_and_save_prompt(cfg: ExperimentConfig, data: dict[str, Dataset], source: ModelParams, timing: dict):
+    """Train the configured prompt and write prompt_metrics.csv,
+    prompt.ckpt and prompt.ppm; returns (classifier, metrics records)."""
+    t0 = time.perf_counter()
+    prompt, clf, records = _train_prompt_phase(cfg, source, data, cfg.temperature, cfg.prompt_adversarial)
+    timing["prompt_train_s"] = time.perf_counter() - t0
+    out = cfg.output_dir
+    write_metrics(records, out / "prompt_metrics.csv")
+    save_prompt(out / "prompt.ckpt", prompt, temperature=cfg.temperature)
+    export_prompt_image(prompt, out / "prompt.ppm")
+    return clf, records
+
+
 def _eval_grid(pipeline, dataset, grid) -> list[dict]:
     rows = []
     for eps in grid:
@@ -388,47 +457,21 @@ def run_experiment(config, seed_override=None, out_override=None) -> dict:
     ``config`` may be an ExperimentConfig, a dict, or a path to a JSON
     file.  Returns a summary dict mirroring what lands in report.json.
     """
-    cfg = _coerce(config, seed_override, out_override)
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    timing: dict[str, float] = {}
-    data = cfg.datasets()
-    source = _prepare_source(cfg, data, out, timing)
-
-    t0 = time.perf_counter()
-    prompt, clf, records = _train_prompt_phase(cfg, source, data, cfg.temperature, cfg.prompt_adversarial)
-    timing["prompt_train_s"] = time.perf_counter() - t0
-    write_metrics(records, out / "prompt_metrics.csv")
-    save_prompt(out / "prompt.ckpt", prompt, temperature=cfg.temperature)
-    export_prompt_image(prompt, out / "prompt.ppm")
-
-    t0 = time.perf_counter()
-    report = {
-        "seed": cfg.seed,
-        "temperature": cfg.temperature,
-        "label_mapping": {"kind": cfg.lm, "indices": list(clf.mapping.indices)},
-        "prompt_eval": _eval_grid(clf, data["downstream_test"], cfg.epsilon_grid),
-        "final_std_acc": records[-1].std_acc,
-        "final_adv_acc": records[-1].adv_acc,
-    }
-    timing["eval_s"] = time.perf_counter() - t0
-
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    (out / "config.json").write_text(
-        json.dumps({**cfg.raw, "derived_seeds": cfg.derived_seeds}, indent=2, sort_keys=True) + "\n"
-    )
-    (out / "timing.json").write_text(json.dumps(timing, indent=2, sort_keys=True) + "\n")
+    with session(config, seed_override, out_override) as (cfg, data, source, timing):
+        clf, records = train_and_save_prompt(cfg, data, source, timing)
+        t0 = time.perf_counter()
+        report = {
+            "seed": cfg.seed,
+            "temperature": cfg.temperature,
+            "label_mapping": {"kind": cfg.lm, "indices": list(clf.mapping.indices)},
+            "prompt_eval": _eval_grid(clf, data["downstream_test"], cfg.epsilon_grid),
+            "final_std_acc": records[-1].std_acc,
+            "final_adv_acc": records[-1].adv_acc,
+        }
+        timing["eval_s"] = time.perf_counter() - t0
+        _write_json(cfg.output_dir / "report.json", report)
+        _write_json(cfg.output_dir / "config.json", {**cfg.raw, "derived_seeds": cfg.derived_seeds})
     return report
-
-
-def _coerce(config, seed_override=None, out_override=None) -> ExperimentConfig:
-    if isinstance(config, ExperimentConfig):
-        if seed_override is not None or out_override is not None:
-            return ExperimentConfig.from_dict(config.raw, seed_override, out_override)
-        return config
-    if isinstance(config, dict):
-        return ExperimentConfig.from_dict(config, seed_override, out_override)
-    return ExperimentConfig.from_file(config, seed_override, out_override)
 
 
 def sweep_temperature(config, temperatures=None, seed_override=None, out_override=None) -> list[dict]:
@@ -436,47 +479,36 @@ def sweep_temperature(config, temperatures=None, seed_override=None, out_overrid
 
     Trains the source once, then one prompt per temperature with
     identical seeds, plus one run with the reduction stage removed.
-    Deltas are relative to that baseline; the T=1 row is exactly zero
-    by the identity semantics of temperature 1.
+    Each row holds its run's final-epoch metrics; deltas are relative
+    to the baseline, and the T=1 row is exactly zero by the identity
+    semantics of temperature 1.
     """
-    cfg = _coerce(config, seed_override, out_override)
-    temps = temperatures if temperatures is not None else cfg.temperature_grid
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    timing: dict[str, float] = {}
-    data = cfg.datasets()
-    source = _prepare_source(cfg, data, out, timing)
+    with session(config, seed_override, out_override) as (cfg, data, source, timing):
+        temps = temperatures if temperatures is not None else cfg.temperature_grid
 
-    def _final_metrics(temperature):
-        _, clf, records = _train_prompt_phase(cfg, source, data, temperature, cfg.prompt_adversarial)
-        std = standard_accuracy(clf, data["downstream_test"])
-        adv = adversarial_accuracy(
-            clf, data["downstream_test"], AttackConfig(cfg.metrics_epsilon)
-        ).adversarial_accuracy
-        return std, adv, records
+        def final(temperature):
+            return _train_prompt_phase(cfg, source, data, temperature, cfg.prompt_adversarial)[2][-1]
 
-    base_std, base_adv, _ = _final_metrics(None)
-    rows = []
-    for t in temps:
-        std, adv, _ = _final_metrics(t)
-        rows.append(
-            {
-                "T": t,
-                "m": cfg.pbl(t).m,
-                "std_acc": std,
-                "adv_acc": adv,
-                "std_delta": std - base_std,
-                "adv_delta": adv - base_adv,
-            }
+        base = final(None)
+        rows = []
+        for t in temps:
+            last = final(t)
+            rows.append(
+                {
+                    "T": t,
+                    "m": cfg.pbl(t).m,
+                    "std_acc": last.std_acc,
+                    "adv_acc": last.adv_acc,
+                    "std_delta": last.std_acc - base.std_acc,
+                    "adv_delta": last.adv_acc - base.adv_acc,
+                }
+            )
+        _write_table(
+            cfg.output_dir / "sweep.csv",
+            "T,m,std_acc,adv_acc,std_delta,adv_delta",
+            "{T},{m},{std_acc:.6f},{adv_acc:.6f},{std_delta:.6f},{adv_delta:.6f}",
+            rows,
         )
-    lines = ["T,m,std_acc,adv_acc,std_delta,adv_delta"]
-    for r in rows:
-        lines.append(
-            f"{r['T']},{r['m']},{r['std_acc']:.6f},{r['adv_acc']:.6f},"
-            f"{r['std_delta']:.6f},{r['adv_delta']:.6f}"
-        )
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n")
-    (out / "timing.json").write_text(json.dumps(timing, indent=2, sort_keys=True) + "\n")
     return rows
 
 
@@ -486,36 +518,29 @@ def run_ablation_grid(config, seed_override=None, out_override=None) -> list[dic
     One source model serves all four prompt runs.  Each cell reports
     final accuracies plus mean per-epoch work and peak-memory figures.
     """
-    cfg = _coerce(config, seed_override, out_override)
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    timing: dict[str, float] = {}
-    data = cfg.datasets()
-    source = _prepare_source(cfg, data, out, timing)
-    rows = []
-    for use_pbl in (False, True):
-        for use_at in (False, True):
-            temperature = cfg.temperature if use_pbl else 1
-            _, clf, records = _train_prompt_phase(cfg, source, data, temperature, use_at)
-            rows.append(
-                {
-                    "pbl": use_pbl,
-                    "at": use_at,
-                    "T": temperature,
-                    "std_acc": records[-1].std_acc,
-                    "adv_acc": records[-1].adv_acc,
-                    "wall_ms_per_epoch": sum(r.wall_ms for r in records) / len(records),
-                    "peak_mem_bytes": max(r.peak_mem_bytes for r in records),
-                }
-            )
-    lines = ["pbl,at,T,std_acc,adv_acc,wall_ms_per_epoch,peak_mem_bytes"]
-    for r in rows:
-        lines.append(
-            f"{int(r['pbl'])},{int(r['at'])},{r['T']},{r['std_acc']:.6f},{r['adv_acc']:.6f},"
-            f"{r['wall_ms_per_epoch']:.6f},{r['peak_mem_bytes']}"
+    with session(config, seed_override, out_override) as (cfg, data, source, timing):
+        rows = []
+        for use_pbl in (False, True):
+            for use_at in (False, True):
+                temperature = cfg.temperature if use_pbl else 1
+                records = _train_prompt_phase(cfg, source, data, temperature, use_at)[2]
+                rows.append(
+                    {
+                        "pbl": use_pbl,
+                        "at": use_at,
+                        "T": temperature,
+                        "std_acc": records[-1].std_acc,
+                        "adv_acc": records[-1].adv_acc,
+                        "wall_ms_per_epoch": sum(r.wall_ms for r in records) / len(records),
+                        "peak_mem_bytes": max(r.peak_mem_bytes for r in records),
+                    }
+                )
+        _write_table(
+            cfg.output_dir / "ablation.csv",
+            "pbl,at,T,std_acc,adv_acc,wall_ms_per_epoch,peak_mem_bytes",
+            "{pbl:d},{at:d},{T},{std_acc:.6f},{adv_acc:.6f},{wall_ms_per_epoch:.6f},{peak_mem_bytes}",
+            rows,
         )
-    (out / "ablation.csv").write_text("\n".join(lines) + "\n")
-    (out / "timing.json").write_text(json.dumps(timing, indent=2, sort_keys=True) + "\n")
     return rows
 
 
@@ -535,6 +560,6 @@ def export_prompt_image(prompt: VisualPrompt, path) -> None:
         rgb = quant
     else:
         raise ConfigError(f"pixmap export supports 1 or 3 channels, got {c}")
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(np.ascontiguousarray(rgb.transpose(1, 2, 0)).tobytes())

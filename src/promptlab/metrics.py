@@ -15,6 +15,7 @@ import csv
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError, DataFormatError
+from .fileio import atomic_open
 
 __all__ = ["MetricsRecord", "write_metrics", "read_metrics", "WorkMeter", "WORK_FLOPS_PER_MS"]
 
@@ -73,7 +74,7 @@ def write_metrics(records, path) -> None:
         if r.epoch <= last:
             raise DataFormatError(f"epochs must strictly increase, got {r.epoch} after {last}")
         last = r.epoch
-    with open(path, "w", newline="\n") as fh:
+    with atomic_open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for r in records:

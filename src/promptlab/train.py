@@ -103,11 +103,11 @@ def _train_engine(
             conf_sum += _mean_top1_prob(logits.data) * len(idx)
         if after_epoch is not None:
             after_epoch()
-        std_acc = standard_accuracy(pipeline, eval_ds)
         if metrics_epsilon is not None and metrics_epsilon > 0.0:
-            adv_acc = adversarial_accuracy(pipeline, eval_ds, AttackConfig(metrics_epsilon)).adversarial_accuracy
+            report = adversarial_accuracy(pipeline, eval_ds, AttackConfig(metrics_epsilon))
+            std_acc, adv_acc = report.standard_accuracy, report.adversarial_accuracy
         else:
-            adv_acc = 0.0
+            std_acc, adv_acc = standard_accuracy(pipeline, eval_ds), 0.0  # 0.0: not measured
         records.append(
             MetricsRecord(
                 epoch=epoch,

@@ -37,6 +37,7 @@ def test_train_source_writes_checkpoint(config_file, capsys):
     assert "source.ckpt" in capsys.readouterr().out
     assert (out / "source.ckpt").exists()
     assert (out / "source_metrics.csv").exists()
+    assert (out / "timing.json").exists()
     assert not (out / "prompt.ckpt").exists()
 
 
@@ -44,26 +45,28 @@ def test_train_prompt_writes_prompt_artifacts(config_file, capsys):
     path, out = config_file()
     assert main(["train-prompt", "--config", str(path)]) == 0
     capsys.readouterr()
-    for name in ("prompt.ckpt", "prompt_metrics.csv", "prompt.ppm"):
+    for name in ("prompt.ckpt", "prompt_metrics.csv", "prompt.ppm", "timing.json"):
         assert (out / name).exists(), name
 
 
 def test_sweep_prints_table_and_writes_csv(config_file, capsys):
     path, out = config_file()
     assert main(["sweep-T", "--config", str(path)]) == 0
-    lines = capsys.readouterr().out.strip().split("\n")
+    printed = capsys.readouterr().out
+    lines = printed.strip().split("\n")
     assert lines[0] == "T,m,std_acc,adv_acc,std_delta,adv_delta"
     assert len(lines) == 4  # grid [1, 2, 4]
-    assert (out / "sweep.csv").exists()
+    assert printed.encode() == (out / "sweep.csv").read_bytes()
 
 
 def test_report_prints_ablation_grid(config_file, capsys):
     path, out = config_file()
     assert main(["report", "--config", str(path)]) == 0
-    lines = capsys.readouterr().out.strip().split("\n")
+    printed = capsys.readouterr().out
+    lines = printed.strip().split("\n")
     assert lines[0] == "pbl,at,T,std_acc,adv_acc,wall_ms_per_epoch,peak_mem_bytes"
     assert len(lines) == 5
-    assert (out / "ablation.csv").exists()
+    assert printed.encode() == (out / "ablation.csv").read_bytes()
 
 
 def test_seed_and_out_overrides(config_file, tmp_path, capsys):

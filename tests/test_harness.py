@@ -133,6 +133,9 @@ def test_hyper_accessors_bind_derived_seeds():
         (lambda c: c["prompt"].__setitem__("temperature", 8), r"m=1 < K_t=2"),
         (lambda c: c["prompt"].__setitem__("pad_width", 3), "prompt interior"),
         (lambda c: c["source"].__setitem__("checkpoint", "no/such.ckpt"), "checkpoint"),
+        (lambda c: c["prompt"].__setitem__("temprature", 2), "unknown config key 'prompt.temprature'"),
+        (lambda c: c["data"]["source"].__setitem__("noise", 0.1), "unknown config key 'data.source.noise'"),
+        (lambda c: c.__setitem__("epochs", 3), "unknown config key 'epochs'"),
     ],
 )
 def test_config_validation_messages(mutate, fragment):
@@ -267,6 +270,9 @@ def test_config_json_records_derived_seeds(experiment_run):
     stored = json.loads((out / "config.json").read_text())
     assert stored["derived_seeds"] == ExperimentConfig.from_dict(small_config()).derived_seeds
     assert stored["seed"] == 0
+    # a run's own config.json loads back as a config describing the same run
+    reloaded = ExperimentConfig.from_file(out / "config.json")
+    assert {**reloaded.raw, "derived_seeds": reloaded.derived_seeds} == stored
 
 
 def test_rerun_is_bitwise_identical(experiment_run, tmp_path):
@@ -317,6 +323,29 @@ def test_sweep_t1_delta_is_exactly_zero(tmp_path):
     assert lines[0] == "T,m,std_acc,adv_acc,std_delta,adv_delta"
     assert len(lines) == 3
     assert lines[1].startswith("1,8,")
+
+
+@pytest.mark.parametrize("metrics_epsilon", [0.05, 0.0])
+def test_sweep_rows_are_the_final_epoch_records(tmp_path, monkeypatch, metrics_epsilon):
+    import promptlab.harness as harness
+
+    finals = []
+    real = harness.train_prompt
+
+    def recording(*args, **kwargs):
+        result = real(*args, **kwargs)
+        finals.append(result[2][-1])
+        return result
+
+    monkeypatch.setattr(harness, "train_prompt", recording)
+    rows = sweep_temperature(small_config(out=tmp_path, eval__metrics_epsilon=metrics_epsilon))
+    base, *cells = finals  # the no-reduction baseline trains first
+    assert len(cells) == len(rows) == 3
+    for row, last in zip(rows, cells):
+        assert (row["std_acc"], row["adv_acc"]) == (last.std_acc, last.adv_acc)
+        assert (row["std_delta"], row["adv_delta"]) == (last.std_acc - base.std_acc, last.adv_acc - base.adv_acc)
+    if metrics_epsilon == 0.0:
+        assert all(row["adv_acc"] == 0.0 for row in rows)  # not measured
 
 
 def test_ablation_grid_cells_and_costs(tmp_path):

@@ -12,6 +12,7 @@ from promptlab import (
     Dataset,
     GraphError,
     PblConfig,
+    SourceClassifier,
     SynthSpec,
     TrainHyper,
     generate_synthetic,
@@ -19,6 +20,7 @@ from promptlab import (
     init_params,
     prediction_frequencies,
     rlm_init,
+    standard_accuracy,
     train_adversarial,
     train_prompt,
     train_standard,
@@ -119,6 +121,22 @@ def test_metrics_epsilon_turns_on_adversarial_column():
         params, source_data(spc=4), TrainHyper(2, 8, 0.05, 0.9, 7), metrics_epsilon=0.05
     )
     assert all(0.0 <= r.adv_acc <= 1.0 for r in records)
+
+
+def test_epoch_metrics_make_one_clean_pass(monkeypatch):
+    """Both accuracies come from the single clean pass of the attack report."""
+    import promptlab.attack as attack
+
+    calls = []
+    real = attack._predict
+    monkeypatch.setattr(attack, "_predict", lambda *a: calls.append(1) or real(*a))
+    eval_ds = source_data(spc=4, split="test")
+    params = init_params(SOURCE_SPEC, seed=2)
+    _, records = train_standard(
+        params, source_data(spc=4), TrainHyper(1, 8, 0.05, 0.9, 7), eval_dataset=eval_ds, metrics_epsilon=0.05
+    )
+    assert len(calls) == 1
+    assert records[0].std_acc == standard_accuracy(SourceClassifier(params), eval_ds)
 
 
 def test_refuses_frozen_params(frozen_source):
