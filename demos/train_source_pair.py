@@ -48,10 +48,10 @@ def main() -> None:
     print(f"source task: {cfg.source_spec.n_classes} classes at "
           f"{cfg.source_spec.input_size}, seed {args.seed}")
     params = init_params(cfg.source_spec, cfg.derived_seeds["source_init"])
-    standard, _ = train_standard(params, data["source_train"], cfg.source_hyper())
+    standard, _ = train_standard(params, data["source_train"], cfg.source_hyper)
     robust = standard.copy()
     robust, _ = train_adversarial(
-        robust, data["source_train"], cfg.source_at_hyper(), cfg.source_attack
+        robust, data["source_train"], cfg.source_at_hyper, cfg.source_attack
     )
 
     models = {"standard": SourceClassifier(standard), "robust": SourceClassifier(robust)}

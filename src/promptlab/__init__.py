@@ -28,7 +28,6 @@ from .checkpoint import (
 from .data import (
     Dataset,
     SynthSpec,
-    embed_center,
     generate_synthetic,
     load_raw,
     peek_raw_header,
@@ -72,14 +71,12 @@ from .tensor import (
     add,
     add_channel_bias,
     add_row_bias,
-    backward,
     clamp01,
     conv2d,
     matmul,
     record_op,
     relu,
     reshape,
-    scale,
     softmax_cross_entropy,
     tensor_sum,
 )

@@ -1,4 +1,4 @@
-"""Datasets: synthetic pattern generator, binary serialization, resizing.
+"""Datasets: synthetic pattern generator and binary serialization.
 
 The synthetic task family renders oriented sinusoidal gratings, one
 orientation/frequency/polarity combination per class, plus uniform
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, ShapeError
+from .errors import DataFormatError
 from .fileio import atomic_open
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "save_raw",
     "load_raw",
     "peek_raw_header",
-    "embed_center",
 ]
 
 _MAGIC = b"VPDS"
@@ -195,29 +194,28 @@ def _read_exact(fh, count: int, what: str) -> bytes:
     return buf
 
 
+def _read_header(fh) -> tuple[int, int, int, int, int]:
+    """Check magic and version; return (N, C, h, w, K)."""
+    magic = _read_exact(fh, 4, "magic")
+    if magic != _MAGIC:
+        raise DataFormatError(f"bad magic {magic!r}, expected {_MAGIC!r}")
+    (version,) = struct.unpack("<H", _read_exact(fh, 2, "version"))
+    if version != _VERSION:
+        raise DataFormatError(f"unsupported dataset version {version}")
+    return struct.unpack("<5I", _read_exact(fh, 20, "dimensions"))
+
+
 def peek_raw_header(path) -> dict:
     """Read just the header; cheap validation for config loading."""
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != _MAGIC:
-            raise DataFormatError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-        (version,) = struct.unpack("<H", _read_exact(fh, 2, "version"))
-        if version != _VERSION:
-            raise DataFormatError(f"unsupported dataset version {version}")
-        n, c, h, w, k = struct.unpack("<5I", _read_exact(fh, 20, "dimensions"))
+        n, c, h, w, k = _read_header(fh)
     return {"n": n, "c": c, "h": h, "w": w, "n_classes": k}
 
 
 def load_raw(path, split: str = "train") -> Dataset:
     """Read the binary dataset container written by :func:`save_raw`."""
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != _MAGIC:
-            raise DataFormatError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-        (version,) = struct.unpack("<H", _read_exact(fh, 2, "version"))
-        if version != _VERSION:
-            raise DataFormatError(f"unsupported dataset version {version}")
-        n, c, h, w, k = struct.unpack("<5I", _read_exact(fh, 20, "dimensions"))
+        n, c, h, w, k = _read_header(fh)
         labels = np.frombuffer(_read_exact(fh, 2 * n, "labels"), dtype="<u2").astype(np.int64)
         count = n * c * h * w
         pixels = np.frombuffer(_read_exact(fh, count, "pixels"), dtype=np.uint8)
@@ -228,23 +226,3 @@ def load_raw(path, split: str = "train") -> Dataset:
     images = (pixels.reshape(n, c, h, w).astype(np.float32)) / 255.0
     return Dataset(images=images, labels=labels, n_classes=k, split=split)
 
-
-def embed_center(batch: np.ndarray, canvas_hw: tuple[int, int]) -> np.ndarray:
-    """Place each image at the center of a larger zero canvas.
-
-    The canvas must leave at least one pixel of margin on every side;
-    odd margins bias toward the top-left (floor split).
-    """
-    if batch.ndim != 4:
-        raise ShapeError(f"batch must be (N,C,h,w), got shape {batch.shape}")
-    n, c, h, w = batch.shape
-    ch, cw = canvas_hw
-    if h > ch - 2 or w > cw - 2:
-        raise ShapeError(
-            f"image {h}x{w} needs margin inside canvas {ch}x{cw}"
-        )
-    top = (ch - h) // 2
-    left = (cw - w) // 2
-    out = np.zeros((n, c, ch, cw), dtype=np.float32)
-    out[:, :, top : top + h, left : left + w] = batch
-    return out

@@ -63,28 +63,88 @@ def _derive_seeds(seed: int) -> dict[str, int]:
     return {name: int(state[slot]) for name, slot in _SEED_SLOTS.items()}
 
 
-def _need(d: dict, key: str, where: str):
-    if key not in d:
-        raise ConfigError(f"config is missing key '{where}.{key}'" if where else f"config is missing key '{key}'")
-    return d[key]
+# Keys a config may leave out; their defaults are the values in default_config().
+# source.at_hyper has none; the adversarial regime requires it.
+_OPTIONAL = {
+    "source.checkpoint", "source.at_hyper", "prompt.temperature_grid", "eval.metrics_epsilon", "derived_seeds",
+}
 
 
-def _check_keys(raw: dict, shape: dict, where: str = "") -> None:
-    for key, value in raw.items():
+def _config_shape(raw: dict) -> dict:
+    """Every key ``raw`` may hold: the defaults, with the file-backed data form
+    when ``raw`` uses it, and the derived seeds a run records in its own
+    config.json."""
+    shape = default_config()
+    if isinstance(raw.get("data"), dict) and "files" in raw["data"]:
+        shape["data"] = {"files": dict.fromkeys(_SPLITS)}
+    shape["derived_seeds"] = None
+    return shape
+
+
+def _check_keys(raw, shape: dict, where: str = "") -> None:
+    """Reject the first unknown or missing key of ``raw``, by dotted path."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config key '{where}' must be an object, got {raw!r}")
+    for key in dict.fromkeys([*raw, *shape]):
         path = f"{where}.{key}" if where else key
         if key not in shape:
             raise ConfigError(f"unknown config key '{path}'")
-        if isinstance(shape[key], dict) and isinstance(value, dict):
-            _check_keys(value, shape[key], path)
+        if key not in raw:
+            if path not in _OPTIONAL:
+                raise ConfigError(f"config is missing key '{path}'")
+        elif isinstance(shape[key], dict):
+            _check_keys(raw[key], shape[key], path)
 
 
-def _config_shape() -> dict:
-    """Every key a config may hold: the defaults, the file-backed data form,
-    and the derived seeds a run records in its own config.json."""
-    shape = default_config()
-    shape["data"]["files"] = dict.fromkeys(_SPLITS)
-    shape["derived_seeds"] = None
-    return shape
+def _parse(path: str, build, *args):
+    """``build(*args)``, with a bad value re-raised as one ConfigError naming ``path``."""
+    try:
+        return build(*args)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _conv_spec(block: dict) -> ConvNetSpec:
+    return ConvNetSpec(
+        input_size=tuple(block["input_size"]),
+        conv_blocks=tuple(tuple(b) for b in block["conv_blocks"]),
+        hidden_width=int(block["hidden_width"]),
+        n_classes=int(block["n_classes"]),
+    )
+
+
+def _train_hyper(recipe: dict, base: dict, seed: int) -> TrainHyper:
+    """Epochs and learning rate from ``recipe``; batch size and momentum from ``base``."""
+    return TrainHyper(
+        epochs=int(recipe["epochs"]),
+        batch_size=int(base["batch_size"]),
+        learning_rate=float(recipe["learning_rate"]),
+        momentum=float(base["momentum"]),
+        seed=seed,
+    )
+
+
+def _attack(epsilon) -> AttackConfig:
+    return AttackConfig(float(epsilon))
+
+
+def _existing(path) -> Path:
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"path does not exist: {path}")
+    return path
+
+
+def _synth(block: dict, key: str, seed: int) -> SynthSpec:
+    style, split = key.split("_")
+    return SynthSpec(
+        n_classes=int(block["n_classes"]),
+        samples_per_class=int(block["samples_per_class" if split == "train" else "test_samples_per_class"]),
+        image_size=tuple(block["image_size"]),
+        style=style,
+        noise_level=float(block["noise_level"]),
+        seed=seed,
+    )
 
 
 def default_config(seed: int = 0, output_dir: str = "runs/default") -> dict:
@@ -145,80 +205,81 @@ class ExperimentConfig:
     output_dir: Path
     source_spec: ConvNetSpec
     source_regime: str
+    source_hyper: TrainHyper
+    source_at_hyper: TrainHyper | None
     source_attack: AttackConfig
     source_checkpoint: Path | None
     pad_width: int
     lm: str
     temperature: int
     temperature_grid: list[int]
+    prompt_hyper: TrainHyper
     prompt_adversarial: bool
     prompt_attack: AttackConfig
     epsilon_grid: list[float]
     metrics_epsilon: float
+    splits: dict[str, SynthSpec | Path]  # a generator recipe or a VPDS file per split
     derived_seeds: dict[str, int]
 
     @classmethod
     def from_dict(cls, raw: dict, seed_override: int | None = None, out_override=None) -> "ExperimentConfig":
         raw = json.loads(json.dumps(raw))  # defensive deep copy
-        _check_keys(raw, _config_shape())
-        raw.pop("derived_seeds", None)  # re-derived from the seed below
-        seed = int(_need(raw, "seed", "")) if seed_override is None else int(seed_override)
-        raw["seed"] = seed
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+        if seed_override is not None:
+            raw["seed"] = int(seed_override)
         if out_override is not None:
             raw["output_dir"] = str(out_override)
-        output_dir = Path(_need(raw, "output_dir", ""))
-
-        src = _need(raw, "source", "")
-        spec_d = _need(src, "spec", "source")
-        spec = ConvNetSpec(
-            input_size=tuple(_need(spec_d, "input_size", "source.spec")),
-            conv_blocks=tuple(tuple(b) for b in _need(spec_d, "conv_blocks", "source.spec")),
-            hidden_width=int(_need(spec_d, "hidden_width", "source.spec")),
-            n_classes=int(_need(spec_d, "n_classes", "source.spec")),
-        )
-        regime = _need(src, "regime", "source")
-        if regime not in ("standard", "adversarial"):
-            raise ConfigError(f"source.regime must be 'standard' or 'adversarial', got {regime!r}")
-        src_attack = AttackConfig(float(_need(_need(src, "attack", "source"), "epsilon", "source.attack")))
-        ckpt = src.get("checkpoint")
-        ckpt_path = Path(ckpt) if ckpt else None
-        if ckpt_path is not None and not ckpt_path.exists():
-            raise ConfigError(f"source.checkpoint path does not exist: {ckpt_path}")
-
-        pr = _need(raw, "prompt", "")
-        pad_width = int(_need(pr, "pad_width", "prompt"))
-        lm = _need(pr, "lm", "prompt")
-        if lm not in ("rlm", "ilm"):
-            raise ConfigError(f"prompt.lm must be 'rlm' or 'ilm', got {lm!r}")
-        temperature = int(_need(pr, "temperature", "prompt"))
-        grid = [int(t) for t in pr.get("temperature_grid", [1, 2, 4])]
-        adversarial = bool(_need(pr, "adversarial", "prompt"))
-        pr_attack = AttackConfig(float(_need(_need(pr, "attack", "prompt"), "epsilon", "prompt.attack")))
-
-        ev = _need(raw, "eval", "")
-        eps_grid = [float(e) for e in _need(ev, "epsilon_grid", "eval")]
+        shape = _config_shape(raw)
+        _check_keys(raw, shape)
+        raw.pop("derived_seeds", None)  # re-derived from the seed below
+        src, pr, ev, data = raw["source"], raw["prompt"], raw["eval"], raw["data"]
+        if src["regime"] not in ("standard", "adversarial"):
+            raise ConfigError(f"source.regime must be 'standard' or 'adversarial', got {src['regime']!r}")
+        if src["regime"] == "adversarial" and "at_hyper" not in src:
+            raise ConfigError("config is missing key 'source.at_hyper', which the adversarial regime needs")
+        if pr["lm"] not in ("rlm", "ilm"):
+            raise ConfigError(f"prompt.lm must be 'rlm' or 'ilm', got {pr['lm']!r}")
+        raw["seed"] = _parse("seed", int, raw["seed"])
+        seeds = _parse("seed", _derive_seeds, raw["seed"])
+        eps_grid = _parse("eval.epsilon_grid", lambda grid: [float(e) for e in grid], ev["epsilon_grid"])
         if any(e < 0 for e in eps_grid):
             raise ConfigError(f"eval.epsilon_grid must be non-negative, got {eps_grid}")
-        metrics_eps = float(ev.get("metrics_epsilon", 0.05))
-
-        derived = _derive_seeds(seed)
+        if "files" in data:
+            splits = {key: _parse(f"data.files.{key}", _existing, data["files"][key]) for key in _SPLITS}
+        else:
+            splits = {}
+            for key in _SPLITS:
+                block = key.split("_")[0]
+                splits[key] = _parse(f"data.{block}", _synth, data[block], key, seeds[f"{key}_data"])
+        ckpt = src.get("checkpoint", shape["source"]["checkpoint"])
+        grid = pr.get("temperature_grid", shape["prompt"]["temperature_grid"])
         cfg = cls(
             raw=raw,
-            seed=seed,
-            output_dir=output_dir,
-            source_spec=spec,
-            source_regime=regime,
-            source_attack=src_attack,
-            source_checkpoint=ckpt_path,
-            pad_width=pad_width,
-            lm=lm,
-            temperature=temperature,
-            temperature_grid=grid,
-            prompt_adversarial=adversarial,
-            prompt_attack=pr_attack,
+            seed=raw["seed"],
+            output_dir=_parse("output_dir", Path, raw["output_dir"]),
+            source_spec=_parse("source.spec", _conv_spec, src["spec"]),
+            source_regime=src["regime"],
+            source_hyper=_parse("source.hyper", _train_hyper, src["hyper"], src["hyper"], seeds["source_train"]),
+            source_at_hyper=(
+                _parse("source.at_hyper", _train_hyper, src["at_hyper"], src["hyper"], seeds["source_at"])
+                if "at_hyper" in src else None
+            ),
+            source_attack=_parse("source.attack", _attack, src["attack"]["epsilon"]),
+            source_checkpoint=_parse("source.checkpoint", _existing, ckpt) if ckpt else None,
+            pad_width=_parse("prompt.pad_width", int, pr["pad_width"]),
+            lm=pr["lm"],
+            temperature=_parse("prompt.temperature", int, pr["temperature"]),
+            temperature_grid=_parse("prompt.temperature_grid", lambda ts: [int(t) for t in ts], grid),
+            prompt_hyper=_parse("prompt.hyper", _train_hyper, pr["hyper"], pr["hyper"], seeds["prompt_train"]),
+            prompt_adversarial=bool(pr["adversarial"]),
+            prompt_attack=_parse("prompt.attack", _attack, pr["attack"]["epsilon"]),
             epsilon_grid=eps_grid,
-            metrics_epsilon=metrics_eps,
-            derived_seeds=derived,
+            metrics_epsilon=_parse(
+                "eval.metrics_epsilon", _attack, ev.get("metrics_epsilon", shape["eval"]["metrics_epsilon"])
+            ).epsilon,
+            splits=splits,
+            derived_seeds=seeds,
         )
         cfg._validate()
         return cfg
@@ -234,88 +295,26 @@ class ExperimentConfig:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
         return cls.from_dict(raw, seed_override=seed_override, out_override=out_override)
 
-    # -- hyper / data accessors -------------------------------------------
-
-    def _hyper(self, section: str, slot: str) -> TrainHyper:
-        h = _need(_need(self.raw, section, ""), "hyper", section)
-        return TrainHyper(
-            epochs=int(_need(h, "epochs", f"{section}.hyper")),
-            batch_size=int(_need(h, "batch_size", f"{section}.hyper")),
-            learning_rate=float(_need(h, "learning_rate", f"{section}.hyper")),
-            momentum=float(_need(h, "momentum", f"{section}.hyper")),
-            seed=self.derived_seeds[slot],
-        )
-
-    def source_hyper(self) -> TrainHyper:
-        return self._hyper("source", "source_train")
-
-    def source_at_hyper(self) -> TrainHyper:
-        """Adversarial-phase recipe; batch size and momentum follow source.hyper."""
-        src = _need(self.raw, "source", "")
-        at = _need(src, "at_hyper", "source")
-        base = _need(src, "hyper", "source")
-        return TrainHyper(
-            epochs=int(_need(at, "epochs", "source.at_hyper")),
-            batch_size=int(_need(base, "batch_size", "source.hyper")),
-            learning_rate=float(_need(at, "learning_rate", "source.at_hyper")),
-            momentum=float(_need(base, "momentum", "source.hyper")),
-            seed=self.derived_seeds["source_at"],
-        )
-
-    def prompt_hyper(self) -> TrainHyper:
-        return self._hyper("prompt", "prompt_train")
-
     def pbl(self, temperature: int | None = None) -> PblConfig:
         t = self.temperature if temperature is None else temperature
         return PblConfig(temperature=t, n=self.source_spec.n_classes)
 
-    def _synth(self, section: dict, style: str, split: str, seed: int) -> Dataset:
-        per_class = (
-            section["samples_per_class"] if split == "train" else section["test_samples_per_class"]
-        )
-        spec = SynthSpec(
-            n_classes=int(section["n_classes"]),
-            samples_per_class=int(per_class),
-            image_size=tuple(section["image_size"]),
-            style=style,
-            noise_level=float(section["noise_level"]),
-            seed=seed,
-        )
-        return generate_synthetic(spec, split=split)
-
     def datasets(self) -> dict[str, Dataset]:
-        data = _need(self.raw, "data", "")
-        ds = self.derived_seeds
-        if "files" in data:  # paths checked by _validate
-            return {key: load_raw(Path(data["files"][key]), split=key.split("_")[1]) for key in _SPLITS}
-        src = _need(data, "source", "data")
-        dst = _need(data, "downstream", "data")
-        for section, where in ((src, "data.source"), (dst, "data.downstream")):
-            for key in ("n_classes", "samples_per_class", "test_samples_per_class", "image_size", "noise_level"):
-                _need(section, key, where)
+        """Generate or load the four splits ``from_dict`` described."""
         return {
-            "source_train": self._synth(src, "source", "train", ds["source_train_data"]),
-            "source_test": self._synth(src, "source", "test", ds["source_test_data"]),
-            "downstream_train": self._synth(dst, "downstream", "train", ds["downstream_train_data"]),
-            "downstream_test": self._synth(dst, "downstream", "test", ds["downstream_test_data"]),
+            key: (generate_synthetic if isinstance(src, SynthSpec) else load_raw)(src, split=key.split("_")[1])
+            for key, src in self.splits.items()
         }
 
-    # -- validation --------------------------------------------------------
-
     def _validate(self) -> None:
-        data = _need(self.raw, "data", "")
-        if "files" in data:
-            for key in _SPLITS:
-                path = Path(_need(data["files"], key, "data.files"))
-                if not path.exists():
-                    raise ConfigError(f"data.files.{key} path does not exist: {path}")
-            # (K_t, downstream image size) from the header, without loading the data
-            hdr = peek_raw_header(Path(data["files"]["downstream_train"]))
-            k_t, (c, h, w) = hdr["n_classes"], (hdr["c"], hdr["h"], hdr["w"])
-        else:
-            dst = _need(data, "downstream", "data")
-            k_t = int(_need(dst, "n_classes", "data.downstream"))
-            c, h, w = _need(dst, "image_size", "data.downstream")
+        """Cross-field checks: each temperature against the downstream class
+        count K_t, and the downstream images against the prompt interior."""
+        dst = self.splits["downstream_train"]
+        if isinstance(dst, SynthSpec):
+            k_t, image_size = dst.n_classes, dst.image_size
+        else:  # (K_t, image size) from the header, without loading the data
+            hdr = peek_raw_header(dst)
+            k_t, image_size = hdr["n_classes"], (hdr["c"], hdr["h"], hdr["w"])
         for t in set(self.temperature_grid) | {self.temperature}:
             if t < 1:
                 raise ConfigError(f"temperature must be >= 1, got {t}")
@@ -327,14 +326,11 @@ class ExperimentConfig:
                 )
         sc, sh, sw = self.source_spec.input_size
         want = (sc, sh - 2 * self.pad_width, sw - 2 * self.pad_width)
-        if (c, h, w) != want:
+        if image_size != want:
             raise ConfigError(
-                f"downstream images {(c, h, w)} do not fill the prompt interior {want} "
+                f"downstream images {image_size} do not fill the prompt interior {want} "
                 f"(canvas {self.source_spec.input_size}, pad_width {self.pad_width})"
             )
-        # hyper blocks must parse (TrainHyper validates its own fields)
-        self.source_hyper()
-        self.prompt_hyper()
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +360,8 @@ def _prepare_source(cfg: ExperimentConfig, data: dict[str, Dataset], timing: dic
         return params
     t0 = time.perf_counter()
     params = init_params(cfg.source_spec, cfg.derived_seeds["source_init"])
-    hyper = cfg.source_hyper()
     params, records = train_standard(
-        params, data["source_train"], hyper,
+        params, data["source_train"], cfg.source_hyper,
         eval_dataset=data["source_test"], metrics_epsilon=cfg.metrics_epsilon,
     )
     if cfg.source_regime == "adversarial":
@@ -375,7 +370,7 @@ def _prepare_source(cfg: ExperimentConfig, data: dict[str, Dataset], timing: dic
         # recipe warm-starts from the standard phase above and then
         # replaces every batch with its attacked counterpart.
         params, at_records = train_adversarial(
-            params, data["source_train"], cfg.source_at_hyper(), cfg.source_attack,
+            params, data["source_train"], cfg.source_at_hyper, cfg.source_attack,
             eval_dataset=data["source_test"], metrics_epsilon=cfg.metrics_epsilon,
         )
         offset = records[-1].epoch + 1
@@ -424,7 +419,7 @@ def _train_prompt_phase(cfg, source, data, temperature, adversarial):
         data["downstream_train"],
         cfg.lm,
         pbl,
-        cfg.prompt_hyper(),
+        cfg.prompt_hyper,
         adversarial=adversarial,
         attack=cfg.prompt_attack if adversarial else None,
         pad_width=cfg.pad_width,

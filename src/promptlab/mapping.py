@@ -64,23 +64,19 @@ def block_reduce(v: Tensor, cfg: PblConfig) -> Tensor:
     nb, n = v.data.shape
     t = cfg.temperature
     m = cfg.m
-    if t == 1:
-        out_data = v.data.copy()
-        arg_cols = np.broadcast_to(np.arange(n, dtype=np.int64), (nb, n))
-    else:
-        n_full = n // t
-        pieces = []
-        arg_pieces = []
-        if n_full:
-            blocks = v.data[:, : n_full * t].reshape(nb, n_full, t)
-            pieces.append(blocks.max(axis=2))
-            arg_pieces.append(blocks.argmax(axis=2) + np.arange(n_full, dtype=np.int64) * t)
-        if n_full * t < n:
-            tail = v.data[:, n_full * t :]
-            pieces.append(tail.max(axis=1, keepdims=True))
-            arg_pieces.append(tail.argmax(axis=1)[:, None] + n_full * t)
-        out_data = np.concatenate(pieces, axis=1)
-        arg_cols = np.concatenate(arg_pieces, axis=1)
+    n_full = n // t
+    pieces = []
+    arg_pieces = []
+    if n_full:
+        blocks = v.data[:, : n_full * t].reshape(nb, n_full, t)
+        pieces.append(blocks.max(axis=2))
+        arg_pieces.append(blocks.argmax(axis=2) + np.arange(n_full, dtype=np.int64) * t)
+    if n_full * t < n:
+        tail = v.data[:, n_full * t :]
+        pieces.append(tail.max(axis=1, keepdims=True))
+        arg_pieces.append(tail.argmax(axis=1)[:, None] + n_full * t)
+    out_data = np.concatenate(pieces, axis=1)
+    arg_cols = np.concatenate(arg_pieces, axis=1)
     assert out_data.shape == (nb, m)
     out = Tensor(out_data)
     out.requires_grad = v.requires_grad

@@ -21,7 +21,6 @@ from .errors import GraphError, NumericsError, ShapeError
 __all__ = [
     "Tensor",
     "Graph",
-    "backward",
     "record_op",
     "matmul",
     "conv2d",
@@ -31,7 +30,6 @@ __all__ = [
     "add",
     "add_row_bias",
     "add_channel_bias",
-    "scale",
     "reshape",
     "tensor_sum",
 ]
@@ -168,11 +166,6 @@ class Graph:
                     if inp.grad is None:
                         inp.grad = np.zeros_like(inp.data)
                     inp.grad += g_in
-
-
-def backward(graph: Graph, loss: Tensor) -> None:
-    """Functional alias for :meth:`Graph.backward`."""
-    graph.backward(loss)
 
 
 def record_op(output: Tensor, inputs: tuple[Tensor, ...], backward_fn, flops: int = 0) -> None:
@@ -352,19 +345,6 @@ def add_channel_bias(x: Tensor, bias: Tensor) -> Tensor:
         return gx, gb
 
     record_op(out, (x, bias), bwd, flops=x.data.size)
-    return out
-
-
-def scale(x: Tensor, factor: float) -> Tensor:
-    """Multiply by a python scalar constant."""
-    out = _make_output(x.data * np.float32(factor), (x,), "scale output")
-
-    def bwd(g):
-        if not x.requires_grad:
-            return (None,)
-        return (g * np.float32(factor),)
-
-    record_op(out, (x,), bwd, flops=x.data.size)
     return out
 
 

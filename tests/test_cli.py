@@ -110,6 +110,15 @@ def test_corrupt_dataset_reports_data_error(config_file, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error[data] ")
 
 
+def test_bad_data_block_fails_before_the_output_directory(config_file, capsys):
+    path, out = config_file(data__source__noise_level=0.7)
+    assert main(["train-source", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[config] data.source: noise_level")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_corrupt_checkpoint_reports_checkpoint_error(config_file, tmp_path, capsys):
     fake = tmp_path / "fake.ckpt"
     fake.write_bytes(b"VPCKgarbage")

@@ -1,4 +1,4 @@
-"""Synthetic dataset generation, binary container IO, and canvas embedding."""
+"""Synthetic dataset generation and binary container IO."""
 
 import io
 import struct
@@ -12,11 +12,9 @@ from promptlab import (
     ConvNetSpec,
     Dataset,
     DataFormatError,
-    ShapeError,
     SourceClassifier,
     SynthSpec,
     TrainHyper,
-    embed_center,
     generate_synthetic,
     init_params,
     load_raw,
@@ -282,47 +280,6 @@ def test_round_trip_property(tmp_path_factory, n_classes, per_class, h, w, seed)
     assert np.array_equal(back.images, ds.images)
     assert np.array_equal(back.labels, ds.labels)
     assert back.n_classes == ds.n_classes
-
-
-# ---------------------------------------------------------------------------
-# canvas embedding
-
-
-def test_embed_center_places_and_conserves_mass():
-    batch = np.arange(8, dtype=np.float32).reshape(2, 1, 2, 2) / 10.0
-    out = embed_center(batch, (6, 7))
-    assert out.shape == (2, 1, 6, 7)
-    assert out.dtype == np.float32
-    assert np.array_equal(out[:, :, 2:4, 2:4], batch)
-    assert out.sum() == pytest.approx(batch.sum())
-    # everything outside the patch is untouched zero canvas
-    masked = out.copy()
-    masked[:, :, 2:4, 2:4] = 0.0
-    assert not masked.any()
-
-
-def test_embed_center_floors_odd_margins():
-    batch = np.ones((1, 1, 3, 3), np.float32)
-    out = embed_center(batch, (6, 6))
-    # margin of 3 splits as 1 above, 2 below
-    assert out[0, 0, 1, 1] == 1.0
-    assert out[0, 0, 0].sum() == 0.0
-    assert out[0, 0, 4].sum() == 0.0
-    assert out[0, 0, 5].sum() == 0.0
-
-
-def test_embed_center_requires_border_margin():
-    batch = np.ones((1, 1, 5, 5), np.float32)
-    with pytest.raises(ShapeError, match="margin"):
-        embed_center(batch, (6, 6))
-    # exactly one pixel of margin on each side is the tightest legal fit
-    out = embed_center(np.ones((1, 1, 4, 4), np.float32), (6, 6))
-    assert out.shape == (1, 1, 6, 6)
-
-
-def test_embed_center_rejects_wrong_rank():
-    with pytest.raises(ShapeError, match="N,C,h,w"):
-        embed_center(np.ones((3, 3), np.float32), (8, 8))
 
 
 # ---------------------------------------------------------------------------

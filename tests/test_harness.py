@@ -111,14 +111,20 @@ def test_derived_seed_oracle():
 
 def test_hyper_accessors_bind_derived_seeds():
     cfg = ExperimentConfig.from_dict(small_config(seed=17))
-    assert cfg.source_hyper().seed == cfg.derived_seeds["source_train"]
-    assert cfg.prompt_hyper().seed == cfg.derived_seeds["prompt_train"]
-    at = cfg.source_at_hyper()
+    assert cfg.source_hyper.seed == cfg.derived_seeds["source_train"]
+    assert cfg.prompt_hyper.seed == cfg.derived_seeds["prompt_train"]
+    at = cfg.source_at_hyper
     assert at.seed == cfg.derived_seeds["source_at"]
     # adversarial phase inherits batch size and momentum from the base recipe
     assert at.batch_size == 16
     assert at.momentum == 0.9
     assert at.epochs == 2
+
+
+def adversarial(cfg):
+    """Switch ``cfg`` to the adversarial regime; returns its source block."""
+    cfg["source"]["regime"] = "adversarial"
+    return cfg["source"]
 
 
 @pytest.mark.parametrize(
@@ -136,6 +142,13 @@ def test_hyper_accessors_bind_derived_seeds():
         (lambda c: c["prompt"].__setitem__("temprature", 2), "unknown config key 'prompt.temprature'"),
         (lambda c: c["data"]["source"].__setitem__("noise", 0.1), "unknown config key 'data.source.noise'"),
         (lambda c: c.__setitem__("epochs", 3), "unknown config key 'epochs'"),
+        (lambda c: adversarial(c)["at_hyper"].__setitem__("epochs", 0), r"source\.at_hyper: epochs must be >= 1, got 0"),
+        (lambda c: adversarial(c).pop("at_hyper"), "missing key 'source.at_hyper'"),
+        (lambda c: c["data"]["source"].__setitem__("noise_level", 0.7), r"data\.source: noise_level"),
+        (lambda c: c["data"]["source"].pop("samples_per_class"), "missing key 'data.source.samples_per_class'"),
+        (lambda c: c["data"]["downstream"].__setitem__("samples_per_class", 0), r"data\.downstream: samples_per_class"),
+        (lambda c: c["source"]["hyper"].__setitem__("epochs", "ten"), r"source\.hyper: .*'ten'"),
+        (lambda c: c["eval"].__setitem__("metrics_epsilon", -1), r"eval\.metrics_epsilon: epsilon must be >= 0"),
     ],
 )
 def test_config_validation_messages(mutate, fragment):
@@ -143,6 +156,22 @@ def test_config_validation_messages(mutate, fragment):
     mutate(raw)
     with pytest.raises(ConfigError, match=fragment):
         ExperimentConfig.from_dict(raw)
+
+
+def test_optional_keys_default_and_stay_out_of_config_json(tmp_path):
+    raw = small_config(out=tmp_path)
+    del raw["source"]["at_hyper"], raw["source"]["checkpoint"]
+    del raw["prompt"]["temperature_grid"], raw["eval"]["metrics_epsilon"]
+    cfg = ExperimentConfig.from_dict(raw)
+    defaults = default_config()
+    assert cfg.source_at_hyper is None and cfg.source_checkpoint is None
+    assert cfg.temperature_grid == defaults["prompt"]["temperature_grid"]
+    assert cfg.metrics_epsilon == defaults["eval"]["metrics_epsilon"]
+    run_experiment(cfg)
+    stored = json.loads((tmp_path / "config.json").read_text())
+    assert stored == {**raw, "derived_seeds": cfg.derived_seeds}  # as given, no defaults filled in
+    reloaded = ExperimentConfig.from_file(tmp_path / "config.json")
+    assert {**reloaded.raw, "derived_seeds": reloaded.derived_seeds} == stored
 
 
 def test_from_file_round_trip_and_errors(tmp_path):
