@@ -81,8 +81,31 @@ def _config_shape(raw: dict) -> dict:
     return shape
 
 
+# JSON types a leaf may take, keyed by the type of its default; a float
+# leaf also takes an integer.  bool is a subclass of int, so the lookup is
+# by exact type and ``true`` is no count.
+_LEAF_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+               float: ((int, float), "a number"), str: ((str,), "a string")}
+
+
+def _check_leaf(value, default, where: str, name: str) -> None:
+    """Reject ``value`` unless it has the JSON type of ``default``, entry by
+    entry for a list; a ``None`` default (a path) is checked where it is used."""
+    if default is None:
+        return
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: {name} must be a list, got {value!r}")
+        for i, entry in enumerate(value):
+            _check_leaf(entry, default[0], where, f"{name}[{i}]")
+        return
+    types, kind = _LEAF_TYPES[type(default)]
+    if type(value) not in types:
+        raise ConfigError(f"{where}: {name} must be {kind}, got {value!r}")
+
+
 def _check_keys(raw, shape: dict, where: str = "") -> None:
-    """Reject the first unknown or missing key of ``raw``, by dotted path."""
+    """Reject the first unknown, missing or mistyped key of ``raw``, by dotted path."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config key '{where}' must be an object, got {raw!r}")
     for key in dict.fromkeys([*raw, *shape]):
@@ -94,6 +117,8 @@ def _check_keys(raw, shape: dict, where: str = "") -> None:
                 raise ConfigError(f"config is missing key '{path}'")
         elif isinstance(shape[key], dict):
             _check_keys(raw[key], shape[key], path)
+        else:
+            _check_leaf(raw[key], shape[key], where or "config", key)
 
 
 def _parse(path: str, build, *args):
@@ -108,16 +133,16 @@ def _conv_spec(block: dict) -> ConvNetSpec:
     return ConvNetSpec(
         input_size=tuple(block["input_size"]),
         conv_blocks=tuple(tuple(b) for b in block["conv_blocks"]),
-        hidden_width=int(block["hidden_width"]),
-        n_classes=int(block["n_classes"]),
+        hidden_width=block["hidden_width"],
+        n_classes=block["n_classes"],
     )
 
 
 def _train_hyper(recipe: dict, base: dict, seed: int) -> TrainHyper:
     """Epochs and learning rate from ``recipe``; batch size and momentum from ``base``."""
     return TrainHyper(
-        epochs=int(recipe["epochs"]),
-        batch_size=int(base["batch_size"]),
+        epochs=recipe["epochs"],
+        batch_size=base["batch_size"],
         learning_rate=float(recipe["learning_rate"]),
         momentum=float(base["momentum"]),
         seed=seed,
@@ -138,8 +163,8 @@ def _existing(path) -> Path:
 def _synth(block: dict, key: str, seed: int) -> SynthSpec:
     style, split = key.split("_")
     return SynthSpec(
-        n_classes=int(block["n_classes"]),
-        samples_per_class=int(block["samples_per_class" if split == "train" else "test_samples_per_class"]),
+        n_classes=block["n_classes"],
+        samples_per_class=block["samples_per_class" if split == "train" else "test_samples_per_class"],
         image_size=tuple(block["image_size"]),
         style=style,
         noise_level=float(block["noise_level"]),
@@ -240,9 +265,8 @@ class ExperimentConfig:
             raise ConfigError("config is missing key 'source.at_hyper', which the adversarial regime needs")
         if pr["lm"] not in ("rlm", "ilm"):
             raise ConfigError(f"prompt.lm must be 'rlm' or 'ilm', got {pr['lm']!r}")
-        raw["seed"] = _parse("seed", int, raw["seed"])
         seeds = _parse("seed", _derive_seeds, raw["seed"])
-        eps_grid = _parse("eval.epsilon_grid", lambda grid: [float(e) for e in grid], ev["epsilon_grid"])
+        eps_grid = [float(e) for e in ev["epsilon_grid"]]
         if any(e < 0 for e in eps_grid):
             raise ConfigError(f"eval.epsilon_grid must be non-negative, got {eps_grid}")
         if "files" in data:
@@ -257,7 +281,7 @@ class ExperimentConfig:
         cfg = cls(
             raw=raw,
             seed=raw["seed"],
-            output_dir=_parse("output_dir", Path, raw["output_dir"]),
+            output_dir=Path(raw["output_dir"]),
             source_spec=_parse("source.spec", _conv_spec, src["spec"]),
             source_regime=src["regime"],
             source_hyper=_parse("source.hyper", _train_hyper, src["hyper"], src["hyper"], seeds["source_train"]),
@@ -267,12 +291,12 @@ class ExperimentConfig:
             ),
             source_attack=_parse("source.attack", _attack, src["attack"]["epsilon"]),
             source_checkpoint=_parse("source.checkpoint", _existing, ckpt) if ckpt else None,
-            pad_width=_parse("prompt.pad_width", int, pr["pad_width"]),
+            pad_width=pr["pad_width"],
             lm=pr["lm"],
-            temperature=_parse("prompt.temperature", int, pr["temperature"]),
-            temperature_grid=_parse("prompt.temperature_grid", lambda ts: [int(t) for t in ts], grid),
+            temperature=pr["temperature"],
+            temperature_grid=list(grid),
             prompt_hyper=_parse("prompt.hyper", _train_hyper, pr["hyper"], pr["hyper"], seeds["prompt_train"]),
-            prompt_adversarial=bool(pr["adversarial"]),
+            prompt_adversarial=pr["adversarial"],
             prompt_attack=_parse("prompt.attack", _attack, pr["attack"]["epsilon"]),
             epsilon_grid=eps_grid,
             metrics_epsilon=_parse(

@@ -8,11 +8,18 @@ graph is rebuilt on every forward pass; nothing is retained between
 passes except the leaf tensors themselves.
 
 All values are float32.  Every operation validates its operand shapes
-up front and checks its output for NaN/Inf; gradients are checked the
-same way during the backward sweep.
+up front.  A tensor's value is checked for NaN/Inf when it is made, and
+so is the output of every op that can overflow or divide (``matmul``,
+``conv2d``, the adds, ``tensor_sum``, cross-entropy).  ``relu``,
+``clamp01`` and ``reshape`` only select, bound or rearrange finite
+values, so their outputs are not checked again.  During the backward
+sweep every op's input gradients are checked, so an overflow there
+raises a :class:`NumericsError` naming the ``gradient``.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -40,7 +47,7 @@ def _as_f32(data) -> np.ndarray:
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericsError(f"{what} contains NaN or Inf")
 
 
@@ -174,8 +181,11 @@ def record_op(output: Tensor, inputs: tuple[Tensor, ...], backward_fn, flops: in
         _GRAPH_STACK[-1].record(output, inputs, backward_fn, flops)
 
 
-def _make_output(data: np.ndarray, inputs: tuple[Tensor, ...], what: str) -> Tensor:
-    _check_finite(data, what)
+def _make_output(data: np.ndarray, inputs: tuple[Tensor, ...], what: str | None) -> Tensor:
+    """Wrap an op's result; ``what`` names it in the finite check, which
+    ``None`` skips for ops that cannot turn finite inputs into NaN/Inf."""
+    if what is not None:
+        _check_finite(data, what)
     out = Tensor.__new__(Tensor)
     out.data = data.astype(np.float32, copy=False)
     out.requires_grad = any(t.requires_grad for t in inputs)
@@ -214,26 +224,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int):
-    n, c, h, w = x.shape
+@functools.lru_cache(maxsize=64)
+def _im2col_index(c: int, h: int, w: int, kh: int, kw: int, stride: int) -> np.ndarray:
+    """Gather index into one flattened (c, h, w) raster, shaped
+    (h_out*w_out, c*kh*kw) in (h_out, w_out, c, kh, kw) order."""
     h_out = (h - kh) // stride + 1
     w_out = (w - kw) // stride + 1
-    sn, sc, sh, sw = x.strides
-    view = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, kh, kw, h_out, w_out),
-        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
-        writeable=False,
-    )
-    cols = np.ascontiguousarray(view.transpose(0, 4, 5, 1, 2, 3))
-    return cols.reshape(n, h_out * w_out, c * kh * kw), h_out, w_out
+    rows = (np.arange(h_out) * stride)[:, None, None, None, None] + np.arange(kh)[:, None]
+    cols = (np.arange(w_out) * stride)[None, :, None, None, None] + np.arange(kw)
+    idx = (np.arange(c)[:, None, None] * h + rows) * w + cols
+    idx = idx.reshape(h_out * w_out, c * kh * kw)
+    idx.flags.writeable = False  # shared by every call with this geometry
+    return idx
 
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
     """Valid (no padding) 2-D convolution over NCHW input.
 
-    Implemented as im2col followed by a matrix product; the backward
-    pass scatters the column gradient back onto the input raster.
+    Implemented as im2col (a cached gather index) followed by one matrix
+    product per example, ``kernel @ cols^T``, which writes the
+    (F, H_out*W_out) output rows directly.  The backward pass forms the
+    kernel gradient with one ``tensordot`` over the batch and scatters
+    the column gradient back onto the input raster, one kernel offset at
+    a time.  Each dot product sums the same terms in the same order as
+    ``cols @ kernel^T`` would, so the output and gradient bytes match
+    the plain im2col formulation.  The output is checked for NaN/Inf;
+    the gradients are checked by the backward sweep.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError(
@@ -249,21 +265,22 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
         raise ShapeError(
             f"conv2d kernel {kh}x{kw} larger than input {h}x{w}"
         )
-    cols, h_out, w_out = _im2col(x.data, kh, kw, stride)
+    h_out = (h - kh) // stride + 1
+    w_out = (w - kw) // stride + 1
+    # im2col: one gather per batch, (n, h_out*w_out, c*kh*kw)
+    cols = np.take(x.data.reshape(n, c * h * w), _im2col_index(c, h, w, kh, kw, stride), axis=1)
     kmat = kernel.data.reshape(f, c * kh * kw)
-    prod = cols @ kmat.T  # (n, h_out*w_out, f)
-    out_data = prod.transpose(0, 2, 1).reshape(n, f, h_out, w_out)
-    out = _make_output(np.ascontiguousarray(out_data), (x, kernel), "conv2d output")
+    out_data = (kmat @ cols.transpose(0, 2, 1)).reshape(n, f, h_out, w_out)
+    out = _make_output(out_data, (x, kernel), "conv2d output")
 
     def bwd(g):
-        gmat = g.reshape(n, f, h_out * w_out).transpose(0, 2, 1)  # (n, P, f)
+        gmat = g.reshape(n, f, h_out * w_out)
         gk = None
         gx = None
         if kernel.requires_grad:
-            gk = np.tensordot(gmat, cols, axes=([0, 1], [0, 1])).reshape(kernel.data.shape)
+            gk = np.tensordot(gmat.transpose(0, 2, 1), cols, axes=([0, 1], [0, 1])).reshape(kernel.data.shape)
         if x.requires_grad:
-            dcols = gmat @ kmat  # (n, P, c*kh*kw)
-            dc = dcols.reshape(n, h_out, w_out, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+            dc = (kmat.T @ gmat).reshape(n, c, kh, kw, h_out, w_out)
             gx = np.zeros_like(x.data)
             for i in range(kh):
                 for j in range(kw):
@@ -275,8 +292,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    """max(x, 0); gradient passes where x > 0."""
-    out = _make_output(np.maximum(x.data, 0.0), (x,), "relu output")
+    """max(x, 0); gradient passes where x > 0.  The output is not re-checked."""
+    out = _make_output(np.maximum(x.data, 0.0), (x,), None)
 
     def bwd(g):
         if not x.requires_grad:
@@ -288,8 +305,9 @@ def relu(x: Tensor) -> Tensor:
 
 
 def clamp01(x: Tensor) -> Tensor:
-    """Clamp into [0, 1]; gradient passes only on the open interval (0, 1)."""
-    out = _make_output(np.clip(x.data, 0.0, 1.0), (x,), "clamp01 output")
+    """Clamp into [0, 1]; gradient passes only on the open interval (0, 1).
+    The output is not re-checked."""
+    out = _make_output(np.clip(x.data, 0.0, 1.0), (x,), None)
 
     def bwd(g):
         if not x.requires_grad:
@@ -349,12 +367,12 @@ def add_channel_bias(x: Tensor, bias: Tensor) -> Tensor:
 
 
 def reshape(x: Tensor, new_shape: tuple[int, ...]) -> Tensor:
-    """Reshape without changing the element count."""
+    """Reshape without changing the element count.  The output is not re-checked."""
     try:
         data = x.data.reshape(new_shape)
     except ValueError as exc:
         raise ShapeError(f"cannot reshape {x.data.shape} into {new_shape}: {exc}") from None
-    out = _make_output(np.ascontiguousarray(data), (x,), "reshape output")
+    out = _make_output(np.ascontiguousarray(data), (x,), None)
 
     def bwd(g):
         if not x.requires_grad:

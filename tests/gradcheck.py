@@ -14,6 +14,10 @@ the oracle is exact up to float64 noise as long as instances keep a
 margin of more than h from every kink (clamp edges, relu zero, block
 argmax ties).  The instance builders below enforce those margins by
 construction or rejection sampling.
+
+``im2col_conv2d_f32`` is the one float32 reference: the plain im2col
+formulation of conv2d, which the library's conv2d must match byte for
+byte.
 """
 
 from __future__ import annotations
@@ -86,6 +90,33 @@ def ref_conv2d(x, k, stride):
                     patch = x[b, :, i * stride : i * stride + kh, j * stride : j * stride + kw]
                     out[b, o, i, j] = np.sum(patch * k[o])
     return out
+
+
+def im2col_conv2d_f32(x, k, stride, g):
+    """The plain float32 im2col formulation of conv2d: a strided-view patch
+    matrix in (n, h_out, w_out, c, kh, kw) order, ``cols @ kmat^T`` for
+    the output, ``g @ kmat`` for the column gradient.  Returns (output,
+    kernel gradient, input gradient) for output gradient ``g``; the
+    library's conv2d must reproduce all three byte for byte."""
+    n, c, h, w = x.shape
+    f, _, kh, kw = k.shape
+    h_out = (h - kh) // stride + 1
+    w_out = (w - kw) // stride + 1
+    sn, sc, sh, sw = x.strides
+    view = np.lib.stride_tricks.as_strided(
+        x, shape=(n, c, kh, kw, h_out, w_out), strides=(sn, sc, sh, sw, sh * stride, sw * stride)
+    )
+    cols = np.ascontiguousarray(view.transpose(0, 4, 5, 1, 2, 3)).reshape(n, h_out * w_out, c * kh * kw)
+    kmat = k.reshape(f, c * kh * kw)
+    out = np.ascontiguousarray((cols @ kmat.T).transpose(0, 2, 1).reshape(n, f, h_out, w_out))
+    gmat = g.reshape(n, f, h_out * w_out).transpose(0, 2, 1)
+    gk = np.tensordot(gmat, cols, axes=([0, 1], [0, 1])).reshape(k.shape)
+    dc = (gmat @ kmat).reshape(n, h_out, w_out, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+    gx = np.zeros_like(x)
+    for i in range(kh):
+        for j in range(kw):
+            gx[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += dc[:, :, i, j]
+    return out, gk, gx
 
 
 def ref_softmax_ce(z, y):

@@ -149,6 +149,24 @@ def adversarial(cfg):
         (lambda c: c["data"]["downstream"].__setitem__("samples_per_class", 0), r"data\.downstream: samples_per_class"),
         (lambda c: c["source"]["hyper"].__setitem__("epochs", "ten"), r"source\.hyper: .*'ten'"),
         (lambda c: c["eval"].__setitem__("metrics_epsilon", -1), r"eval\.metrics_epsilon: epsilon must be >= 0"),
+        (lambda c: c["prompt"].__setitem__("adversarial", "false"), r"prompt: adversarial must be true or false, got 'false'"),
+        (lambda c: c["prompt"].__setitem__("adversarial", 0), r"prompt: adversarial must be true or false, got 0"),
+        (lambda c: c["source"]["hyper"].__setitem__("epochs", 2.9), r"source\.hyper: epochs must be an integer, got 2\.9"),
+        (lambda c: c["prompt"]["hyper"].__setitem__("batch_size", 16.0), r"prompt\.hyper: batch_size must be an integer, got 16\.0"),
+        (lambda c: c["prompt"].__setitem__("temperature", True), r"prompt: temperature must be an integer, got True"),
+        (lambda c: c["prompt"].__setitem__("pad_width", "4"), r"prompt: pad_width must be an integer, got '4'"),
+        (lambda c: c.__setitem__("seed", 1.0), r"config: seed must be an integer, got 1\.0"),
+        (lambda c: c["source"]["spec"].__setitem__("hidden_width", False), r"source\.spec: hidden_width must be an integer, got False"),
+        (lambda c: c["source"]["spec"]["conv_blocks"][0].__setitem__(1, 3.0), r"source\.spec: conv_blocks\[0\]\[1\] must be an integer, got 3\.0"),
+        (lambda c: c["source"]["spec"].__setitem__("conv_blocks", [6, 3, 2]), r"source\.spec: conv_blocks\[0\] must be a list, got 6"),
+        (lambda c: c["source"]["spec"]["input_size"].__setitem__(0, True), r"source\.spec: input_size\[0\] must be an integer, got True"),
+        (lambda c: c["data"]["downstream"]["image_size"].__setitem__(2, 8.5), r"data\.downstream: image_size\[2\] must be an integer, got 8\.5"),
+        (lambda c: c["data"]["source"].__setitem__("samples_per_class", 8.0), r"data\.source: samples_per_class must be an integer, got 8\.0"),
+        (lambda c: c["prompt"].__setitem__("temperature_grid", [1, True]), r"prompt: temperature_grid\[1\] must be an integer, got True"),
+        (lambda c: c["prompt"].__setitem__("temperature_grid", 2), r"prompt: temperature_grid must be a list, got 2"),
+        (lambda c: c["source"]["hyper"].__setitem__("learning_rate", "0.05"), r"source\.hyper: learning_rate must be a number, got '0\.05'"),
+        (lambda c: c["eval"]["epsilon_grid"].__setitem__(0, None), r"eval: epsilon_grid\[0\] must be a number, got None"),
+        (lambda c: c["source"].__setitem__("regime", ["standard"]), r"source: regime must be a string"),
     ],
 )
 def test_config_validation_messages(mutate, fragment):
@@ -156,6 +174,12 @@ def test_config_validation_messages(mutate, fragment):
     mutate(raw)
     with pytest.raises(ConfigError, match=fragment):
         ExperimentConfig.from_dict(raw)
+
+
+def test_number_leaves_accept_integers():
+    cfg = ExperimentConfig.from_dict(small_config(eval__epsilon_grid=[0, 0.05], source__attack={"epsilon": 0}))
+    assert cfg.epsilon_grid == [0.0, 0.05] and type(cfg.epsilon_grid[0]) is float
+    assert cfg.source_attack.epsilon == 0.0
 
 
 def test_optional_keys_default_and_stay_out_of_config_json(tmp_path):

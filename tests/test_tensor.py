@@ -21,7 +21,7 @@ from promptlab import (
     tensor_sum,
 )
 
-from gradcheck import ALL_CHECKS, ref_conv2d
+from gradcheck import ALL_CHECKS, im2col_conv2d_f32, ref_conv2d
 
 
 def test_tensor_coerces_to_float32():
@@ -67,6 +67,36 @@ def test_conv2d_forward_matches_loop_reference(rng):
         np.testing.assert_allclose(out.data, ref_conv2d(x, k, stride), rtol=2e-5, atol=1e-5)
 
 
+@pytest.mark.parametrize(
+    "n, c, h, w, f, kh, kw, stride",
+    [
+        (1, 1, 7, 7, 2, 3, 3, 1),
+        (5, 3, 9, 8, 4, 3, 3, 2),
+        (5, 1, 10, 11, 3, 2, 4, 3),
+        (1, 3, 6, 7, 4, 3, 2, 2),
+        (5, 3, 5, 4, 2, 5, 4, 1),  # kernel the size of the input
+        (5, 1, 32, 32, 8, 3, 3, 2),  # the default source net's two conv layers
+        (5, 8, 15, 15, 16, 3, 3, 2),
+    ],
+)
+def test_conv2d_bytes_match_the_im2col_formulation(n, c, h, w, f, kh, kw, stride):
+    gen = np.random.default_rng(n * 1000 + c * 100 + kh * 10 + stride)
+    x = gen.normal(size=(n, c, h, w)).astype(np.float32)
+    k = gen.normal(size=(f, c, kh, kw)).astype(np.float32)
+    h_out, w_out = (h - kh) // stride + 1, (w - kw) // stride + 1
+    g = gen.normal(size=(n, f, h_out, w_out)).astype(np.float32)
+    tx, tk = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
+    with Graph() as graph:
+        out = conv2d(tx, tk, stride=stride)
+        loss = matmul(reshape(out, (1, out.size)), Tensor(g.reshape(-1, 1)))  # d loss / d out == g exactly
+    graph.backward(loss)
+    ref_out, ref_gk, ref_gx = im2col_conv2d_f32(x, k, stride, g)
+    assert out.data.tobytes() == ref_out.tobytes()
+    # leaf gradients accumulate onto zeros, as the graph does
+    assert tk.grad.tobytes() == (np.zeros_like(k) + ref_gk).tobytes()
+    assert tx.grad.tobytes() == (np.zeros_like(x) + ref_gx).tobytes()
+
+
 def test_conv2d_validates_geometry():
     x = Tensor(np.zeros((1, 2, 5, 5)))
     with pytest.raises(ShapeError):
@@ -75,6 +105,40 @@ def test_conv2d_validates_geometry():
         conv2d(x, Tensor(np.zeros((3, 2, 6, 6))))  # kernel larger than input
     with pytest.raises(ShapeError):
         conv2d(x, Tensor(np.zeros((3, 2, 3, 3))), stride=0)
+
+
+def test_matmul_overflow_is_reported():
+    with np.errstate(over="ignore"), pytest.raises(NumericsError, match="matmul output"):
+        matmul(Tensor([[3e38, 3e38]]), Tensor([[2.0], [2.0]]))
+
+
+def test_conv2d_overflow_is_reported():
+    with np.errstate(over="ignore"), pytest.raises(NumericsError, match="conv2d output"):
+        conv2d(Tensor(np.full((1, 1, 2, 2), 3e38)), Tensor(np.ones((1, 1, 2, 2))))
+
+
+def test_backward_overflow_is_reported():
+    # forward stays finite (3e8 per entry); d loss / dx = 3e38 + 3e38 overflows
+    x = Tensor([[1e-30]], requires_grad=True)
+    with Graph() as g:
+        loss = tensor_sum(matmul(x, Tensor([[3e38, 3e38]])))
+    assert np.isfinite(loss.data).all()
+    with np.errstate(over="ignore"), pytest.raises(NumericsError, match="gradient"):
+        g.backward(loss)
+
+
+def test_unchecked_ops_keep_finite_extremes_finite():
+    tiny = np.finfo(np.float32).smallest_subnormal
+    x = Tensor([3.4e38, -3.4e38, 0.0, -0.0, tiny, -tiny, 1e-40, -1e-40], requires_grad=True)
+    expected = {relu: np.maximum(x.data, 0.0), clamp01: np.clip(x.data, 0.0, 1.0), reshape: x.data.reshape(2, 4)}
+    for op, want in expected.items():
+        with Graph() as g:
+            out = op(x, (2, 4)) if op is reshape else op(x)
+            loss = tensor_sum(out)
+        assert np.isfinite(out.data).all()
+        assert out.data.tobytes() == want.tobytes()
+        g.backward(loss)
+    assert np.isfinite(x.grad).all()
 
 
 def test_relu_and_clamp_forward():
