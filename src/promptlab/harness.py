@@ -436,7 +436,7 @@ def session(config, seed_override=None, out_override=None):
     _write_json(cfg.output_dir / "timing.json", timing)
 
 
-def _train_prompt_phase(cfg, source, data, temperature, adversarial):
+def _train_prompt_phase(cfg, source, data, temperature, adversarial, final_eval_only=False):
     pbl = cfg.pbl(temperature) if temperature is not None else None
     return train_prompt(
         source,
@@ -449,7 +449,18 @@ def _train_prompt_phase(cfg, source, data, temperature, adversarial):
         pad_width=cfg.pad_width,
         eval_dataset=data["downstream_test"],
         metrics_epsilon=cfg.metrics_epsilon,
+        final_eval_only=final_eval_only,
     )
+
+
+def _train_prompt_cell(cfg, source, data, temperature, adversarial, timing):
+    """Train one sweep or ablation prompt, evaluated after its last epoch
+    only (the tables read no earlier accuracy), and append its seconds
+    to ``timing["prompt_cells_s"]``; returns its metrics records."""
+    t0 = time.perf_counter()
+    records = _train_prompt_phase(cfg, source, data, temperature, adversarial, final_eval_only=True)[2]
+    timing.setdefault("prompt_cells_s", []).append(time.perf_counter() - t0)
+    return records
 
 
 def train_and_save_prompt(cfg: ExperimentConfig, data: dict[str, Dataset], source: ModelParams, timing: dict):
@@ -501,15 +512,16 @@ def sweep_temperature(config, temperatures=None, seed_override=None, out_overrid
 
     Trains the source once, then one prompt per temperature with
     identical seeds, plus one run with the reduction stage removed.
-    Each row holds its run's final-epoch metrics; deltas are relative
-    to the baseline, and the T=1 row is exactly zero by the identity
-    semantics of temperature 1.
+    Each row holds its run's final-epoch metrics, and each prompt is
+    evaluated only after its last epoch; deltas are relative to the
+    baseline, and the T=1 row is exactly zero by the identity semantics
+    of temperature 1.
     """
     with session(config, seed_override, out_override) as (cfg, data, source, timing):
         temps = temperatures if temperatures is not None else cfg.temperature_grid
 
         def final(temperature):
-            return _train_prompt_phase(cfg, source, data, temperature, cfg.prompt_adversarial)[2][-1]
+            return _train_prompt_cell(cfg, source, data, temperature, cfg.prompt_adversarial, timing)[-1]
 
         base = final(None)
         rows = []
@@ -538,14 +550,15 @@ def run_ablation_grid(config, seed_override=None, out_override=None) -> list[dic
     """The four-cell {with/without reduction} x {with/without AT} grid.
 
     One source model serves all four prompt runs.  Each cell reports
-    final accuracies plus mean per-epoch work and peak-memory figures.
+    final accuracies (evaluated after its last epoch only) plus mean
+    per-epoch work and peak-memory figures.
     """
     with session(config, seed_override, out_override) as (cfg, data, source, timing):
         rows = []
         for use_pbl in (False, True):
             for use_at in (False, True):
                 temperature = cfg.temperature if use_pbl else 1
-                records = _train_prompt_phase(cfg, source, data, temperature, use_at)[2]
+                records = _train_prompt_cell(cfg, source, data, temperature, use_at, timing)
                 rows.append(
                     {
                         "pbl": use_pbl,

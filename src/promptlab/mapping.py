@@ -164,19 +164,19 @@ def prediction_frequencies(reduced_fn, dataset, batch_size: int = 256) -> Freque
     """Tally reduced-logit argmax per downstream class over a dataset.
 
     ``reduced_fn`` maps an image batch (ndarray) to reduced logits
-    (N, m) — the pipeline with the label-mapping stage left off.
+    (N, m) — the pipeline with the label-mapping stage left off.  It is
+    called once per batch; ``m`` is read from the first batch's output.
     """
     if len(dataset) == 0:
         raise ShapeError("cannot tally frequencies over an empty dataset")
-    first = reduced_fn(dataset.images[:1])
-    m = first.shape[1]
-    counts = np.zeros((dataset.n_classes, m), dtype=np.int64)
-    n = len(dataset)
-    for start in range(0, n, batch_size):
+    counts = None
+    for start in range(0, len(dataset), batch_size):
         xb = dataset.images[start : start + batch_size]
         yb = dataset.labels[start : start + batch_size]
-        preds = reduced_fn(xb).argmax(axis=1)
-        np.add.at(counts, (yb, preds), 1)
+        reduced = reduced_fn(xb)
+        if counts is None:
+            counts = np.zeros((dataset.n_classes, reduced.shape[1]), dtype=np.int64)
+        np.add.at(counts, (yb, reduced.argmax(axis=1)), 1)
     return FrequencyMatrix(counts)
 
 

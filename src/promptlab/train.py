@@ -69,6 +69,8 @@ def _train_engine(
     post_step=None,
     eval_dataset: Dataset | None = None,
     metrics_epsilon: float | None = None,
+    *,
+    final_eval_only: bool = False,
 ) -> list[MetricsRecord]:
     if len(dataset) == 0:
         raise DataFormatError("cannot train on an empty dataset")
@@ -103,7 +105,9 @@ def _train_engine(
             conf_sum += _mean_top1_prob(logits.data) * len(idx)
         if after_epoch is not None:
             after_epoch()
-        if metrics_epsilon is not None and metrics_epsilon > 0.0:
+        if final_eval_only and epoch < hyper.epochs - 1:
+            std_acc, adv_acc = 0.0, 0.0  # not measured
+        elif metrics_epsilon is not None and metrics_epsilon > 0.0:
             report = adversarial_accuracy(pipeline, eval_ds, AttackConfig(metrics_epsilon))
             std_acc, adv_acc = report.standard_accuracy, report.adversarial_accuracy
         else:
@@ -184,6 +188,8 @@ def train_prompt(
     pad_width: int = 4,
     eval_dataset: Dataset | None = None,
     metrics_epsilon: float | None = None,
+    *,
+    final_eval_only: bool = False,
 ) -> tuple[VisualPrompt, PromptedClassifier, list[MetricsRecord]]:
     """Learn a border frame (and label mapping) over a frozen source.
 
@@ -195,6 +201,15 @@ def train_prompt(
     so both run the same objective.  With ``adversarial=True`` each
     batch is perturbed by the sign attack through the full pipeline
     (prompt, source, reduction, mapping) before the prompt step.
+
+    Each epoch's record holds the accuracies on ``eval_dataset`` (the
+    training set when None); ``adv_acc`` is taken under the sign attack
+    at ``metrics_epsilon`` and reads 0.0, "not measured", when that is 0
+    or None.  With ``final_eval_only=True`` only the last epoch is
+    evaluated: every earlier record reads ``std_acc = adv_acc = 0.0``,
+    which means "not measured", and its other fields are unchanged.
+    Evaluation reads no RNG and changes no training state, so the
+    prompt, the mapping and the last record are the same either way.
     """
     if not source.frozen:
         raise GraphError("prompt training requires a frozen source model")
@@ -241,5 +256,6 @@ def train_prompt(
         post_step=prompt.project,
         eval_dataset=eval_dataset,
         metrics_epsilon=metrics_epsilon,
+        final_eval_only=final_eval_only,
     )
     return prompt, clf, records

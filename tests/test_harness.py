@@ -287,6 +287,7 @@ def test_run_writes_all_artifacts(experiment_run):
         "timing.json",
     ):
         assert (out / name).exists(), name
+    assert "prompt_cells_s" not in json.loads((out / "timing.json").read_text())
 
 
 def test_report_matches_metrics_and_disk(experiment_run):
@@ -376,6 +377,9 @@ def test_sweep_t1_delta_is_exactly_zero(tmp_path):
     assert lines[0] == "T,m,std_acc,adv_acc,std_delta,adv_delta"
     assert len(lines) == 3
     assert lines[1].startswith("1,8,")
+    cells_s = json.loads((tmp_path / "timing.json").read_text())["prompt_cells_s"]
+    assert len(cells_s) == 3  # the no-reduction baseline, then T=1 and T=2
+    assert all(s > 0 for s in cells_s)
 
 
 @pytest.mark.parametrize("metrics_epsilon", [0.05, 0.0])
@@ -418,6 +422,31 @@ def test_ablation_grid_cells_and_costs(tmp_path):
     lines = (tmp_path / "ablation.csv").read_text().strip().split("\n")
     assert lines[0] == "pbl,at,T,std_acc,adv_acc,wall_ms_per_epoch,peak_mem_bytes"
     assert len(lines) == 5
+    cells_s = json.loads((tmp_path / "timing.json").read_text())["prompt_cells_s"]
+    assert len(cells_s) == len(rows) == 4
+    assert all(s > 0 for s in cells_s)
+
+
+@pytest.mark.parametrize(
+    "entry, evaluations",
+    [
+        (run_experiment, 3),  # one per prompt epoch: prompt_metrics.csv records the curve
+        (sweep_temperature, 4),  # one per prompt: the baseline and T = 1, 2, 4
+        (run_ablation_grid, 4),  # one per grid cell
+    ],
+    ids=["run_experiment", "sweep_temperature", "run_ablation_grid"],
+)
+def test_prompt_evaluations_per_entry_point(experiment_run, tmp_path, monkeypatch, entry, evaluations):
+    """The sweep and the ablation evaluate each prompt after its last epoch
+    only; run_experiment evaluates after every epoch."""
+    import promptlab.train as train
+
+    calls = []
+    real = train.adversarial_accuracy
+    monkeypatch.setattr(train, "adversarial_accuracy", lambda *a, **k: calls.append(1) or real(*a, **k))
+    out, _ = experiment_run
+    entry(small_config(out=tmp_path, source__checkpoint=str(out / "source.ckpt")))  # no source epochs
+    assert len(calls) == evaluations
 
 
 # ---------------------------------------------------------------------------

@@ -218,3 +218,30 @@ def test_ilm_update_equals_reference_property(k_t, extra, seed, sparse):
 def test_ilm_update_rejects_narrow_matrix():
     with pytest.raises(ConfigError):
         ilm_update(FrequencyMatrix(np.zeros((3, 2), dtype=np.int64)))
+
+
+@pytest.mark.parametrize("n, batch_size", [(1, 4), (6, 4), (8, 4), (9, 256)])
+def test_prediction_frequencies_calls_reduced_fn_once_per_batch(n, batch_size):
+    """No probe pass: ``m`` comes from the first batch's output."""
+    ds = Dataset(
+        images=np.zeros((n, 1, 2, 2), dtype=np.float32),
+        labels=np.arange(n) % 2,
+        n_classes=2,
+    )
+    calls = []
+
+    def reduced_fn(batch):
+        calls.append(len(batch))
+        return np.tile(np.array([0.0, 1.0, 0.0], dtype=np.float32), (len(batch), 1))
+
+    freq = prediction_frequencies(reduced_fn, ds, batch_size=batch_size)
+    assert len(calls) == -(-n // batch_size)
+    assert sum(calls) == n
+    assert freq.counts.shape == (2, 3)
+    np.testing.assert_array_equal(freq.counts[:, 1], np.bincount(ds.labels, minlength=2))
+
+
+def test_prediction_frequencies_rejects_an_empty_dataset():
+    empty = Dataset(np.zeros((0, 1, 2, 2), np.float32), np.zeros(0, np.int64), 2)
+    with pytest.raises(ShapeError, match="empty"):
+        prediction_frequencies(lambda batch: np.zeros((len(batch), 3)), empty)

@@ -1,6 +1,8 @@
 """Training loops: determinism, frozen-source discipline, and the
 equivalence between temperature-1 reduction and no reduction at all."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -281,3 +283,37 @@ def test_adversarial_prompt_training_costs_more(frozen_source):
     )
     assert len(robust) == 2
     assert robust[0].wall_ms > clean[0].wall_ms
+
+
+@pytest.mark.parametrize(
+    "lm, cfg, adversarial, metrics_epsilon",
+    [
+        ("ilm", PblConfig(2, 6), False, 0.05),
+        ("ilm", PblConfig(2, 6), False, 0.0),
+        ("rlm", PblConfig(2, 6), True, 0.05),
+    ],
+    ids=["ilm-adv-metrics", "ilm-clean-metrics", "rlm-adversarial-prompt"],
+)
+def test_final_eval_only_changes_only_the_earlier_accuracies(frozen_source, lm, cfg, adversarial, metrics_epsilon):
+    """Skipping the per-epoch evaluations leaves the prompt, the mapping,
+    the last record and every work column as they were."""
+    hyper = TrainHyper(3, 8, 0.2, 0.9, 5)
+    kwargs = dict(
+        adversarial=adversarial,
+        attack=AttackConfig(0.05) if adversarial else None,
+        pad_width=3,
+        eval_dataset=downstream_data(spc=6, seed=43),
+        metrics_epsilon=metrics_epsilon,
+    )
+    p_all, clf_all, recs_all = train_prompt(frozen_source, downstream_data(), lm, cfg, hyper, **kwargs)
+    p_last, clf_last, recs_last = train_prompt(
+        frozen_source, downstream_data(), lm, cfg, hyper, final_eval_only=True, **kwargs
+    )
+    assert p_last.params.data.tobytes() == p_all.params.data.tobytes()
+    assert clf_last.mapping == clf_all.mapping
+    assert recs_last[-1] == recs_all[-1]
+    assert recs_all[-1].std_acc > 0.0
+    for early_all, early_last in zip(recs_all[:-1], recs_last[:-1]):
+        assert (early_last.std_acc, early_last.adv_acc) == (0.0, 0.0)  # not measured
+        assert early_last == replace(early_all, std_acc=0.0, adv_acc=0.0)
+    assert len(recs_last) == len(recs_all) == 3
