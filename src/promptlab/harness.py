@@ -65,34 +65,30 @@ def _derive_seeds(seed: int) -> dict[str, int]:
 
 # Keys a config may leave out; their defaults are the values in default_config().
 # source.at_hyper has none; the adversarial regime requires it.
-_OPTIONAL = {
-    "source.checkpoint", "source.at_hyper", "prompt.temperature_grid", "eval.metrics_epsilon", "derived_seeds",
-}
+_OPTIONAL = {"source.checkpoint", "source.at_hyper", "prompt.temperature_grid", "eval.metrics_epsilon"}
 
 
 def _config_shape(raw: dict) -> dict:
     """Every key ``raw`` may hold: the defaults, with the file-backed data form
-    when ``raw`` uses it, and the derived seeds a run records in its own
-    config.json."""
+    when ``raw`` uses it."""
     shape = default_config()
     if isinstance(raw.get("data"), dict) and "files" in raw["data"]:
-        shape["data"] = {"files": dict.fromkeys(_SPLITS)}
-    shape["derived_seeds"] = None
+        shape["data"] = {"files": dict.fromkeys(_SPLITS, "")}
     return shape
 
 
 # JSON types a leaf may take, keyed by the type of its default; a float
-# leaf also takes an integer.  bool is a subclass of int, so the lookup is
-# by exact type and ``true`` is no count.
+# leaf also takes an integer, and a path leaf (default ``None``) is null or
+# a string.  bool is a subclass of int, so the lookup is by exact type and
+# ``true`` is no count.
 _LEAF_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
-               float: ((int, float), "a number"), str: ((str,), "a string")}
+               float: ((int, float), "a number"), str: ((str,), "a string"),
+               type(None): ((type(None), str), "null or a string")}
 
 
 def _check_leaf(value, default, where: str, name: str) -> None:
     """Reject ``value`` unless it has the JSON type of ``default``, entry by
-    entry for a list; a ``None`` default (a path) is checked where it is used."""
-    if default is None:
-        return
+    entry for a list."""
     if isinstance(default, list):
         if not isinstance(value, list):
             raise ConfigError(f"{where}: {name} must be a list, got {value!r}")
@@ -157,6 +153,8 @@ def _existing(path) -> Path:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"path does not exist: {path}")
+    if not path.is_file():
+        raise ConfigError(f"path is not a file: {path}")
     return path
 
 
@@ -248,16 +246,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, seed_override: int | None = None, out_override=None) -> "ExperimentConfig":
-        raw = json.loads(json.dumps(raw))  # defensive deep copy
         if not isinstance(raw, dict):
             raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+        raw = json.loads(json.dumps(raw))  # defensive deep copy
         if seed_override is not None:
             raw["seed"] = int(seed_override)
         if out_override is not None:
             raw["output_dir"] = str(out_override)
+        raw.pop("derived_seeds", None)  # a run's own config.json records them; re-derived below
         shape = _config_shape(raw)
         _check_keys(raw, shape)
-        raw.pop("derived_seeds", None)  # re-derived from the seed below
         src, pr, ev, data = raw["source"], raw["prompt"], raw["eval"], raw["data"]
         if src["regime"] not in ("standard", "adversarial"):
             raise ConfigError(f"source.regime must be 'standard' or 'adversarial', got {src['regime']!r}")
@@ -290,7 +288,7 @@ class ExperimentConfig:
                 if "at_hyper" in src else None
             ),
             source_attack=_parse("source.attack", _attack, src["attack"]["epsilon"]),
-            source_checkpoint=_parse("source.checkpoint", _existing, ckpt) if ckpt else None,
+            source_checkpoint=_parse("source.checkpoint", _existing, ckpt) if ckpt is not None else None,
             pad_width=pr["pad_width"],
             lm=pr["lm"],
             temperature=pr["temperature"],
@@ -319,9 +317,8 @@ class ExperimentConfig:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
         return cls.from_dict(raw, seed_override=seed_override, out_override=out_override)
 
-    def pbl(self, temperature: int | None = None) -> PblConfig:
-        t = self.temperature if temperature is None else temperature
-        return PblConfig(temperature=t, n=self.source_spec.n_classes)
+    def pbl(self, temperature: int) -> PblConfig:
+        return PblConfig(temperature=temperature, n=self.source_spec.n_classes)
 
     def datasets(self) -> dict[str, Dataset]:
         """Generate or load the four splits ``from_dict`` described."""
@@ -340,9 +337,7 @@ class ExperimentConfig:
             hdr = peek_raw_header(dst)
             k_t, image_size = hdr["n_classes"], (hdr["c"], hdr["h"], hdr["w"])
         for t in set(self.temperature_grid) | {self.temperature}:
-            if t < 1:
-                raise ConfigError(f"temperature must be >= 1, got {t}")
-            m = PblConfig(temperature=t, n=self.source_spec.n_classes).m
+            m = self.pbl(t).m
             if m < k_t:
                 raise ConfigError(
                     f"temperature T={t} reduces {self.source_spec.n_classes} source logits to "
@@ -406,28 +401,18 @@ def _prepare_source(cfg: ExperimentConfig, data: dict[str, Dataset], timing: dic
     return params
 
 
-def _coerce(config, seed_override=None, out_override=None) -> ExperimentConfig:
-    if isinstance(config, ExperimentConfig):
-        if seed_override is not None or out_override is not None:
-            return ExperimentConfig.from_dict(config.raw, seed_override, out_override)
-        return config
-    if isinstance(config, dict):
-        return ExperimentConfig.from_dict(config, seed_override, out_override)
-    return ExperimentConfig.from_file(config, seed_override, out_override)
-
-
 @contextmanager
-def session(config, seed_override=None, out_override=None):
+def session(config):
     """The setup every entry point shares.
 
-    Validates ``config`` (an ExperimentConfig, a dict, or a path to a
-    JSON file), creates the output directory, builds the datasets and
-    trains or loads the source.  Yields ``(cfg, data, frozen source,
-    timing)``; ``timing.json`` is written when the block completes, with
-    the phase seconds and, under ``blas``, the outcome of the BLAS
-    thread pin.
+    Validates ``config`` (an ExperimentConfig or a dict; read a JSON file
+    with ``ExperimentConfig.from_file``), creates the output directory,
+    builds the datasets and trains or loads the source.  Yields ``(cfg,
+    data, frozen source, timing)``; ``timing.json`` is written when the
+    block completes, with the phase seconds and, under ``blas``, the
+    outcome of the BLAS thread pin.
     """
-    cfg = _coerce(config, seed_override, out_override)
+    cfg = config if isinstance(config, ExperimentConfig) else ExperimentConfig.from_dict(config)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     timing: dict = {"blas": blas.status()}
     data = cfg.datasets()
@@ -484,13 +469,13 @@ def _eval_grid(pipeline, dataset, grid) -> list[dict]:
     return rows
 
 
-def run_experiment(config, seed_override=None, out_override=None) -> dict:
+def run_experiment(config) -> dict:
     """Full pipeline: source phase, prompt phase, evaluation sweep.
 
-    ``config`` may be an ExperimentConfig, a dict, or a path to a JSON
-    file.  Returns a summary dict mirroring what lands in report.json.
+    ``config`` is an ExperimentConfig or a dict.  Returns a summary dict
+    mirroring what lands in report.json.
     """
-    with session(config, seed_override, out_override) as (cfg, data, source, timing):
+    with session(config) as (cfg, data, source, timing):
         clf, records = train_and_save_prompt(cfg, data, source, timing)
         t0 = time.perf_counter()
         report = {
@@ -507,25 +492,25 @@ def run_experiment(config, seed_override=None, out_override=None) -> dict:
     return report
 
 
-def sweep_temperature(config, temperatures=None, seed_override=None, out_override=None) -> list[dict]:
+def sweep_temperature(config) -> list[dict]:
     """Improvement-versus-temperature table against the no-reduction baseline.
 
-    Trains the source once, then one prompt per temperature with
-    identical seeds, plus one run with the reduction stage removed.
-    Each row holds its run's final-epoch metrics, and each prompt is
-    evaluated only after its last epoch; deltas are relative to the
-    baseline, and the T=1 row is exactly zero by the identity semantics
-    of temperature 1.
+    Trains the source once, then one prompt per temperature of
+    ``prompt.temperature_grid``, the one place that sets the grid, with
+    identical seeds, plus one run with the reduction stage removed.  Each
+    row holds its run's final-epoch metrics, and each prompt is evaluated
+    only after its last epoch; deltas are relative to the baseline, and
+    the T=1 row is exactly zero by the identity semantics of temperature
+    1.
     """
-    with session(config, seed_override, out_override) as (cfg, data, source, timing):
-        temps = temperatures if temperatures is not None else cfg.temperature_grid
+    with session(config) as (cfg, data, source, timing):
 
         def final(temperature):
             return _train_prompt_cell(cfg, source, data, temperature, cfg.prompt_adversarial, timing)[-1]
 
         base = final(None)
         rows = []
-        for t in temps:
+        for t in cfg.temperature_grid:
             last = final(t)
             rows.append(
                 {
@@ -546,14 +531,14 @@ def sweep_temperature(config, temperatures=None, seed_override=None, out_overrid
     return rows
 
 
-def run_ablation_grid(config, seed_override=None, out_override=None) -> list[dict]:
+def run_ablation_grid(config) -> list[dict]:
     """The four-cell {with/without reduction} x {with/without AT} grid.
 
     One source model serves all four prompt runs.  Each cell reports
     final accuracies (evaluated after its last epoch only) plus mean
     per-epoch work and peak-memory figures.
     """
-    with session(config, seed_override, out_override) as (cfg, data, source, timing):
+    with session(config) as (cfg, data, source, timing):
         rows = []
         for use_pbl in (False, True):
             for use_at in (False, True):

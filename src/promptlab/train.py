@@ -68,7 +68,7 @@ def _train_engine(
     after_epoch=None,
     post_step=None,
     eval_dataset: Dataset | None = None,
-    metrics_epsilon: float | None = None,
+    metrics_epsilon: float = 0.0,
     *,
     final_eval_only: bool = False,
 ) -> list[MetricsRecord]:
@@ -107,7 +107,7 @@ def _train_engine(
             after_epoch()
         if final_eval_only and epoch < hyper.epochs - 1:
             std_acc, adv_acc = 0.0, 0.0  # not measured
-        elif metrics_epsilon is not None and metrics_epsilon > 0.0:
+        elif metrics_epsilon > 0.0:
             report = adversarial_accuracy(pipeline, eval_ds, AttackConfig(metrics_epsilon))
             std_acc, adv_acc = report.standard_accuracy, report.adversarial_accuracy
         else:
@@ -131,7 +131,7 @@ def train_standard(
     dataset: Dataset,
     hyper: TrainHyper,
     eval_dataset: Dataset | None = None,
-    metrics_epsilon: float | None = None,
+    metrics_epsilon: float = 0.0,
 ) -> tuple[ModelParams, list[MetricsRecord]]:
     """Minimize cross-entropy of the bare classifier on clean batches."""
     if params.frozen:
@@ -153,7 +153,7 @@ def train_adversarial(
     hyper: TrainHyper,
     attack: AttackConfig,
     eval_dataset: Dataset | None = None,
-    metrics_epsilon: float | None = None,
+    metrics_epsilon: float = 0.0,
 ) -> tuple[ModelParams, list[MetricsRecord]]:
     """Like :func:`train_standard`, but every batch is replaced by its
     single-step sign-attack perturbation before the parameter step
@@ -187,7 +187,7 @@ def train_prompt(
     attack: AttackConfig | None = None,
     pad_width: int = 4,
     eval_dataset: Dataset | None = None,
-    metrics_epsilon: float | None = None,
+    metrics_epsilon: float = 0.0,
     *,
     final_eval_only: bool = False,
 ) -> tuple[VisualPrompt, PromptedClassifier, list[MetricsRecord]]:
@@ -204,10 +204,10 @@ def train_prompt(
 
     Each epoch's record holds the accuracies on ``eval_dataset`` (the
     training set when None); ``adv_acc`` is taken under the sign attack
-    at ``metrics_epsilon`` and reads 0.0, "not measured", when that is 0
-    or None.  With ``final_eval_only=True`` only the last epoch is
-    evaluated: every earlier record reads ``std_acc = adv_acc = 0.0``,
-    which means "not measured", and its other fields are unchanged.
+    at ``metrics_epsilon`` and reads 0.0, "not measured", when that is 0.
+    With ``final_eval_only=True`` only the last epoch is evaluated: every
+    earlier record reads ``std_acc = adv_acc = 0.0``, which means "not
+    measured", and its other fields are unchanged.
     Evaluation reads no RNG and changes no training state, so the
     prompt, the mapping and the last record are the same either way.
     """

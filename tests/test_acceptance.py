@@ -223,7 +223,8 @@ def robust_sweeps(grid_runs, tmp_path_factory):
         cfg = default_config(seed=seed, output_dir=str(base / f"s{seed}"))
         cfg["source"]["regime"] = "adversarial"
         cfg["source"]["checkpoint"] = str(source_ckpt / "source.ckpt")
-        rows = sweep_temperature(cfg, temperatures=[1, 2, 4])
+        cfg["prompt"]["temperature_grid"] = [1, 2, 4]
+        rows = sweep_temperature(cfg)
         tables[seed] = {r["T"]: r for r in rows}
     return tables
 

@@ -119,6 +119,14 @@ def test_bad_data_block_fails_before_the_output_directory(config_file, capsys):
     assert not out.exists()
 
 
+def test_directory_checkpoint_fails_before_the_output_directory(config_file, tmp_path, capsys):
+    path, out = config_file(source__checkpoint=str(tmp_path))
+    assert main(["train-source", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error[config] source.checkpoint: path is not a file: {tmp_path}\n"
+    assert not out.exists()
+
+
 def test_corrupt_checkpoint_reports_checkpoint_error(config_file, tmp_path, capsys):
     fake = tmp_path / "fake.ckpt"
     fake.write_bytes(b"VPCKgarbage")

@@ -2,6 +2,7 @@
 reproducibility, the temperature sweep, and the ablation grid."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +14,14 @@ from promptlab.harness import (
     export_prompt_image,
     run_ablation_grid,
     run_experiment,
+    session,
     sweep_temperature,
 )
 from promptlab.metrics import read_metrics
+
+
+HERE = Path(__file__).parent  # a directory that exists
+SPLITS = ("source_train", "source_test", "downstream_train", "downstream_test")
 
 
 def small_config(seed=0, out="runs/t", **tweaks):
@@ -167,6 +173,15 @@ def adversarial(cfg):
         (lambda c: c["source"]["hyper"].__setitem__("learning_rate", "0.05"), r"source\.hyper: learning_rate must be a number, got '0\.05'"),
         (lambda c: c["eval"]["epsilon_grid"].__setitem__(0, None), r"eval: epsilon_grid\[0\] must be a number, got None"),
         (lambda c: c["source"].__setitem__("regime", ["standard"]), r"source: regime must be a string"),
+        (lambda c: c["source"].__setitem__("checkpoint", False), r"source: checkpoint must be null or a string, got False"),
+        (lambda c: c["source"].__setitem__("checkpoint", 0), r"source: checkpoint must be null or a string, got 0"),
+        (lambda c: c["source"].__setitem__("checkpoint", []), r"source: checkpoint must be null or a string, got \[\]"),
+        (lambda c: c["source"].__setitem__("checkpoint", ""), r"source\.checkpoint: path is not a file: \.$"),
+        (lambda c: c["source"].__setitem__("checkpoint", str(HERE)), r"source\.checkpoint: path is not a file: "),
+        (lambda c: c.__setitem__("data", {"files": dict.fromkeys(SPLITS, "")}), r"data\.files\.source_train: path is not a file: \.$"),
+        (lambda c: c.__setitem__("data", {"files": dict.fromkeys(SPLITS, str(HERE))}), r"data\.files\.source_train: path is not a file: "),
+        (lambda c: c.__setitem__("data", {"files": dict.fromkeys(SPLITS)}), r"data\.files: source_train must be a string, got None"),
+        (lambda c: c["prompt"].__setitem__("temperature_grid", [0]), r"temperature must be >= 1, got 0"),
     ],
 )
 def test_config_validation_messages(mutate, fragment):
@@ -209,6 +224,23 @@ def test_from_file_round_trip_and_errors(tmp_path):
     bad.write_text("{nope")
     with pytest.raises(ConfigError, match="not valid JSON"):
         ExperimentConfig.from_file(bad)
+
+
+def enter_session(config):
+    with session(config):
+        pass
+
+
+@pytest.mark.parametrize("entry", [enter_session, run_experiment, sweep_temperature, run_ablation_grid])
+@pytest.mark.parametrize("as_path", [str, Path])
+def test_entry_points_refuse_a_path(tmp_path, entry, as_path):
+    """A config file is read with ExperimentConfig.from_file; an entry
+    point given its path fails before it creates the output directory."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(small_config(out=tmp_path / "out")))
+    with pytest.raises(ConfigError, match=f"config must be a JSON object, got {type(as_path(path)).__name__}"):
+        entry(as_path(path))
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +398,7 @@ def test_adversarial_regime_extends_source_metrics(tmp_path):
 
 
 def test_sweep_t1_delta_is_exactly_zero(tmp_path):
-    rows = sweep_temperature(small_config(out=tmp_path), temperatures=[1, 2])
+    rows = sweep_temperature(small_config(out=tmp_path, prompt__temperature_grid=[1, 2]))
     assert [r["T"] for r in rows] == [1, 2]
     assert rows[0]["std_delta"] == 0.0
     assert rows[0]["adv_delta"] == 0.0
