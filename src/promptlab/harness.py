@@ -30,7 +30,7 @@ from .mapping import PblConfig
 from .metrics import write_metrics
 from .nets import ConvNetSpec, ModelParams, init_params
 from .prompt import VisualPrompt
-from .train import TrainHyper, train_adversarial, train_prompt, train_standard
+from .train import TrainHyper, train_adversarial, train_prompt, train_standard, usable_cpus
 
 __all__ = [
     "ExperimentConfig",
@@ -98,6 +98,22 @@ def _check_leaf(value, default, where: str, name: str) -> None:
     types, kind = _LEAF_TYPES[type(default)]
     if type(value) not in types:
         raise ConfigError(f"{where}: {name} must be {kind}, got {value!r}")
+
+
+def _json_copy(value, path: str = ""):
+    """A deep copy of ``value`` as plain JSON data, as a JSON round trip would
+    give it (a tuple becomes a list, a subclass of str, int or float its base
+    type); a value JSON cannot hold is rejected with its dotted key."""
+    if isinstance(value, dict):
+        return {key: _json_copy(v, f"{path}.{key}" if path else str(key)) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_copy(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    if value is None or type(value) in (bool, str, int, float):
+        return value
+    for kind in (str, int, float):  # a subclass such as np.float64 or an IntEnum, as JSON writes it
+        if isinstance(value, kind):
+            return kind(value)
+    raise ConfigError(f"config key '{path}' must hold JSON data, got {value!r}")
 
 
 def _check_keys(raw, shape: dict, where: str = "") -> None:
@@ -248,7 +264,7 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict, seed_override: int | None = None, out_override=None) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
-        raw = json.loads(json.dumps(raw))  # defensive deep copy
+        raw = _json_copy(raw)
         if seed_override is not None:
             raw["seed"] = int(seed_override)
         if out_override is not None:
@@ -336,11 +352,13 @@ class ExperimentConfig:
         else:  # (K_t, image size) from the header, without loading the data
             hdr = peek_raw_header(dst)
             k_t, image_size = hdr["n_classes"], (hdr["c"], hdr["h"], hdr["w"])
-        for t in set(self.temperature_grid) | {self.temperature}:
-            m = self.pbl(t).m
+        temperatures = [("prompt.temperature", self.temperature)]
+        temperatures += [(f"prompt.temperature_grid[{i}]", t) for i, t in enumerate(self.temperature_grid)]
+        for key, t in temperatures:
+            m = _parse(key, self.pbl, t).m
             if m < k_t:
                 raise ConfigError(
-                    f"temperature T={t} reduces {self.source_spec.n_classes} source logits to "
+                    f"{key}: temperature T={t} reduces {self.source_spec.n_classes} source logits to "
                     f"m={m} < K_t={k_t} downstream classes"
                 )
         sc, sh, sw = self.source_spec.input_size
@@ -409,12 +427,14 @@ def session(config):
     with ``ExperimentConfig.from_file``), creates the output directory,
     builds the datasets and trains or loads the source.  Yields ``(cfg,
     data, frozen source, timing)``; ``timing.json`` is written when the
-    block completes, with the phase seconds and, under ``blas``, the
-    outcome of the BLAS thread pin.
+    block completes, with the phase seconds, the outcome of the BLAS
+    thread pin under ``blas`` and, under ``cpus``, the number of CPUs the
+    run could use (with two or more, per-epoch evaluation overlaps
+    training).
     """
     cfg = config if isinstance(config, ExperimentConfig) else ExperimentConfig.from_dict(config)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    timing: dict = {"blas": blas.status()}
+    timing: dict = {"blas": blas.status(), "cpus": usable_cpus()}
     data = cfg.datasets()
     source = _prepare_source(cfg, data, timing)
     yield cfg, data, source, timing

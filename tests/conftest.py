@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,26 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(k)`` makes promptlab see ``k`` usable CPUs and returns a list
+    that gets the pid of every ``os.fork`` made from then on, so a test can
+    tell whether an evaluation worker started."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    def use(k):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+        monkeypatch.setattr(os, "fork", fork)
+        return forks
+
+    return use
 
 
 @pytest.fixture

@@ -75,12 +75,15 @@ def test_missing_entry_point_warns_once_and_is_recorded(monkeypatch, tmp_path):
 
 
 @needs_thread_entry_point
-def test_timing_records_the_pin(tmp_path):
+def test_timing_records_the_pin(tmp_path, cpus):
+    cpus(3)
     cfg = default_config(0, str(tmp_path / "run"))
     cfg["source"]["hyper"]["epochs"] = 1
     with session(cfg):
         pass
-    recorded = json.loads((tmp_path / "run" / "timing.json").read_text())["blas"]
+    timing = json.loads((tmp_path / "run" / "timing.json").read_text())
+    assert timing["cpus"] == 3  # the usable CPUs, next to the pin
+    recorded = timing["blas"]
     assert recorded["pinned"] is True
     assert recorded["threads"] == 1
     assert set(recorded) == {"name", "version", "config", "threads", "pinned"}

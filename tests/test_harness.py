@@ -2,6 +2,8 @@
 reproducibility, the temperature sweep, and the ablation grid."""
 
 import json
+import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +184,14 @@ def adversarial(cfg):
         (lambda c: c.__setitem__("data", {"files": dict.fromkeys(SPLITS, str(HERE))}), r"data\.files\.source_train: path is not a file: "),
         (lambda c: c.__setitem__("data", {"files": dict.fromkeys(SPLITS)}), r"data\.files: source_train must be a string, got None"),
         (lambda c: c["prompt"].__setitem__("temperature_grid", [0]), r"temperature must be >= 1, got 0"),
+        (lambda c: c["prompt"].__setitem__("temperature_grid", [0]), r"^prompt\.temperature_grid\[0\]: temperature must be >= 1, got 0$"),
+        (lambda c: c["prompt"].__setitem__("temperature", 0), r"^prompt\.temperature: temperature must be >= 1, got 0$"),
+        (lambda c: c["prompt"].__setitem__("temperature", 8), r"^prompt\.temperature: temperature T=8 reduces 8 source logits to m=1 < K_t=2 "),
+        (lambda c: c["prompt"].__setitem__("temperature_grid", [1, 8]), r"^prompt\.temperature_grid\[1\]: temperature T=8 reduces"),
+        (lambda c: c.__setitem__("output_dir", Path("runs/x")), r"^config key 'output_dir' must hold JSON data, got PosixPath\('runs/x'\)$"),
+        (lambda c: c.__setitem__("seed", np.int64(3)), r"^config key 'seed' must hold JSON data, got "),
+        (lambda c: c["source"]["hyper"].__setitem__("learning_rate", np.float32(0.05)), r"^config key 'source\.hyper\.learning_rate' must hold JSON data"),
+        (lambda c: c["source"]["spec"]["conv_blocks"][0].__setitem__(2, np.int32(2)), r"^config key 'source\.spec\.conv_blocks\[0\]\[2\]' must hold JSON data"),
     ],
 )
 def test_config_validation_messages(mutate, fragment):
@@ -240,6 +250,14 @@ def test_entry_points_refuse_a_path(tmp_path, entry, as_path):
     path.write_text(json.dumps(small_config(out=tmp_path / "out")))
     with pytest.raises(ConfigError, match=f"config must be a JSON object, got {type(as_path(path)).__name__}"):
         entry(as_path(path))
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_json_config_fails_before_the_output_directory(tmp_path):
+    raw = small_config()
+    raw["output_dir"] = tmp_path / "out"  # a Path, where the config holds a string
+    with pytest.raises(ConfigError, match="config key 'output_dir' must hold JSON data"):
+        run_experiment(raw)
     assert not (tmp_path / "out").exists()
 
 
@@ -319,7 +337,9 @@ def test_run_writes_all_artifacts(experiment_run):
         "timing.json",
     ):
         assert (out / name).exists(), name
-    assert "prompt_cells_s" not in json.loads((out / "timing.json").read_text())
+    timing = json.loads((out / "timing.json").read_text())
+    assert "prompt_cells_s" not in timing
+    assert timing["cpus"] == len(os.sched_getaffinity(0))
 
 
 def test_report_matches_metrics_and_disk(experiment_run):
@@ -460,25 +480,65 @@ def test_ablation_grid_cells_and_costs(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "entry, evaluations",
+    "entry, evaluations, forks",
     [
-        (run_experiment, 3),  # one per prompt epoch: prompt_metrics.csv records the curve
-        (sweep_temperature, 4),  # one per prompt: the baseline and T = 1, 2, 4
-        (run_ablation_grid, 4),  # one per grid cell
+        (run_experiment, 3, 1),  # one per prompt epoch: prompt_metrics.csv records the curve
+        (sweep_temperature, 4, 0),  # one per prompt: the baseline and T = 1, 2, 4
+        (run_ablation_grid, 4, 0),  # one per grid cell
     ],
     ids=["run_experiment", "sweep_temperature", "run_ablation_grid"],
 )
-def test_prompt_evaluations_per_entry_point(experiment_run, tmp_path, monkeypatch, entry, evaluations):
+def test_prompt_evaluations_per_entry_point(experiment_run, tmp_path, monkeypatch, cpus, entry, evaluations, forks):
     """The sweep and the ablation evaluate each prompt after its last epoch
-    only; run_experiment evaluates after every epoch."""
+    only, in-process; run_experiment evaluates after every epoch, in a
+    forked worker for all but the last when two CPUs are usable, so the
+    count is kept in shared memory."""
     import promptlab.train as train
 
-    calls = []
+    calls = multiprocessing.Value("i", 0)
     real = train.adversarial_accuracy
-    monkeypatch.setattr(train, "adversarial_accuracy", lambda *a, **k: calls.append(1) or real(*a, **k))
+
+    def counting(*args, **kwargs):
+        with calls.get_lock():
+            calls.value += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(train, "adversarial_accuracy", counting)
+    started = cpus(2)
     out, _ = experiment_run
     entry(small_config(out=tmp_path, source__checkpoint=str(out / "source.ckpt")))  # no source epochs
-    assert len(calls) == evaluations
+    assert calls.value == evaluations
+    assert len(started) == forks
+    assert multiprocessing.active_children() == []
+
+
+NORMATIVE = ("source.ckpt", "source_metrics.csv", "prompt.ckpt", "prompt_metrics.csv", "prompt.ppm", "report.json", "config.json")
+
+
+@pytest.mark.parametrize(
+    "tweaks, phases",
+    [
+        ({}, 2),  # source, prompt
+        ({"source__regime": "adversarial"}, 3),  # standard source, adversarial source, prompt
+        ({"prompt__lm": "rlm", "prompt__adversarial": True}, 2),
+    ],
+    ids=["standard", "adversarial", "adversarial-rlm-prompt"],
+)
+def test_artifacts_do_not_depend_on_usable_cpus(tmp_path, monkeypatch, cpus, tweaks, phases):
+    """With two usable CPUs each training phase forks one evaluation
+    worker; with one, everything runs in-process.  The bytes are the same."""
+    runs = {}
+    for k in (1, 2):
+        run_dir = tmp_path / f"cpus{k}"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)  # one relative output_dir, so config.json compares too
+        started = cpus(k)
+        before = len(started)
+        run_experiment(small_config(out="run", **tweaks))
+        assert len(started) - before == (phases if k == 2 else 0)
+        assert multiprocessing.active_children() == []
+        runs[k] = {name: (Path("run") / name).read_bytes() for name in NORMATIVE}
+    assert runs[1] == runs[2]
 
 
 # ---------------------------------------------------------------------------

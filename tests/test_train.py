@@ -1,11 +1,14 @@
 """Training loops: determinism, frozen-source discipline, and the
 equivalence between temperature-1 reduction and no reduction at all."""
 
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import promptlab.train as train
 from promptlab import (
     AttackConfig,
     ConfigError,
@@ -13,10 +16,12 @@ from promptlab import (
     DataFormatError,
     Dataset,
     GraphError,
+    NumericsError,
     PblConfig,
     SourceClassifier,
     SynthSpec,
     TrainHyper,
+    blas,
     generate_synthetic,
     ilm_update,
     init_params,
@@ -317,3 +322,104 @@ def test_final_eval_only_changes_only_the_earlier_accuracies(frozen_source, lm, 
         assert (early_last.std_acc, early_last.adv_acc) == (0.0, 0.0)  # not measured
         assert early_last == replace(early_all, std_acc=0.0, adv_acc=0.0)
     assert len(recs_last) == len(recs_all) == 3
+
+
+# ---------------------------------------------------------------------------
+# the evaluation worker
+
+
+def train_ilm_prompt(source, epochs=3, metrics_epsilon=0.05):
+    return train_prompt(
+        source, downstream_data(), "ilm", PblConfig(2, 6), TrainHyper(epochs, 8, 0.2, 0.9, 5),
+        pad_width=3, eval_dataset=downstream_data(spc=6, seed=43), metrics_epsilon=metrics_epsilon,
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2], ids=["one-cpu", "two-cpus"])
+def test_evaluation_error_reaches_the_caller(frozen_source, monkeypatch, cpus, k):
+    """An evaluation that raises at its second call (epoch 1, which the
+    worker evaluates when two CPUs are usable) raises the same exception
+    in the caller, and leaves no process behind."""
+    calls = []
+    real = train.adversarial_accuracy
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise NumericsError("injected at the second evaluation")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(train, "adversarial_accuracy", failing)
+    started = cpus(k)
+    with pytest.raises(NumericsError, match="^injected at the second evaluation$"):
+        train_ilm_prompt(frozen_source)
+    assert len(started) == k - 1
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_that_dies_fails_the_caller(frozen_source, monkeypatch, cpus):
+    caller, real = os.getpid(), train.adversarial_accuracy
+    exit_in_worker = lambda *a, **k: real(*a, **k) if os.getpid() == caller else os._exit(3)  # noqa: E731
+    monkeypatch.setattr(train, "adversarial_accuracy", exit_in_worker)
+    started = cpus(2)
+    with pytest.raises(RuntimeError, match="evaluation worker exited with code 3"):
+        train_ilm_prompt(frozen_source)
+    assert len(started) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_training_error_stops_the_worker(frozen_source, monkeypatch, cpus):
+    steps = []
+    real = train.sgd_step
+
+    def failing_step(*args):
+        steps.append(1)
+        if len(steps) == 6:  # 4 steps an epoch: the second epoch's, after the first went to the worker
+            raise GraphError("injected in training")
+        return real(*args)
+
+    monkeypatch.setattr(train, "sgd_step", failing_step)
+    started = cpus(2)
+    with pytest.raises(GraphError, match="injected in training"):
+        train_ilm_prompt(frozen_source)
+    assert len(started) == 1
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(blas.thread_count() is None, reason="NumPy's BLAS exports no OpenBLAS thread entry point")
+def test_evaluation_worker_runs_one_blas_thread(frozen_source, monkeypatch, cpus):
+    seen = multiprocessing.SimpleQueue()
+    real = train.standard_accuracy
+
+    def recording(*args, **kwargs):
+        seen.put((os.getpid(), blas.thread_count()))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(train, "standard_accuracy", recording)
+    cpus(2)
+    train_ilm_prompt(frozen_source, metrics_epsilon=0.0)
+    got = [seen.get() for _ in range(3)]  # all sent: the caller had every result back
+    assert sorted(pid == os.getpid() for pid, _ in got) == [False, False, True]  # the caller scores the last epoch
+    assert [threads for _, threads in got] == [1, 1, 1]
+
+
+def test_daemonic_caller_evaluates_in_process(frozen_source, cpus):
+    """A daemonic process, such as a multiprocessing.Pool worker, may not
+    have children, so a phase run there keeps its evaluation in-process."""
+    cpus(2)
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=lambda: sender.send(train_ilm_prompt(frozen_source)[2]), daemon=True)
+    child.start()
+    sender.close()
+    assert receiver.poll(60)
+    records = receiver.recv()
+    child.join(timeout=60)
+    assert child.exitcode == 0
+    assert records == train_ilm_prompt(frozen_source)[2]
+
+
+def test_one_epoch_prompt_starts_no_process(frozen_source, cpus):
+    started = cpus(2)
+    train_ilm_prompt(frozen_source, epochs=1)
+    assert started == []
