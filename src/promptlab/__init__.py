@@ -16,7 +16,14 @@ from . import blas
 
 blas.pin_one_thread()
 
-from .attack import AttackConfig, EvalReport, adversarial_accuracy, fgsm, standard_accuracy
+from .attack import (
+    AttackConfig,
+    EvalReport,
+    adversarial_accuracies,
+    adversarial_accuracy,
+    fgsm,
+    standard_accuracy,
+)
 from .checkpoint import (
     load_model,
     load_prompt,

@@ -21,6 +21,7 @@ __all__ = [
     "fgsm",
     "standard_accuracy",
     "adversarial_accuracy",
+    "adversarial_accuracies",
 ]
 
 _EVAL_BATCH = 256
@@ -60,10 +61,12 @@ def fgsm(pipeline, x: Tensor, y, cfg: AttackConfig, meter=None) -> Tensor:
     """x_adv = clamp01(x + ε·sign(∇_x loss)); sign(0) = 0.
 
     The gradient is taken through the full pipeline (prompt, network,
-    reduction, mapping — whatever the pipeline composes).  The returned
-    batch satisfies ‖x_adv − x‖_∞ ≤ ε and x_adv ∈ [0,1] exactly: after
-    the clamped step, any float32 rounding overshoot of the ε-ball is
-    pulled back by stepping the offending pixels one ulp toward x.
+    reduction, mapping — whatever the pipeline composes).  For x in
+    [0,1] the returned batch satisfies ‖x_adv − x‖_∞ ≤ ε and x_adv ∈
+    [0,1] exactly; float32 rounding past the ε-ball is undone by an
+    exact one-ulp bit step (:func:`_step_in_ball`).  An input pixel more
+    than ε outside [0,1] cannot come back within ε of the clamped step
+    (short of a few ulps past 1 + ε) and raises :class:`GraphError`.
     """
     if cfg.epsilon == 0.0:
         return Tensor(x.data.copy())
@@ -76,17 +79,33 @@ def fgsm(pipeline, x: Tensor, y, cfg: AttackConfig, meter=None) -> Tensor:
         meter.add_graph(g)
     if xt.grad is None:
         raise GraphError("pipeline is not differentiable with respect to its input")
-    eps = np.float32(cfg.epsilon)
-    adv = np.clip(x.data + eps * np.sign(xt.grad), 0.0, 1.0).astype(np.float32)
+    return Tensor(_step_in_ball(x.data, np.sign(xt.grad), np.float32(cfg.epsilon)))
+
+
+def _step_in_ball(x: np.ndarray, direction: np.ndarray, eps: np.float32) -> np.ndarray:
+    """clip(x + ε·direction, 0, 1), pulled back into the float32 ε-ball.
+
+    Rounding can leave a clamped pixel one ulp more than ε from x.  Such
+    a pixel is moved one ulp toward x by adding ±1 to its bit pattern:
+    for a finite float32 ≥ +0, that is exactly ``np.nextafter`` toward
+    x.  A pixel at 0 whose x lies below it is left alone, since only an
+    input more than ε below 0 gets there, and no step can help it; after
+    4 passes the overshoot is an error.
+    """
+    adv = np.clip(x + eps * direction, 0.0, 1.0)
+    bits = adv.view(np.int32)
     for _ in range(4):
-        delta = adv - x.data
-        over = np.abs(delta) > eps
-        if not over.any():
-            break
-        adv[over] = np.nextafter(adv[over], x.data[over])
-    else:  # pragma: no cover - defensive
-        raise GraphError("could not confine perturbation to the epsilon ball")
-    return Tensor(adv)
+        delta = adv - x
+        up = delta < -eps
+        down = delta > eps
+        if not (up.any() or down.any()):
+            return adv
+        bits += up
+        bits -= down & (adv > 0)
+    raise GraphError(
+        f"cannot confine the perturbation to the epsilon ball: an input pixel lies more than epsilon={eps!s} "
+        "outside [0, 1]"
+    )
 
 
 def _predict(pipeline, images: np.ndarray) -> np.ndarray:
@@ -108,6 +127,15 @@ def standard_accuracy(pipeline, dataset) -> float:
 
 def adversarial_accuracy(pipeline, dataset, cfg: AttackConfig) -> EvalReport:
     """Attack only the initially-correct samples; score the survivors."""
+    return adversarial_accuracies(pipeline, dataset, [cfg])[0]
+
+
+def adversarial_accuracies(pipeline, dataset, budgets) -> list[EvalReport]:
+    """:func:`adversarial_accuracy` for each budget, over one clean pass.
+
+    At ε = 0 the attack is the identity, so every correct sample
+    survives by construction and no attacked pass is run.
+    """
     if len(dataset) == 0:
         raise ShapeError("cannot evaluate on an empty dataset")
     preds = _predict(pipeline, dataset.images)
@@ -115,10 +143,17 @@ def adversarial_accuracy(pipeline, dataset, cfg: AttackConfig) -> EvalReport:
     n_total = len(dataset)
     n_correct = int(correct.sum())
     std_acc = n_correct / n_total
-    if n_correct == 0:
-        return EvalReport(std_acc, 0.0, n_total, 0, 0)
     images = dataset.images[correct]
     labels = dataset.labels[correct]
+    reports = []
+    for cfg in budgets:
+        survived = n_correct if cfg.epsilon == 0.0 else _survivors(pipeline, images, labels, cfg)
+        reports.append(EvalReport(std_acc, survived / n_correct if n_correct else 0.0, n_total, n_correct, survived))
+    return reports
+
+
+def _survivors(pipeline, images: np.ndarray, labels: np.ndarray, cfg: AttackConfig) -> int:
+    """How many of the (correctly classified) samples stay correct under FGSM."""
     survived = 0
     for start in range(0, images.shape[0], _EVAL_BATCH):
         xb = images[start : start + _EVAL_BATCH]
@@ -126,4 +161,4 @@ def adversarial_accuracy(pipeline, dataset, cfg: AttackConfig) -> EvalReport:
         adv = fgsm(pipeline, Tensor(xb), yb, cfg)
         adv_preds = pipeline.logits(adv).data.argmax(axis=1)
         survived += int((adv_preds == yb).sum())
-    return EvalReport(std_acc, survived / n_correct, n_total, n_correct, survived)
+    return survived

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import blas
-from .attack import AttackConfig, adversarial_accuracy
+from .attack import AttackConfig, adversarial_accuracies
 from .checkpoint import load_model, save_model, save_prompt
 from .data import Dataset, SynthSpec, generate_synthetic, load_raw, peek_raw_header
 from .errors import ConfigError
@@ -482,11 +482,8 @@ def train_and_save_prompt(cfg: ExperimentConfig, data: dict[str, Dataset], sourc
 
 
 def _eval_grid(pipeline, dataset, grid) -> list[dict]:
-    rows = []
-    for eps in grid:
-        report = adversarial_accuracy(pipeline, dataset, AttackConfig(eps))
-        rows.append({"epsilon": eps, **asdict(report)})
-    return rows
+    reports = adversarial_accuracies(pipeline, dataset, [AttackConfig(eps) for eps in grid])
+    return [{"epsilon": eps, **asdict(report)} for eps, report in zip(grid, reports)]
 
 
 def run_experiment(config) -> dict:

@@ -15,9 +15,10 @@ margin of more than h from every kink (clamp edges, relu zero, block
 argmax ties).  The instance builders below enforce those margins by
 construction or rejection sampling.
 
-``im2col_conv2d_f32`` is the one float32 reference: the plain im2col
-formulation of conv2d, which the library's conv2d must match byte for
-byte.
+``im2col_conv2d_f32`` and ``masked_nextafter_step`` are the float32
+references: the plain im2col formulation of conv2d, and the masked
+``np.nextafter`` formulation of the FGSM step's ε-ball fix-up.  The
+library must match each byte for byte.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 
 from promptlab import (
     Graph,
+    GraphError,
     PblConfig,
     LabelMapping,
     Tensor,
@@ -117,6 +119,21 @@ def im2col_conv2d_f32(x, k, stride, g):
         for j in range(kw):
             gx[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += dc[:, :, i, j]
     return out, gk, gx
+
+
+def masked_nextafter_step(x, direction, eps):
+    """clip(x + eps·direction, 0, 1) in float32, then, for up to 4 passes,
+    every pixel more than eps from x is gathered, moved one ulp toward x
+    by ``np.nextafter`` and scattered back.  The library's FGSM step
+    (``attack._step_in_ball``) must reproduce it byte for byte, and raise
+    where it raises."""
+    adv = np.clip(x + eps * direction, 0.0, 1.0).astype(np.float32)
+    for _ in range(4):
+        over = np.abs(adv - x) > eps
+        if not over.any():
+            return adv
+        adv[over] = np.nextafter(adv[over], x[over])
+    raise GraphError("could not confine perturbation to the epsilon ball")
 
 
 def ref_softmax_ce(z, y):

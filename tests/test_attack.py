@@ -2,15 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gradcheck import masked_nextafter_step
 from promptlab import (
     AttackConfig,
     ConfigError,
     Dataset,
     EvalReport,
+    GraphError,
     ShapeError,
     Tensor,
+    adversarial_accuracies,
     adversarial_accuracy,
+    attack,
     fgsm,
     standard_accuracy,
 )
@@ -91,11 +96,76 @@ def test_fgsm_ball_and_range_hold_exactly(rng):
     x = Tensor(rng.uniform(0, 1, size=(50, 1, 3, 3)).astype(np.float32))
     y = rng.integers(0, 3, size=50)
     adv = fgsm(pipe, x, y, AttackConfig(eps))
+    assert adv.data.dtype == np.float32
     delta = adv.data - x.data
     assert np.abs(delta).max() <= np.float32(eps)
     assert adv.data.min() >= 0.0 and adv.data.max() <= 1.0
     # original batch is untouched
     assert x.data.min() >= 0.0
+
+
+EPSILONS = (1e-30, 0.02, 0.05, 0.1, 0.25, 1.0)
+OUT_OF_BALL = "an input pixel lies more than epsilon=0.05 outside \\[0, 1\\]"
+
+
+def _outcome(step, x, direction, eps):
+    """The step's output bytes and dtype, or the type of what it raised."""
+    try:
+        adv = step(x, direction, eps)
+    except GraphError:
+        return GraphError
+    return adv.tobytes(), adv.dtype
+
+
+@st.composite
+def step_inputs(draw, low=0.0, high=1.0):
+    """(x, direction, ε) with x drawn from [low, high] and from the values
+    where rounding decides: 0, 1, subnormals, and one ulp either side of
+    ε and 1 − ε."""
+    eps = np.float32(draw(st.sampled_from(EPSILONS)))
+    f32 = np.finfo(np.float32)
+    near = [eps, 1 - eps]
+    edges = [0.0, -0.0, 1.0, f32.smallest_subnormal, 3 * f32.smallest_subnormal, f32.tiny]
+    edges += [np.nextafter(v, d) for v in near for d in (np.float32(0), np.float32(1))] + near
+    pixel = st.one_of(st.sampled_from(edges), st.floats(low, high, width=32))
+    n = draw(st.integers(1, 48))
+    x = np.array(draw(st.lists(pixel, min_size=n, max_size=n)), dtype=np.float32)
+    signs = draw(st.lists(st.sampled_from((-1.0, 0.0, 1.0)), min_size=n, max_size=n))
+    return x, np.array(signs, dtype=np.float32), eps
+
+
+@given(step_inputs())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_ball_step_matches_masked_nextafter_bytes(case):
+    x, direction, eps = case
+    got = _outcome(attack._step_in_ball, x, direction, eps)
+    assert got == _outcome(masked_nextafter_step, x, direction, eps)
+    assert got[1] == np.float32  # inputs in [0, 1] never raise
+
+
+@given(step_inputs(low=-2.0, high=3.0))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_ball_step_raises_where_masked_nextafter_raises(case):
+    x, direction, eps = case
+    assert _outcome(attack._step_in_ball, x, direction, eps) == _outcome(masked_nextafter_step, x, direction, eps)
+
+
+@pytest.mark.parametrize("value", [-0.2, -0.0500001, 1.06, 1.3])
+@pytest.mark.parametrize("sign", [-1.0, 0.0, 1.0])
+def test_ball_step_names_an_input_outside_the_ball(value, sign):
+    x = np.array([0.5, value], dtype=np.float32)
+    direction = np.array([1.0, sign], dtype=np.float32)
+    with pytest.raises(GraphError, match=OUT_OF_BALL):
+        attack._step_in_ball(x, direction, np.float32(0.05))
+    with pytest.raises(GraphError):
+        masked_nextafter_step(x, direction, np.float32(0.05))
+
+
+def test_fgsm_rejects_an_input_outside_the_ball(rng):
+    x = rng.uniform(0, 1, size=(3, 1, 3, 3)).astype(np.float32)
+    x[1, 0, 2, 2] = 1.3
+    with pytest.raises(GraphError, match=OUT_OF_BALL):
+        fgsm(LinearPipeline(rng.normal(size=(9, 2))), Tensor(x), np.zeros(3, dtype=np.int64), AttackConfig(0.05))
 
 
 def test_fgsm_steps_along_loss_gradient_sign(rng):
@@ -167,3 +237,26 @@ def test_empty_correct_set_scores_zero():
     report = adversarial_accuracy(pipe, ds, AttackConfig(0.05))
     assert report.adversarial_accuracy == 0.0
     assert report.n_correct == 0 and report.n_survived_attack == 0
+
+
+def test_epsilon_grid_shares_one_clean_pass(monkeypatch):
+    """One clean pass scores every budget; the ε = 0 row needs no attack
+    pass and reads 1.0 even where an attacked table would flip samples."""
+    n = 6
+    ds = _dataset(n)
+    clean = np.zeros((n, 2), dtype=np.float32)
+    clean[:4, 0] = 1.0  # 4 correct
+    clean[4:, 1] = 1.0
+    attacked = clean.copy()
+    attacked[:1] = [0.0, 1.0]  # the attack flips one of them
+    pipe = FixedPipeline(clean, attacked)
+    passes = []
+    predict = attack._predict
+    monkeypatch.setattr(attack, "_predict", lambda p, images: passes.append(len(images)) or predict(p, images))
+    reports = adversarial_accuracies(pipe, ds, [AttackConfig(e) for e in (0.0, 0.05, 0.1)])
+    assert passes == [n]
+    assert [r.adversarial_accuracy for r in reports] == [1.0, 0.75, 0.75]
+    assert [r.n_survived_attack for r in reports] == [4, 3, 3]
+    assert all(r.standard_accuracy == 4 / 6 and r.n_correct == 4 for r in reports)
+    assert pipe.calls == 1 + 2 * 2  # clean; then per attacked budget, fgsm's pass and the scoring pass
+

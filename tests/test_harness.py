@@ -541,6 +541,58 @@ def test_artifacts_do_not_depend_on_usable_cpus(tmp_path, monkeypatch, cpus, twe
     assert runs[1] == runs[2]
 
 
+def test_ball_step_artifacts_match_masked_nextafter(tmp_path, monkeypatch):
+    """An adversarial source and an adversarial RLM prompt, one epoch per
+    phase: every normative file is the same with fgsm's ε-ball fix-up
+    swapped for the masked ``np.nextafter`` reference."""
+    from gradcheck import masked_nextafter_step
+    from promptlab import attack
+
+    config = small_config(
+        out="run",
+        source__regime="adversarial",
+        source__hyper__epochs=1,
+        source__at_hyper__epochs=1,
+        prompt__hyper__epochs=1,
+        prompt__lm="rlm",
+        prompt__adversarial=True,
+    )
+    steps = []  # one epoch per phase: nothing runs in a forked worker
+    runs = {}
+    for step in ("reference", "shipped"):
+        run_dir = tmp_path / step
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        with monkeypatch.context() as patch:
+            if step == "reference":
+                patch.setattr(attack, "_step_in_ball", lambda *args: steps.append(1) or masked_nextafter_step(*args))
+            run_experiment(config)
+        runs[step] = {name: (Path("run") / name).read_bytes() for name in NORMATIVE}
+    assert steps  # the run attacked through the reference
+    assert runs["reference"] == runs["shipped"]
+
+
+def test_epsilon_grid_runs_one_clean_pass(experiment_run, tmp_path, monkeypatch):
+    """A one-epoch prompt on a saved source: one clean pass for the epoch's
+    evaluation and one for the whole ε grid, whose ε = 0 row reads 1.0."""
+    from promptlab import attack
+
+    passes = []
+    predict = attack._predict
+    monkeypatch.setattr(attack, "_predict", lambda p, images: passes.append(len(images)) or predict(p, images))
+    out, _ = experiment_run
+    config = small_config(
+        out=tmp_path,
+        source__checkpoint=str(out / "source.ckpt"),
+        prompt__hyper__epochs=1,
+        eval__epsilon_grid=[0.0, 0.02, 0.05],
+    )
+    report = run_experiment(config)
+    assert len(passes) == 2
+    assert [row["epsilon"] for row in report["prompt_eval"]] == [0.0, 0.02, 0.05]
+    assert report["prompt_eval"][0]["adversarial_accuracy"] == 1.0
+
+
 # ---------------------------------------------------------------------------
 # prompt image export
 
