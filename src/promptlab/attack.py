@@ -66,7 +66,7 @@ def fgsm(pipeline, x: Tensor, y, cfg: AttackConfig, meter=None) -> Tensor:
     [0,1] exactly; float32 rounding past the ε-ball is undone by an
     exact one-ulp bit step (:func:`_step_in_ball`).  An input pixel more
     than ε outside [0,1] cannot come back within ε of the clamped step
-    (short of a few ulps past 1 + ε) and raises :class:`GraphError`.
+    and raises :class:`GraphError`.
     """
     if cfg.epsilon == 0.0:
         return Tensor(x.data.copy())
@@ -88,9 +88,10 @@ def _step_in_ball(x: np.ndarray, direction: np.ndarray, eps: np.float32) -> np.n
     Rounding can leave a clamped pixel one ulp more than ε from x.  Such
     a pixel is moved one ulp toward x by adding ±1 to its bit pattern:
     for a finite float32 ≥ +0, that is exactly ``np.nextafter`` toward
-    x.  A pixel at 0 whose x lies below it is left alone, since only an
-    input more than ε below 0 gets there, and no step can help it; after
-    4 passes the overshoot is an error.
+    x.  A pixel at 0 whose x lies below it, or at 1 whose x lies above
+    it, is left alone, since only an input more than ε outside [0, 1]
+    gets there, and no step within [0, 1] can help it; after 4 passes the
+    overshoot is an error.
     """
     adv = np.clip(x + eps * direction, 0.0, 1.0)
     bits = adv.view(np.int32)
@@ -100,7 +101,7 @@ def _step_in_ball(x: np.ndarray, direction: np.ndarray, eps: np.float32) -> np.n
         down = delta > eps
         if not (up.any() or down.any()):
             return adv
-        bits += up
+        bits += up & (adv < 1)
         bits -= down & (adv > 0)
     raise GraphError(
         f"cannot confine the perturbation to the epsilon ball: an input pixel lies more than epsilon={eps!s} "

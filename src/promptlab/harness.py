@@ -449,7 +449,6 @@ def _train_prompt_phase(cfg, source, data, temperature, adversarial, final_eval_
         cfg.lm,
         pbl,
         cfg.prompt_hyper,
-        adversarial=adversarial,
         attack=cfg.prompt_attack if adversarial else None,
         pad_width=cfg.pad_width,
         eval_dataset=data["downstream_test"],

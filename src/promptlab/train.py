@@ -9,7 +9,6 @@ metrics.  Everything is deterministic in the hyperparameter seed.
 from __future__ import annotations
 
 import os
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -78,85 +77,29 @@ def _can_fork() -> bool:
     return "fork" in multiprocessing.get_all_start_methods() and not multiprocessing.current_process().daemon
 
 
-def _evaluate_epochs(target, pipeline, evaluate, count, tasks, results) -> None:
-    """The evaluation worker's body: ``count`` times, write the values an
-    epoch of training left into the inherited ``target`` (and the label
-    mapping into ``pipeline``), evaluate, and send the accuracies back.
-    An exception is sent back in place of a result and ends the worker."""
+_evaluator = None  # set in the evaluation worker only, by _start_evaluator
+
+
+def _start_evaluator(target, pipeline, evaluate) -> None:
+    """Initialise a forked evaluation worker: it keeps its inherited copy
+    of ``target``'s tensors, with gradients off, and the pipeline and
+    ``evaluate`` that read them."""
+    global _evaluator
     tensors = [t for _, t in target.named_tensors()]
     for t in tensors:
         t.requires_grad = False  # the attack then forms only the input gradient it reads
-    try:
-        for _ in range(count):
-            values, mapping = tasks.get()
-            for t, value in zip(tensors, values):
-                t.data[...] = value
-            if mapping is not None:
-                pipeline.mapping = mapping
-            results.send(evaluate())
-    except Exception as exc:
-        try:
-            results.send(exc)
-        except Exception:  # an exception that does not pickle
-            results.send(RuntimeError(f"{type(exc).__name__}: {exc}"))
+    _evaluator = (tensors, pipeline, evaluate)
 
 
-class _EvalWorker:
-    """One forked process that evaluates the epochs of a training phase
-    while the parent trains the next ones.
-
-    It is forked before the first epoch, so it inherits the pipeline, the
-    frozen source and the evaluation set; :meth:`submit` then sends only
-    what an epoch of training changed.  Fork, not spawn: a spawned worker
-    would import promptlab again and need the pipeline and the evaluation
-    set pickled.  Used as a context manager: on the way out the worker is
-    joined, after being terminated if the block raised.
-    """
-
-    def __init__(self, target, pipeline, evaluate, count: int):
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        self._target, self._pipeline, self._count = target, pipeline, count
-        self._tasks = ctx.Queue()  # its feeder thread keeps submit() from blocking on a full pipe
-        self._results, sender = ctx.Pipe(duplex=False)
-        self._process = ctx.Process(
-            target=_evaluate_epochs, args=(target, pipeline, evaluate, count, self._tasks, sender), daemon=True
-        )
-        self._process.start()
-        sender.close()  # the worker holds the only write end, so its exit reads as EOF
-
-    def __enter__(self) -> "_EvalWorker":
-        return self
-
-    def submit(self) -> None:
-        """Queue copies of the target's values and the pipeline's mapping."""
-        values = [t.data.copy() for _, t in self._target.named_tensors()]
-        self._tasks.put((values, getattr(self._pipeline, "mapping", None)))
-
-    def results(self) -> list[tuple[float, float]]:
-        """``(std_acc, adv_acc)`` of every submitted epoch, in order.
-        Re-raises the exception the worker's evaluation raised."""
-        out = []
-        for _ in range(self._count):
-            try:
-                got = self._results.recv()
-            except EOFError:
-                self._process.join()
-                raise RuntimeError(f"evaluation worker exited with code {self._process.exitcode}") from None
-            if isinstance(got, Exception):
-                raise got
-            out.append(got)
-        return out
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is not None:
-            self._process.terminate()
-            self._tasks.cancel_join_thread()  # the queue may hold values nobody will read
-        self._process.join()
-        self._tasks.close()
-        self._tasks.join_thread()
-        self._results.close()
+def _evaluate_epoch(values, mapping) -> tuple[float, float]:
+    """Write the values an epoch of training left (and its label mapping)
+    into the worker's copy of the target, and evaluate."""
+    tensors, pipeline, evaluate = _evaluator
+    for t, value in zip(tensors, values):
+        t.data[...] = value
+    if mapping is not None:
+        pipeline.mapping = mapping
+    return evaluate()
 
 
 def _train_engine(
@@ -177,8 +120,10 @@ def _train_engine(
     Each epoch is evaluated on ``eval_dataset`` after it trains (only the
     last one with ``final_eval_only``).  When more than one epoch is
     evaluated and at least two CPUs are usable, every epoch but the last
-    is evaluated in one forked worker while the next epoch trains; the
-    records are the same either way.
+    is evaluated by a one-process ``ProcessPoolExecutor``, forked at the
+    first submitted epoch, while the next epoch trains; the records are
+    the same either way.  If the phase fails, the epochs not yet handed
+    to the worker are cancelled; a dead worker raises ``BrokenProcessPool``.
     """
     if len(dataset) == 0:
         raise DataFormatError("cannot train on an empty dataset")
@@ -195,9 +140,19 @@ def _train_engine(
             return report.standard_accuracy, report.adversarial_accuracy
         return standard_accuracy(pipeline, eval_ds), 0.0  # 0.0: not measured
 
-    overlap = not final_eval_only and last > 0 and usable_cpus() >= 2 and _can_fork()
+    pool = None
+    if not final_eval_only and last > 0 and usable_cpus() >= 2 and _can_fork():
+        import multiprocessing  # imported here: `import promptlab` should not pay for it
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork, not spawn: the worker inherits the pipeline, the frozen
+        # source and the evaluation set, and is sent only what training changed
+        pool = ProcessPoolExecutor(
+            1, multiprocessing.get_context("fork"), initializer=_start_evaluator, initargs=(target, pipeline, evaluate)
+        )
     records: list[MetricsRecord] = []
-    with _EvalWorker(target, pipeline, evaluate, last) if overlap else nullcontext() as worker:
+    futures = []
+    try:
         for epoch in range(hyper.epochs):
             meter = WorkMeter(persistent_bytes=persistent)
             order = rng.permutation(n)
@@ -225,8 +180,9 @@ def _train_engine(
                 after_epoch()
             if final_eval_only and epoch < last:
                 std_acc, adv_acc = 0.0, 0.0  # not measured
-            elif worker is not None and epoch < last:
-                worker.submit()
+            elif pool is not None and epoch < last:
+                values = [t.data.copy() for _, t in target.named_tensors()]  # sent later, as the next epoch trains
+                futures.append(pool.submit(_evaluate_epoch, values, getattr(pipeline, "mapping", None)))
                 std_acc, adv_acc = 0.0, 0.0  # replaced by the worker's results below
             else:
                 std_acc, adv_acc = evaluate()
@@ -241,8 +197,12 @@ def _train_engine(
                     peak_mem_bytes=meter.peak_bytes,
                 )
             )
-        if worker is not None:
-            records[:last] = [replace(r, std_acc=s, adv_acc=a) for r, (s, a) in zip(records, worker.results())]
+        for i, future in enumerate(futures):
+            std_acc, adv_acc = future.result()
+            records[i] = replace(records[i], std_acc=std_acc, adv_acc=adv_acc)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return records
 
 
@@ -303,7 +263,6 @@ def train_prompt(
     lm: str,
     cfg: PblConfig | None,
     hyper: TrainHyper,
-    adversarial: bool = False,
     attack: AttackConfig | None = None,
     pad_width: int = 4,
     eval_dataset: Dataset | None = None,
@@ -318,9 +277,10 @@ def train_prompt(
     mapping from prediction frequencies before training and again after
     every epoch.  ``cfg=None`` removes the reduction stage entirely;
     note that temperature 1 keeps the stage but makes it an identity,
-    so both run the same objective.  With ``adversarial=True`` each
-    batch is perturbed by the sign attack through the full pipeline
-    (prompt, source, reduction, mapping) before the prompt step.
+    so both run the same objective.  With an ``attack``, each batch is
+    perturbed by the sign attack at its budget through the full pipeline
+    (prompt, source, reduction, mapping) before the prompt step; with
+    None, training is clean.
 
     Each epoch's record holds the accuracies on ``eval_dataset`` (the
     training set when None); ``adv_acc`` is taken under the sign attack
@@ -331,15 +291,14 @@ def train_prompt(
     Evaluation reads no RNG and changes no training state, so the
     prompt, the mapping and the last record are the same either way.
     With at least two usable CPUs, a phase that evaluates more than one
-    epoch does so in one forked worker, alongside the next epoch's
-    training, and its records are byte-for-byte those of a one-CPU run.
+    epoch does so in a one-process ``ProcessPoolExecutor``, forked at its
+    first submitted epoch, alongside the next epoch's training, and its
+    records are byte-for-byte those of a one-CPU run.
     """
     if not source.frozen:
         raise GraphError("prompt training requires a frozen source model")
     if lm not in ("rlm", "ilm"):
         raise ConfigError(f"label mapping must be 'rlm' or 'ilm', got {lm!r}")
-    if adversarial and attack is None:
-        raise ConfigError("adversarial prompt training needs an attack configuration")
     k_t = dataset.n_classes
     m = cfg.m if cfg is not None else source.spec.n_classes
     if m < k_t:
@@ -364,7 +323,7 @@ def train_prompt(
             clf.mapping = ilm_update(prediction_frequencies(clf.reduced_fn, dataset))
 
     perturb = None
-    if adversarial:
+    if attack is not None:
 
         def perturb(xb, yb, meter):
             return fgsm(clf, Tensor(xb), yb, attack, meter=meter).data

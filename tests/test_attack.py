@@ -168,6 +168,23 @@ def test_fgsm_rejects_an_input_outside_the_ball(rng):
         fgsm(LinearPipeline(rng.normal(size=(9, 2))), Tensor(x), np.zeros(3, dtype=np.int64), AttackConfig(0.05))
 
 
+@pytest.mark.parametrize("sign", [-1.0, 0.0, 1.0])
+def test_ball_step_rejects_an_input_a_few_ulps_past_one_plus_epsilon(sign):
+    """The masked-nextafter reference brings such a pixel within ε by
+    stepping it above 1, so this case is not in the shared parametrization
+    of :func:`test_ball_step_names_an_input_outside_the_ball`."""
+    x = np.array([0.5, 1.0500001], dtype=np.float32)
+    direction = np.array([-1.0, sign], dtype=np.float32)
+    assert masked_nextafter_step(x, direction, np.float32(0.05))[1] > 1
+    with pytest.raises(GraphError, match=OUT_OF_BALL):
+        attack._step_in_ball(x, direction, np.float32(0.05))
+    # logits [s, -s] with s = x·w[:, 0]: under label 0 the gradient's sign
+    # on each pixel is that of -w[j, 0]
+    pipe = LinearPipeline([[1.0, -1.0], [-sign, sign]])
+    with pytest.raises(GraphError, match=OUT_OF_BALL):
+        fgsm(pipe, Tensor(x.reshape(1, 1, 1, 2)), np.zeros(1, dtype=np.int64), AttackConfig(0.05))
+
+
 def test_fgsm_steps_along_loss_gradient_sign(rng):
     # two classes, logits = [s, -s] with s = sum(x): for label 0 the loss
     # decreases in s, so the attack must push every pixel down (sign -1),

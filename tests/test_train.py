@@ -3,6 +3,7 @@ equivalence between temperature-1 reduction and no reduction at all."""
 
 import multiprocessing
 import os
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
@@ -200,12 +201,6 @@ def test_prompt_rejects_unknown_mapping_policy(frozen_source):
                      TrainHyper(1, 8, 0.1, 0.9, 0), pad_width=3)
 
 
-def test_prompt_adversarial_needs_attack(frozen_source):
-    with pytest.raises(ConfigError, match="attack"):
-        train_prompt(frozen_source, downstream_data(), "rlm", None,
-                     TrainHyper(1, 8, 0.1, 0.9, 0), adversarial=True, pad_width=3)
-
-
 def test_prompt_rejects_overcompressed_reduction(frozen_source):
     cfg = PblConfig(temperature=4, n=6)  # m = 2 slots for 3 classes
     with pytest.raises(
@@ -284,7 +279,7 @@ def test_adversarial_prompt_training_costs_more(frozen_source):
     )
     _, _, robust = train_prompt(
         frozen_source, downstream_data(), "rlm", PblConfig(2, 6), hyper,
-        adversarial=True, attack=AttackConfig(0.05), pad_width=3,
+        attack=AttackConfig(0.05), pad_width=3,
     )
     assert len(robust) == 2
     assert robust[0].wall_ms > clean[0].wall_ms
@@ -304,7 +299,6 @@ def test_final_eval_only_changes_only_the_earlier_accuracies(frozen_source, lm, 
     the last record and every work column as they were."""
     hyper = TrainHyper(3, 8, 0.2, 0.9, 5)
     kwargs = dict(
-        adversarial=adversarial,
         attack=AttackConfig(0.05) if adversarial else None,
         pad_width=3,
         eval_dataset=downstream_data(spc=6, seed=43),
@@ -362,9 +356,30 @@ def test_worker_that_dies_fails_the_caller(frozen_source, monkeypatch, cpus):
     exit_in_worker = lambda *a, **k: real(*a, **k) if os.getpid() == caller else os._exit(3)  # noqa: E731
     monkeypatch.setattr(train, "adversarial_accuracy", exit_in_worker)
     started = cpus(2)
-    with pytest.raises(RuntimeError, match="evaluation worker exited with code 3"):
+    with pytest.raises(BrokenProcessPool):
         train_ilm_prompt(frozen_source)
     assert len(started) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_evaluation_error_that_does_not_pickle_fails_the_caller(frozen_source, monkeypatch, cpus):
+    """An exception raised in the worker that cannot be sent back still
+    fails the caller, naming its class, and leaves no process behind."""
+
+    class UnpicklableEvalError(Exception):
+        pass
+
+    caller, real = os.getpid(), train.adversarial_accuracy
+
+    def failing_in_worker(*args, **kwargs):
+        if os.getpid() == caller:
+            return real(*args, **kwargs)
+        raise UnpicklableEvalError("raised in the worker")
+
+    monkeypatch.setattr(train, "adversarial_accuracy", failing_in_worker)
+    cpus(2)
+    with pytest.raises(Exception, match="UnpicklableEvalError"):
+        train_ilm_prompt(frozen_source)
     assert multiprocessing.active_children() == []
 
 
