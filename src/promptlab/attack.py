@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GraphError, ShapeError
-from .tensor import Graph, Tensor, softmax_cross_entropy
+from .tensor import Graph, Tensor, _check_finite, softmax_cross_entropy
 
 __all__ = [
     "AttackConfig",
@@ -79,6 +79,7 @@ def fgsm(pipeline, x: Tensor, y, cfg: AttackConfig, meter=None) -> Tensor:
         meter.add_graph(g)
     if xt.grad is None:
         raise GraphError("pipeline is not differentiable with respect to its input")
+    _check_finite(xt.grad, "input gradient")  # sign(NaN) is NaN, and NaN slips past every ε-ball comparison
     return Tensor(_step_in_ball(x.data, np.sign(xt.grad), np.float32(cfg.epsilon)))
 
 

@@ -3,7 +3,9 @@
 Layout (little-endian): magic ``VPCK``, version u16, entry count u32,
 then per entry: name length u16, name bytes (UTF-8), rank u32, extents
 as u32 each, then the float32 payload in row-major order.  Round-trips
-are bitwise exact.
+are bitwise exact.  The reader rejects an entry name that is not UTF-8
+or repeats an earlier one, and a payload holding NaN or Inf, with a
+:class:`CheckpointError` that names the entry.
 """
 
 from __future__ import annotations
@@ -65,12 +67,20 @@ def load_tensors(path) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}
         for i in range(count):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2, f"entry {i} name length"))
-            name = _read_exact(fh, name_len, f"entry {i} name").decode("utf-8")
+            try:
+                name = _read_exact(fh, name_len, f"entry {i} name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(f"entry {i} name is not valid UTF-8") from None
+            if name in out:
+                raise CheckpointError(f"duplicate entry '{name}'")
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, f"'{name}' rank"))
             shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, f"'{name}' extents"))
             n_vals = int(np.prod(shape, dtype=np.int64)) if rank else 1
             payload = _read_exact(fh, 4 * n_vals, f"'{name}' payload")
-            out[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+            arr = np.frombuffer(payload, dtype="<f4").reshape(shape)
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"NaN or Inf in entry '{name}'")
+            out[name] = arr.copy()
         if fh.read(1):
             raise CheckpointError("trailing bytes after final entry")
     return out

@@ -60,7 +60,7 @@ class Dataset:
                 )
         if self.images.size:
             lo, hi = float(self.images.min()), float(self.images.max())
-            if lo < 0.0 or hi > 1.0:
+            if not (lo >= 0.0 and hi <= 1.0):  # min and max propagate NaN, which fails both
                 raise DataFormatError(f"pixel values must lie in [0,1], found [{lo}, {hi}]")
         if self.split not in ("train", "test"):
             raise DataFormatError(f"split must be 'train' or 'test', got {self.split!r}")

@@ -14,7 +14,7 @@ class GraphError(PromptLabError, RuntimeError):
 
 
 class NumericsError(PromptLabError, ArithmeticError):
-    """A forward or backward pass produced NaN or Inf."""
+    """NaN or Inf in a tensor's value, the logits, a gradient or a loss; the message says which."""
 
 
 class CheckpointError(PromptLabError):

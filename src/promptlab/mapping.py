@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor, record_op
+from .tensor import Tensor, _make_output, record_op
 
 __all__ = [
     "PblConfig",
@@ -78,8 +78,7 @@ def block_reduce(v: Tensor, cfg: PblConfig) -> Tensor:
     out_data = np.concatenate(pieces, axis=1)
     arg_cols = np.concatenate(arg_pieces, axis=1)
     assert out_data.shape == (nb, m)
-    out = Tensor(out_data)
-    out.requires_grad = v.requires_grad
+    out = _make_output(out_data, (v,))
     rows = np.arange(nb)[:, None]
 
     def bwd(g):
@@ -123,8 +122,7 @@ def map_labels(i_logits: Tensor, mapping: LabelMapping) -> Tensor:
         raise ShapeError(
             f"mapping index {cols.max()} out of range for reduced dimension {m}"
         )
-    out = Tensor(np.ascontiguousarray(i_logits.data[:, cols]))
-    out.requires_grad = i_logits.requires_grad
+    out = _make_output(np.ascontiguousarray(i_logits.data[:, cols]), (i_logits,))
 
     def bwd(g):
         if not i_logits.requires_grad:

@@ -12,9 +12,10 @@ separately by the harness in a non-normative timing sidecar.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, NumericsError
 from .fileio import atomic_open
 
 __all__ = ["MetricsRecord", "write_metrics", "read_metrics", "WorkMeter", "WORK_FLOPS_PER_MS"]
@@ -37,6 +38,8 @@ class MetricsRecord:
     peak_mem_bytes: int
 
     def __post_init__(self):
+        if not math.isfinite(self.loss):  # finite logits spread past the float32 range give Inf
+            raise NumericsError(f"NaN or Inf in epoch {self.epoch} loss")
         for name in ("std_acc", "adv_acc", "mean_confidence"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):

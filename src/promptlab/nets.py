@@ -9,6 +9,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .tensor import (
     Tensor,
+    _check_finite,
     add_channel_bias,
     add_row_bias,
     conv2d,
@@ -137,7 +138,8 @@ def init_params(spec: ConvNetSpec, seed: int) -> ModelParams:
 
 
 def forward(params: ModelParams, batch: Tensor) -> Tensor:
-    """Run the net, returning (N, n_classes) logits."""
+    """Run the net, returning (N, n_classes) logits checked for NaN/Inf,
+    so an overflow anywhere in the net stops before a loss or an argmax."""
     spec = params.spec
     if batch.data.ndim != 4 or tuple(batch.data.shape[1:]) != spec.input_size:
         raise ShapeError(
@@ -151,4 +153,6 @@ def forward(params: ModelParams, batch: Tensor) -> Tensor:
     n = batch.data.shape[0]
     h = reshape(h, (n, spec.flat_features()))
     h = relu(add_row_bias(matmul(h, params.tensors["hidden.weight"]), params.tensors["hidden.bias"]))
-    return add_row_bias(matmul(h, params.tensors["output.weight"]), params.tensors["output.bias"])
+    logits = add_row_bias(matmul(h, params.tensors["output.weight"]), params.tensors["output.bias"])
+    _check_finite(logits.data, "logits")
+    return logits

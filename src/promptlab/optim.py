@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, GraphError
-from .tensor import Tensor
+from .tensor import Tensor, _check_finite
 
 __all__ = ["SgdOptimizer", "sgd_step", "zero_grad"]
 
@@ -15,7 +15,7 @@ class SgdOptimizer:
 
     Velocity buffers are keyed by parameter name and created lazily at
     the first step, matching each parameter's shape.  Gradients are
-    cleared after every step.
+    cleared after every step; a NaN/Inf gradient fails it before anything moves.
     """
 
     def __init__(self, learning_rate: float, momentum: float = 0.0):
@@ -27,10 +27,12 @@ class SgdOptimizer:
         self.momentum = np.float32(momentum)
         self.velocities: dict[str, np.ndarray] = {}
 
-    def step(self, named_params) -> None:
+    def step(self, named_params: list[tuple[str, Tensor]]) -> None:
         for name, p in named_params:
             if p.grad is None:
                 raise GraphError(f"parameter '{name}' has no gradient; run backward first")
+            _check_finite(p.grad, f"gradient of '{name}'")
+        for name, p in named_params:
             v = self.velocities.get(name)
             if v is None:
                 v = np.zeros_like(p.data)

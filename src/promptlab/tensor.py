@@ -8,13 +8,10 @@ graph is rebuilt on every forward pass; nothing is retained between
 passes except the leaf tensors themselves.
 
 All values are float32.  Every operation validates its operand shapes
-up front.  A tensor's value is checked for NaN/Inf when it is made, and
-so is the output of every op that can overflow or divide (``matmul``,
-``conv2d``, the adds, ``tensor_sum``, cross-entropy).  ``relu``,
-``clamp01`` and ``reshape`` only select, bound or rearrange finite
-values, so their outputs are not checked again.  During the backward
-sweep every op's input gradients are checked, so an overflow there
-raises a :class:`NumericsError` naming the ``gradient``.
+up front.  The :class:`Tensor` constructor rejects NaN/Inf; op outputs
+and gradients are unchecked, and an overflow is caught where a value
+becomes a decision: the logits, a parameter gradient, FGSM's input
+gradient, an epoch's recorded loss.
 """
 
 from __future__ import annotations
@@ -48,7 +45,7 @@ def _as_f32(data) -> np.ndarray:
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
     if not np.isfinite(arr).all():
-        raise NumericsError(f"{what} contains NaN or Inf")
+        raise NumericsError(f"NaN or Inf in {what}")
 
 
 class Tensor:
@@ -155,7 +152,6 @@ class Graph:
                 if g_in is None:
                     continue
                 g_in = _as_f32(g_in)
-                _check_finite(g_in, "gradient")
                 if g_in.shape != inp.data.shape:  # pragma: no cover - defensive
                     raise GraphError(
                         f"backward produced gradient of shape {g_in.shape} "
@@ -181,11 +177,8 @@ def record_op(output: Tensor, inputs: tuple[Tensor, ...], backward_fn, flops: in
         _GRAPH_STACK[-1].record(output, inputs, backward_fn, flops)
 
 
-def _make_output(data: np.ndarray, inputs: tuple[Tensor, ...], what: str | None) -> Tensor:
-    """Wrap an op's result; ``what`` names it in the finite check, which
-    ``None`` skips for ops that cannot turn finite inputs into NaN/Inf."""
-    if what is not None:
-        _check_finite(data, what)
+def _make_output(data: np.ndarray, inputs: tuple[Tensor, ...]) -> Tensor:
+    """Wrap an op's result, unchecked; custom ops (``record_op``) use it too."""
     out = Tensor.__new__(Tensor)
     out.data = data.astype(np.float32, copy=False)
     out.requires_grad = any(t.requires_grad for t in inputs)
@@ -211,7 +204,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(
             f"matmul inner dimensions disagree: {a.data.shape} vs {b.data.shape}"
         )
-    out = _make_output(a.data @ b.data, (a, b), "matmul output")
+    out = _make_output(a.data @ b.data, (a, b))
     m, k = a.data.shape
     n = b.data.shape[1]
 
@@ -248,8 +241,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
     the column gradient back onto the input raster, one kernel offset at
     a time.  Each dot product sums the same terms in the same order as
     ``cols @ kernel^T`` would, so the output and gradient bytes match
-    the plain im2col formulation.  The output is checked for NaN/Inf;
-    the gradients are checked by the backward sweep.
+    the plain im2col formulation.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError(
@@ -271,7 +263,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
     cols = np.take(x.data.reshape(n, c * h * w), _im2col_index(c, h, w, kh, kw, stride), axis=1)
     kmat = kernel.data.reshape(f, c * kh * kw)
     out_data = (kmat @ cols.transpose(0, 2, 1)).reshape(n, f, h_out, w_out)
-    out = _make_output(out_data, (x, kernel), "conv2d output")
+    out = _make_output(out_data, (x, kernel))
 
     def bwd(g):
         gmat = g.reshape(n, f, h_out * w_out)
@@ -292,8 +284,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    """max(x, 0); gradient passes where x > 0.  The output is not re-checked."""
-    out = _make_output(np.maximum(x.data, 0.0), (x,), None)
+    """max(x, 0); gradient passes where x > 0."""
+    out = _make_output(np.maximum(x.data, 0.0), (x,))
 
     def bwd(g):
         if not x.requires_grad:
@@ -305,9 +297,8 @@ def relu(x: Tensor) -> Tensor:
 
 
 def clamp01(x: Tensor) -> Tensor:
-    """Clamp into [0, 1]; gradient passes only on the open interval (0, 1).
-    The output is not re-checked."""
-    out = _make_output(np.clip(x.data, 0.0, 1.0), (x,), None)
+    """Clamp into [0, 1]; gradient passes only on the open interval (0, 1)."""
+    out = _make_output(np.clip(x.data, 0.0, 1.0), (x,))
 
     def bwd(g):
         if not x.requires_grad:
@@ -323,7 +314,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of two same-shape tensors."""
     if a.data.shape != b.data.shape:
         raise ShapeError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
-    out = _make_output(a.data + b.data, (a, b), "add output")
+    out = _make_output(a.data + b.data, (a, b))
 
     def bwd(g):
         return (g if a.requires_grad else None, g if b.requires_grad else None)
@@ -338,7 +329,7 @@ def add_row_bias(x: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(
             f"add_row_bias needs (N,K) and (K,), got {x.data.shape} and {bias.data.shape}"
         )
-    out = _make_output(x.data + bias.data, (x, bias), "bias output")
+    out = _make_output(x.data + bias.data, (x, bias))
 
     def bwd(g):
         gx = g if x.requires_grad else None
@@ -355,7 +346,7 @@ def add_channel_bias(x: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(
             f"add_channel_bias needs (N,F,H,W) and (F,), got {x.data.shape} and {bias.data.shape}"
         )
-    out = _make_output(x.data + bias.data[None, :, None, None], (x, bias), "bias output")
+    out = _make_output(x.data + bias.data[None, :, None, None], (x, bias))
 
     def bwd(g):
         gx = g if x.requires_grad else None
@@ -367,12 +358,12 @@ def add_channel_bias(x: Tensor, bias: Tensor) -> Tensor:
 
 
 def reshape(x: Tensor, new_shape: tuple[int, ...]) -> Tensor:
-    """Reshape without changing the element count.  The output is not re-checked."""
+    """Reshape without changing the element count."""
     try:
         data = x.data.reshape(new_shape)
     except ValueError as exc:
         raise ShapeError(f"cannot reshape {x.data.shape} into {new_shape}: {exc}") from None
-    out = _make_output(np.ascontiguousarray(data), (x,), None)
+    out = _make_output(np.ascontiguousarray(data), (x,))
 
     def bwd(g):
         if not x.requires_grad:
@@ -385,7 +376,7 @@ def reshape(x: Tensor, new_shape: tuple[int, ...]) -> Tensor:
 
 def tensor_sum(x: Tensor) -> Tensor:
     """Sum all elements down to a scalar."""
-    out = _make_output(np.asarray(x.data.sum(), dtype=np.float32), (x,), "sum output")
+    out = _make_output(np.asarray(x.data.sum(), dtype=np.float32), (x,))
 
     def bwd(g):
         if not x.requires_grad:
@@ -418,7 +409,7 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     z = z - z.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(z).sum(axis=1))
     loss_val = np.float32((log_norm - z[np.arange(n), y]).mean())
-    out = _make_output(np.asarray(loss_val, dtype=np.float32), (logits,), "cross-entropy loss")
+    out = _make_output(np.asarray(loss_val, dtype=np.float32), (logits,))
 
     def bwd(g):
         if not logits.requires_grad:

@@ -111,6 +111,58 @@ def test_reader_accepts_rank_zero_entry(tmp_path):
     assert float(back) == 2.5
 
 
+def _raw_checkpoint(entries) -> bytes:
+    """VPCK bytes for (name bytes, float32 array) pairs, written as given."""
+    out = [b"VPCK", struct.pack("<HI", 1, len(entries))]
+    for raw, arr in entries:
+        out += [struct.pack("<H", len(raw)), raw, struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape), arr.tobytes()]
+    return b"".join(out)
+
+
+def test_rejects_entry_name_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bad.vpck"
+    path.write_bytes(_raw_checkpoint([(b"ok", np.zeros(2, np.float32)), (b"\xff\xfe", np.zeros(2, np.float32))]))
+    with pytest.raises(CheckpointError, match="entry 1 name is not valid UTF-8"):
+        load_tensors(path)
+
+
+def test_rejects_duplicate_entry_name(tmp_path):
+    path = tmp_path / "dup.vpck"
+    path.write_bytes(_raw_checkpoint([(b"w", np.zeros(2, np.float32)), (b"w", np.ones(2, np.float32))]))
+    with pytest.raises(CheckpointError, match="duplicate entry 'w'"):
+        load_tensors(path)
+
+
+def _poison(path, entry, value):
+    loaded = load_tensors(path)
+    loaded[entry].reshape(-1)[-1] = value
+    save_tensors(path, loaded)
+
+
+_MODEL_ENTRIES = [f"{layer}.{kind}" for layer in ("conv0", "conv1", "hidden", "output") for kind in ("weight", "bias")]
+_PROMPT_ENTRIES = ["prompt.params", "prompt.pad_width", "prompt.canvas", "prompt.temperature"]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", _MODEL_ENTRIES)
+def test_model_load_rejects_non_finite_entry(tmp_path, tiny_spec, entry, value):
+    path = tmp_path / "m.vpck"
+    save_model(path, init_params(tiny_spec, seed=4))
+    _poison(path, entry, value)
+    with pytest.raises(CheckpointError, match=f"NaN or Inf in entry '{entry}'"):
+        load_model(path, tiny_spec)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", _PROMPT_ENTRIES)
+def test_prompt_load_rejects_non_finite_entry(tmp_path, entry, value):
+    path = tmp_path / "p.vpck"
+    save_prompt(path, VisualPrompt(canvas=(1, 8, 8), pad_width=2))
+    _poison(path, entry, value)
+    with pytest.raises(CheckpointError, match=f"NaN or Inf in entry '{entry}'"):
+        load_prompt(path)
+
+
 # ---------------------------------------------------------------------------
 # model checkpoints
 

@@ -1,13 +1,20 @@
 """Command-line interface: subcommands, overrides, and error reporting."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import promptlab
+from promptlab import ConvNetSpec, init_params, save_model
 from promptlab.cli import main
 from test_harness import small_config
+
+SRC = str(Path(promptlab.__file__).resolve().parents[1])
 
 
 @pytest.fixture
@@ -135,6 +142,18 @@ def test_corrupt_checkpoint_reports_checkpoint_error(config_file, tmp_path, caps
     assert capsys.readouterr().err.startswith("error[checkpoint] ")
 
 
+def test_non_finite_checkpoint_reports_one_checkpoint_error(config_file, tmp_path, capsys):
+    spec = ConvNetSpec(input_size=(1, 16, 16), conv_blocks=((6, 3, 2),), hidden_width=24, n_classes=8)
+    params = init_params(spec, seed=0)
+    params.tensors["hidden.bias"].data[3] = np.nan
+    ckpt = tmp_path / "source.ckpt"
+    save_model(ckpt, params)
+    path, out = config_file(source__checkpoint=str(ckpt))
+    assert main(["eval", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "error[checkpoint] NaN or Inf in entry 'hidden.bias'\n"
+    assert not (out / "prompt.ckpt").exists()
+
+
 def test_subcommand_is_required():
     with pytest.raises(SystemExit):
         main([])
@@ -142,10 +161,14 @@ def test_subcommand_is_required():
 
 def test_console_script_entry_point(config_file):
     path, out = config_file()
+    # the child imports the promptlab this suite runs, installed or not
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "promptlab.cli", "eval", "--config", str(path)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert "report written to" in proc.stdout

@@ -66,6 +66,13 @@ class TestDatasetValidation:
         with pytest.raises(DataFormatError, match="pixel values"):
             Dataset(images, np.zeros(2, np.int64), 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_pixels(self, bad):
+        images = np.full((2, 1, 4, 4), 0.5, np.float32)
+        images[1, 0, 2, 3] = bad
+        with pytest.raises(DataFormatError, match="pixel values"):
+            Dataset(images, np.zeros(2, np.int64), 2)
+
     def test_rejects_unknown_split(self):
         with pytest.raises(DataFormatError, match="split"):
             Dataset(np.zeros((1, 1, 4, 4), np.float32), np.zeros(1, np.int64), 2, split="val")

@@ -107,26 +107,6 @@ def test_conv2d_validates_geometry():
         conv2d(x, Tensor(np.zeros((3, 2, 3, 3))), stride=0)
 
 
-def test_matmul_overflow_is_reported():
-    with np.errstate(over="ignore"), pytest.raises(NumericsError, match="matmul output"):
-        matmul(Tensor([[3e38, 3e38]]), Tensor([[2.0], [2.0]]))
-
-
-def test_conv2d_overflow_is_reported():
-    with np.errstate(over="ignore"), pytest.raises(NumericsError, match="conv2d output"):
-        conv2d(Tensor(np.full((1, 1, 2, 2), 3e38)), Tensor(np.ones((1, 1, 2, 2))))
-
-
-def test_backward_overflow_is_reported():
-    # forward stays finite (3e8 per entry); d loss / dx = 3e38 + 3e38 overflows
-    x = Tensor([[1e-30]], requires_grad=True)
-    with Graph() as g:
-        loss = tensor_sum(matmul(x, Tensor([[3e38, 3e38]])))
-    assert np.isfinite(loss.data).all()
-    with np.errstate(over="ignore"), pytest.raises(NumericsError, match="gradient"):
-        g.backward(loss)
-
-
 def test_unchecked_ops_keep_finite_extremes_finite():
     tiny = np.finfo(np.float32).smallest_subnormal
     x = Tensor([3.4e38, -3.4e38, 0.0, -0.0, tiny, -tiny, 1e-40, -1e-40], requires_grad=True)
