@@ -70,7 +70,12 @@ def fgsm(pipeline, x: Tensor, y, cfg: AttackConfig, meter=None) -> Tensor:
     """
     if cfg.epsilon == 0.0:
         return Tensor(x.data.copy())
-    xt = Tensor(x.data.copy(), requires_grad=True)
+    return Tensor(_step_in_ball(x.data, _gradient_sign(pipeline, x.data, y, meter), np.float32(cfg.epsilon)))
+
+
+def _gradient_sign(pipeline, x: np.ndarray, y, meter=None) -> np.ndarray:
+    """sign(∇_x loss) of one batch, the attack direction of every budget."""
+    xt = Tensor(x.copy(), requires_grad=True)
     with Graph() as g:
         logits = pipeline.logits(xt)
         loss = softmax_cross_entropy(logits, y)
@@ -80,7 +85,7 @@ def fgsm(pipeline, x: Tensor, y, cfg: AttackConfig, meter=None) -> Tensor:
     if xt.grad is None:
         raise GraphError("pipeline is not differentiable with respect to its input")
     _check_finite(xt.grad, "input gradient")  # sign(NaN) is NaN, and NaN slips past every ε-ball comparison
-    return Tensor(_step_in_ball(x.data, np.sign(xt.grad), np.float32(cfg.epsilon)))
+    return np.sign(xt.grad)
 
 
 def _step_in_ball(x: np.ndarray, direction: np.ndarray, eps: np.float32) -> np.ndarray:
@@ -135,8 +140,10 @@ def adversarial_accuracy(pipeline, dataset, cfg: AttackConfig) -> EvalReport:
 def adversarial_accuracies(pipeline, dataset, budgets) -> list[EvalReport]:
     """:func:`adversarial_accuracy` for each budget, over one clean pass.
 
-    At ε = 0 the attack is the identity, so every correct sample
-    survives by construction and no attacked pass is run.
+    The attack direction does not depend on ε, so each batch of correct
+    samples takes one gradient pass, shared by every budget.  At ε = 0
+    the attack is the identity, so every correct sample survives by
+    construction and no attacked pass is run.
     """
     if len(dataset) == 0:
         raise ShapeError("cannot evaluate on an empty dataset")
@@ -147,20 +154,15 @@ def adversarial_accuracies(pipeline, dataset, budgets) -> list[EvalReport]:
     std_acc = n_correct / n_total
     images = dataset.images[correct]
     labels = dataset.labels[correct]
-    reports = []
-    for cfg in budgets:
-        survived = n_correct if cfg.epsilon == 0.0 else _survivors(pipeline, images, labels, cfg)
-        reports.append(EvalReport(std_acc, survived / n_correct if n_correct else 0.0, n_total, n_correct, survived))
-    return reports
-
-
-def _survivors(pipeline, images: np.ndarray, labels: np.ndarray, cfg: AttackConfig) -> int:
-    """How many of the (correctly classified) samples stay correct under FGSM."""
-    survived = 0
-    for start in range(0, images.shape[0], _EVAL_BATCH):
+    attacked = [k for k, cfg in enumerate(budgets) if cfg.epsilon != 0.0]
+    survived = [n_correct if cfg.epsilon == 0.0 else 0 for cfg in budgets]
+    for start in range(0, n_correct if attacked else 0, _EVAL_BATCH):
         xb = images[start : start + _EVAL_BATCH]
         yb = labels[start : start + _EVAL_BATCH]
-        adv = fgsm(pipeline, Tensor(xb), yb, cfg)
-        adv_preds = pipeline.logits(adv).data.argmax(axis=1)
-        survived += int((adv_preds == yb).sum())
-    return survived
+        direction = _gradient_sign(pipeline, xb, yb)
+        for k in attacked:
+            adv = Tensor(_step_in_ball(xb, direction, np.float32(budgets[k].epsilon)))
+            survived[k] += int((pipeline.logits(adv).data.argmax(axis=1) == yb).sum())
+    return [
+        EvalReport(std_acc, s / n_correct if n_correct else 0.0, n_total, n_correct, s) for s in survived
+    ]

@@ -4,17 +4,22 @@ Layout (little-endian): magic ``VPCK``, version u16, entry count u32,
 then per entry: name length u16, name bytes (UTF-8), rank u32, extents
 as u32 each, then the float32 payload in row-major order.  Round-trips
 are bitwise exact.  The reader rejects an entry name that is not UTF-8
-or repeats an earlier one, and a payload holding NaN or Inf, with a
-:class:`CheckpointError` that names the entry.
+or repeats an earlier one, a rank above 64, extents too large for an
+array, and a payload holding NaN or Inf, with a
+:class:`CheckpointError` that names the entry.  It checks every count
+against the bytes left in the file before reading, so a malformed file
+fails with that error and never with an allocation failure.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 from .fileio import atomic_open
 from .nets import ConvNetSpec, ModelParams
 from .prompt import VisualPrompt
@@ -31,6 +36,7 @@ __all__ = [
 
 _MAGIC = b"VPCK"
 _VERSION = 1
+_MAX_RANK = 64  # numpy's dimension limit
 
 
 def save_tensors(path, named: dict[str, np.ndarray]) -> None:
@@ -49,10 +55,9 @@ def save_tensors(path, named: dict[str, np.ndarray]) -> None:
 
 
 def _read_exact(fh, count: int, what: str) -> bytes:
-    buf = fh.read(count)
-    if len(buf) != count:
+    if count > os.fstat(fh.fileno()).st_size - fh.tell():
         raise CheckpointError(f"truncated checkpoint while reading {what}")
-    return buf
+    return fh.read(count)
 
 
 def load_tensors(path) -> dict[str, np.ndarray]:
@@ -74,10 +79,14 @@ def load_tensors(path) -> dict[str, np.ndarray]:
             if name in out:
                 raise CheckpointError(f"duplicate entry '{name}'")
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, f"'{name}' rank"))
+            if rank > _MAX_RANK:
+                raise CheckpointError(f"entry '{name}' has rank {rank}, more than {_MAX_RANK}")
             shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, f"'{name}' extents"))
-            n_vals = int(np.prod(shape, dtype=np.int64)) if rank else 1
-            payload = _read_exact(fh, 4 * n_vals, f"'{name}' payload")
-            arr = np.frombuffer(payload, dtype="<f4").reshape(shape)
+            payload = _read_exact(fh, 4 * math.prod(shape), f"'{name}' payload")
+            try:
+                arr = np.frombuffer(payload, dtype="<f4").reshape(shape)
+            except ValueError:  # zero-sized, but the other extents overflow an array's size
+                raise CheckpointError(f"entry '{name}' extents {shape} are too large for an array") from None
             if not np.isfinite(arr).all():
                 raise CheckpointError(f"NaN or Inf in entry '{name}'")
             out[name] = arr.copy()
@@ -124,13 +133,35 @@ def save_prompt(path, prompt: VisualPrompt, temperature: int = 1) -> None:
     )
 
 
+# Integer metadata of a prompt checkpoint, with the length of each entry.
+_PROMPT_META = {"prompt.pad_width": 1, "prompt.canvas": 3, "prompt.temperature": 1}
+
+
 def load_prompt(path) -> tuple[VisualPrompt, int]:
+    """Read a prompt checkpoint; returns ``(prompt, temperature)``.
+
+    Each metadata entry must hold non-negative integers, the parameters
+    must fill the canvas, and the frame must leave an interior, or a
+    :class:`CheckpointError` names the entry.
+    """
     loaded = load_tensors(path)
-    for key in ("prompt.params", "prompt.pad_width", "prompt.canvas", "prompt.temperature"):
+    for key in ("prompt.params", *_PROMPT_META):
         if key not in loaded:
             raise CheckpointError(f"prompt checkpoint missing entry '{key}'")
-    canvas = tuple(int(v) for v in loaded["prompt.canvas"])
-    pad = int(loaded["prompt.pad_width"][0])
-    params = Tensor(loaded["prompt.params"], requires_grad=True)
-    prompt = VisualPrompt(canvas, pad, params)
-    return prompt, int(loaded["prompt.temperature"][0])
+    meta = {}
+    for key, length in _PROMPT_META.items():
+        values = loaded[key]
+        if values.shape != (length,) or not np.all((values >= 0) & (values == np.floor(values))):
+            raise CheckpointError(
+                f"entry '{key}' must hold {length} non-negative integer(s), got {values.tolist()}"
+            )
+        meta[key] = [int(v) for v in values]
+    canvas = tuple(meta["prompt.canvas"])
+    params = loaded["prompt.params"]
+    if params.shape != canvas:
+        raise CheckpointError(f"entry 'prompt.params' has shape {params.shape}, the canvas is {canvas}")
+    try:
+        prompt = VisualPrompt(canvas, meta["prompt.pad_width"][0], Tensor(params, requires_grad=True))
+    except ConfigError as exc:  # a frame that leaves no interior
+        raise CheckpointError(f"entry 'prompt.pad_width': {exc}") from None
+    return prompt, meta["prompt.temperature"][0]

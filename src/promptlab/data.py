@@ -10,6 +10,7 @@ shift rather than a resampled copy of its own task.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -109,8 +110,8 @@ _FREQ_SPAN = 32.0       # pixel span the frequency is expressed against
 _PHASE_JITTER = 0.9     # per-sample phase spread, in radians per unit noise
 
 
-def _class_pattern(cls: int, n_classes: int, h: int, w: int, phase: float = 0.0) -> np.ndarray:
-    """Noise-free grating for one class.
+def _class_patterns(cls: int, n_classes: int, h: int, w: int, phases: np.ndarray) -> np.ndarray:
+    """Noise-free gratings for one class, one (h, w) image per phase.
 
     Orientations cover the full circle so every orientation axis occurs
     in both polarities (class c and class c + n/2 are sign-opposites);
@@ -133,7 +134,8 @@ def _class_pattern(cls: int, n_classes: int, h: int, w: int, phase: float = 0.0)
         indexing="ij",
     )
     u = np.cos(theta) * xx + np.sin(theta) * yy
-    return 0.5 + amp * np.sin(2.0 * np.pi * (freq / _FREQ_SPAN) * u + phase)
+    arg = 2.0 * np.pi * (freq / _FREQ_SPAN) * u
+    return 0.5 + amp * np.sin(arg + phases[:, None, None])
 
 
 def generate_synthetic(spec: SynthSpec, split: str = "train") -> Dataset:
@@ -155,9 +157,7 @@ def generate_synthetic(spec: SynthSpec, split: str = "train") -> Dataset:
         # within-class appearance variation, the way photographs of one
         # object differ in framing.
         phases = rng.uniform(-jitter, jitter, size=spec.samples_per_class)
-        base = np.stack(
-            [_class_pattern(cls, spec.n_classes, h, w, p)[None, :, :] for p in phases]
-        )
+        base = _class_patterns(cls, spec.n_classes, h, w, phases)[:, None, :, :]
         base = np.broadcast_to(base, (spec.samples_per_class, c, h, w))
         noise = rng.uniform(-spec.noise_level, spec.noise_level, size=base.shape)
         chunks.append(np.clip(base + noise, 0.0, 1.0))
@@ -188,10 +188,9 @@ def save_raw(path, dataset: Dataset) -> None:
 
 
 def _read_exact(fh, count: int, what: str) -> bytes:
-    buf = fh.read(count)
-    if len(buf) != count:
+    if count > os.fstat(fh.fileno()).st_size - fh.tell():
         raise DataFormatError(f"truncated dataset file while reading {what}")
-    return buf
+    return fh.read(count)
 
 
 def _read_header(fh) -> tuple[int, int, int, int, int]:
@@ -223,6 +222,9 @@ def load_raw(path, split: str = "train") -> Dataset:
             raise DataFormatError("trailing bytes after pixel payload")
     if labels.size and labels.max() >= k:
         raise DataFormatError(f"label {labels.max()} out of range for {k} classes")
-    images = (pixels.reshape(n, c, h, w).astype(np.float32)) / 255.0
+    try:
+        images = (pixels.reshape(n, c, h, w).astype(np.float32)) / 255.0
+    except ValueError:  # no pixels, but the other dimensions overflow an array's size
+        raise DataFormatError(f"dimensions {(n, c, h, w)} are too large for an array") from None
     return Dataset(images=images, labels=labels, n_classes=k, split=split)
 

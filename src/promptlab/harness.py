@@ -337,10 +337,13 @@ class ExperimentConfig:
         return PblConfig(temperature=temperature, n=self.source_spec.n_classes)
 
     def datasets(self) -> dict[str, Dataset]:
-        """Generate or load the four splits ``from_dict`` described."""
+        """Generate or load the splits ``from_dict`` described that the run
+        reads: all four, or only the downstream pair when the source is
+        loaded from ``source.checkpoint``."""
         return {
             key: (generate_synthetic if isinstance(src, SynthSpec) else load_raw)(src, split=key.split("_")[1])
             for key, src in self.splits.items()
+            if self.source_checkpoint is None or key.startswith("downstream")
         }
 
     def _validate(self) -> None:

@@ -231,17 +231,30 @@ def _im2col_index(c: int, h: int, w: int, kh: int, kw: int, stride: int) -> np.n
     return idx
 
 
+@functools.lru_cache(maxsize=64)
+def _col2im_index(c: int, h: int, w: int, kh: int, kw: int, stride: int) -> np.ndarray:
+    """The gather index transposed to (c, kh, kw, h_out, w_out) order, the
+    order of ``kmat.T @ gmat``, and flattened into one contiguous vector
+    (a strided index would miss ``np.add.at``'s fast path)."""
+    idx = np.ascontiguousarray(_im2col_index(c, h, w, kh, kw, stride).T).reshape(-1)
+    idx.flags.writeable = False
+    return idx
+
+
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
     """Valid (no padding) 2-D convolution over NCHW input.
 
     Implemented as im2col (a cached gather index) followed by one matrix
     product per example, ``kernel @ cols^T``, which writes the
     (F, H_out*W_out) output rows directly.  The backward pass forms the
-    kernel gradient with one ``tensordot`` over the batch and scatters
-    the column gradient back onto the input raster, one kernel offset at
-    a time.  Each dot product sums the same terms in the same order as
-    ``cols @ kernel^T`` would, so the output and gradient bytes match
-    the plain im2col formulation.
+    kernel gradient with one ``tensordot`` over the batch, and the
+    column gradient ``kernel^T @ g`` in (C, kh, kw, H_out, W_out) order.
+    One ``np.add.at`` per example scatters it onto a zeroed input raster
+    through the gather index in that same order, so each input pixel
+    receives its terms in kernel-offset ``(i, j)`` order, starting from
+    zero.  Each dot product and each pixel's sum take the same terms in
+    the same order as the plain im2col formulation, so the output and
+    gradient bytes match it.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError(
@@ -260,7 +273,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
     h_out = (h - kh) // stride + 1
     w_out = (w - kw) // stride + 1
     # im2col: one gather per batch, (n, h_out*w_out, c*kh*kw)
-    cols = np.take(x.data.reshape(n, c * h * w), _im2col_index(c, h, w, kh, kw, stride), axis=1)
+    # the index is in range by construction; "wrap" skips take's per-index bounds check
+    cols = np.take(x.data.reshape(n, c * h * w), _im2col_index(c, h, w, kh, kw, stride), axis=1, mode="wrap")
     kmat = kernel.data.reshape(f, c * kh * kw)
     out_data = (kmat @ cols.transpose(0, 2, 1)).reshape(n, f, h_out, w_out)
     out = _make_output(out_data, (x, kernel))
@@ -272,11 +286,12 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
         if kernel.requires_grad:
             gk = np.tensordot(gmat.transpose(0, 2, 1), cols, axes=([0, 1], [0, 1])).reshape(kernel.data.shape)
         if x.requires_grad:
-            dc = (kmat.T @ gmat).reshape(n, c, kh, kw, h_out, w_out)
-            gx = np.zeros_like(x.data)
-            for i in range(kh):
-                for j in range(kw):
-                    gx[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += dc[:, :, i, j]
+            dc = (kmat.T @ gmat).reshape(n, -1)
+            index = _col2im_index(c, h, w, kh, kw, stride)
+            gx = np.zeros((n, c * h * w), dtype=np.float32)
+            for b in range(n):
+                np.add.at(gx[b], index, dc[b])
+            gx = gx.reshape(x.data.shape)
         return gx, gk
 
     record_op(out, (x, kernel), bwd, flops=2 * n * h_out * w_out * f * c * kh * kw)

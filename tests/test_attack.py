@@ -275,5 +275,36 @@ def test_epsilon_grid_shares_one_clean_pass(monkeypatch):
     assert [r.adversarial_accuracy for r in reports] == [1.0, 0.75, 0.75]
     assert [r.n_survived_attack for r in reports] == [4, 3, 3]
     assert all(r.standard_accuracy == 4 / 6 and r.n_correct == 4 for r in reports)
-    assert pipe.calls == 1 + 2 * 2  # clean; then per attacked budget, fgsm's pass and the scoring pass
+    assert pipe.calls == 1 + 1 + 2  # clean; one gradient pass for the batch; one scoring pass per attacked budget
+
+
+def test_epsilon_grid_takes_one_gradient_per_batch(rng, monkeypatch):
+    """Three budgets over three batches of correct samples: three backward
+    passes, and each budget scores what a separate fgsm run would."""
+    from promptlab import Graph
+
+    pipe = LinearPipeline(rng.normal(size=(9, 3)))
+    images = rng.uniform(0, 1, size=(60, 1, 3, 3)).astype(np.float32)
+    labels = pipe.logits(Tensor(images)).data.argmax(axis=1)
+    labels[::4] = (labels[::4] + 1) % 3  # a quarter start out wrong
+    ds = Dataset(images=images, labels=labels, n_classes=3)
+    budgets = [AttackConfig(e) for e in (0.02, 0.05, 0.1)]
+    monkeypatch.setattr(attack, "_EVAL_BATCH", 16)
+    backward = Graph.backward
+    passes = []
+    monkeypatch.setattr(Graph, "backward", lambda g, loss: passes.append(1) or backward(g, loss))
+    reports = adversarial_accuracies(pipe, ds, budgets)
+    n_correct = reports[0].n_correct
+    assert n_correct == 45
+    assert len(passes) == 3  # ceil(45 / 16)
+    monkeypatch.setattr(Graph, "backward", backward)
+    assert reports == [adversarial_accuracy(pipe, ds, cfg) for cfg in budgets]
+    mask = pipe.logits(Tensor(images)).data.argmax(axis=1) == labels
+    for cfg, report in zip(budgets, reports):
+        survived = 0
+        for start in range(0, n_correct, 16):
+            xb, yb = images[mask][start : start + 16], labels[mask][start : start + 16]
+            survived += int((pipe.logits(fgsm(pipe, Tensor(xb), yb, cfg)).data.argmax(axis=1) == yb).sum())
+        assert report.n_survived_attack == survived
+    assert len({r.n_survived_attack for r in reports}) > 1  # the budgets do differ
 

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from promptlab import (
     CheckpointError,
@@ -131,6 +133,92 @@ def test_rejects_duplicate_entry_name(tmp_path):
     path.write_bytes(_raw_checkpoint([(b"w", np.zeros(2, np.float32)), (b"w", np.ones(2, np.float32))]))
     with pytest.raises(CheckpointError, match="duplicate entry 'w'"):
         load_tensors(path)
+
+
+def test_rejects_extents_larger_than_the_file_before_reading(tmp_path):
+    # 2**32 - 1 extents of 2**32 - 1 values each: the count alone exceeds int64
+    blob = b"VPCK" + struct.pack("<HIH", 1, 1, 1) + b"w" + struct.pack("<I3I", 3, *(3 * [2**32 - 1]))
+    path = tmp_path / "huge.vpck"
+    path.write_bytes(blob)
+    with pytest.raises(CheckpointError, match="truncated checkpoint while reading 'w' payload"):
+        load_tensors(path)
+    path.write_bytes(b"VPCK" + struct.pack("<HIH", 1, 1, 1) + b"w" + struct.pack("<I", 2**32 - 1))
+    with pytest.raises(CheckpointError, match="entry 'w' has rank 4294967295, more than 64"):
+        load_tensors(path)
+
+
+def test_rejects_zero_sized_extents_too_large_for_an_array(tmp_path):
+    path = tmp_path / "huge.vpck"
+    path.write_bytes(b"VPCK" + struct.pack("<HIH", 1, 1, 1) + b"w" + struct.pack("<I4I", 4, 0, *(3 * [2**32 - 1])))
+    with pytest.raises(CheckpointError, match="entry 'w' extents .* too large for an array"):
+        load_tensors(path)
+
+
+def test_reader_accepts_rank_64(tmp_path):
+    path = tmp_path / "deep.vpck"
+    path.write_bytes(_raw_checkpoint([(b"d", np.full((1,) * 64, 0.5, np.float32))]))
+    assert load_tensors(path)["d"].shape == (1,) * 64
+    path.write_bytes(b"VPCK" + struct.pack("<HIH", 1, 1, 1) + b"d" + struct.pack("<I65I", 65, *(65 * [1])) + bytes(4))
+    with pytest.raises(CheckpointError, match="rank 65, more than 64"):
+        load_tensors(path)
+
+
+def _small_files(tmp_path_factory) -> dict[str, bytes]:
+    out = tmp_path_factory.mktemp("vpck")
+    prompt = VisualPrompt(canvas=(1, 6, 6), pad_width=2)
+    prompt.params.data[:] = np.linspace(0.0, 1.0, 36, dtype=np.float32).reshape(1, 6, 6)
+    prompt.project()
+    save_prompt(out / "p.vpck", prompt, temperature=2)
+    spec = ConvNetSpec((1, 6, 6), ((2, 3, 2),), 3, 2)
+    save_model(out / "m.vpck", init_params(spec, seed=1))
+    return {"prompt": (out / "p.vpck").read_bytes(), "model": (out / "m.vpck").read_bytes(), "spec": spec}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["prompt", "model"]), cut=st.booleans(), where=st.floats(0.0, 1.0), flip=st.integers(1, 255))
+def test_any_truncation_or_byte_change_loads_or_raises_checkpoint_error(tmp_path_factory, kind, cut, where, flip):
+    files = _small_files(tmp_path_factory)
+    blob = bytearray(files[kind])
+    pos = min(int(where * len(blob)), len(blob) - 1)
+    if cut:
+        del blob[pos:]
+    else:
+        blob[pos] ^= flip
+    path = tmp_path_factory.mktemp("bad") / "x.vpck"
+    path.write_bytes(bytes(blob))
+    try:
+        if kind == "prompt":
+            load_prompt(path)
+        else:
+            load_model(path, files["spec"])
+    except CheckpointError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "entry, values, fragment",
+    [
+        ("prompt.pad_width", [1.5], r"'prompt.pad_width' must hold 1 non-negative integer\(s\), got \[1.5\]"),
+        ("prompt.pad_width", [-2.0], r"'prompt.pad_width' must hold 1 .* got \[-2.0\]"),
+        ("prompt.pad_width", [], r"'prompt.pad_width' must hold 1 .* got \[\]"),
+        ("prompt.canvas", [1.0, 8.0, 8.25], r"'prompt.canvas' must hold 3 .* got \[1.0, 8.0, 8.25\]"),
+        ("prompt.canvas", [1.0, -8.0, 8.0], r"'prompt.canvas' must hold 3 "),
+        ("prompt.canvas", [1.0, 8.0], r"'prompt.canvas' must hold 3 "),
+        ("prompt.canvas", [1.0, 8.0, 9.0], r"'prompt.params' has shape \(1, 8, 8\), the canvas is \(1, 8, 9\)"),
+        ("prompt.temperature", [0.5], r"'prompt.temperature' must hold 1 .* got \[0.5\]"),
+        ("prompt.temperature", [-1.0], r"'prompt.temperature' must hold 1 "),
+        ("prompt.pad_width", [0.0], r"'prompt.pad_width': pad_width must be >= 1, got 0"),
+        ("prompt.pad_width", [4.0], r"'prompt.pad_width': pad_width 4 leaves no interior"),
+    ],
+)
+def test_prompt_load_rejects_bad_metadata(tmp_path, entry, values, fragment):
+    path = tmp_path / "p.vpck"
+    save_prompt(path, VisualPrompt(canvas=(1, 8, 8), pad_width=2))
+    loaded = load_tensors(path)
+    loaded[entry] = np.asarray(values, dtype=np.float32)
+    save_tensors(path, loaded)
+    with pytest.raises(CheckpointError, match=fragment):
+        load_prompt(path)
 
 
 def _poison(path, entry, value):

@@ -162,6 +162,47 @@ def test_multichannel_replicates_pattern():
     assert np.array_equal(ds.images[:, 0], ds.images[:, 2])
 
 
+def render_per_sample(spec: SynthSpec) -> np.ndarray:
+    """The generator's images rendered one grating at a time, with the
+    same draws and the same float64 expression per pixel."""
+    c, h, w = spec.image_size
+    children = np.random.SeedSequence(spec.seed).spawn(spec.n_classes)
+    jitter = 0.9 * spec.noise_level
+    chunks = []
+    for cls in range(spec.n_classes):
+        rng = np.random.Generator(np.random.PCG64(children[cls]))
+        phases = rng.uniform(-jitter, jitter, size=spec.samples_per_class)
+        theta = 2.0 * np.pi * (cls - (cls % 2) / 7.0) / spec.n_classes
+        fsel = (cls % max((spec.n_classes + 1) // 2, 1)) % 3
+        amp = 0.16 * (1.0 - 0.25 * fsel)
+        yy, xx = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
+        u = np.cos(theta) * xx + np.sin(theta) * yy
+        base = np.stack([0.5 + amp * np.sin(2.0 * np.pi * ((2.0 + fsel) / 32.0) * u + p)[None] for p in phases])
+        base = np.broadcast_to(base, (spec.samples_per_class, c, h, w))
+        noise = rng.uniform(-spec.noise_level, spec.noise_level, size=base.shape)
+        chunks.append(np.clip(base + noise, 0.0, 1.0))
+    images = np.concatenate(chunks).astype(np.float32)
+    if spec.style == "downstream":
+        images = np.ascontiguousarray(1.0 - np.rot90(images, k=1, axes=(2, 3)))
+    return images
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n_classes=st.integers(2, 11),
+    per_class=st.integers(1, 9),
+    c=st.sampled_from([1, 3]),
+    h=st.integers(0, 16).map(lambda k: 2 * k + 1),
+    w=st.integers(0, 16).map(lambda k: 2 * k + 1),
+    style=st.sampled_from(["source", "downstream"]),
+    noise=st.sampled_from([0.0, 0.3]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_generator_matches_per_sample_rendering(n_classes, per_class, c, h, w, style, noise, seed):
+    spec = SynthSpec(n_classes, per_class, (c, h, w), style, noise, seed)
+    assert generate_synthetic(spec).images.tobytes() == render_per_sample(spec).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # binary container IO
 
@@ -268,6 +309,35 @@ def test_save_rejects_class_count_overflow(tmp_path):
     ds = Dataset(np.zeros((1, 1, 2, 2), np.float32), np.zeros(1, np.int64), 70000)
     with pytest.raises(DataFormatError, match="u16"):
         save_raw(tmp_path / "ds.vpds", ds)
+
+
+def test_load_rejects_dimensions_larger_than_the_file_before_reading(tmp_path):
+    path = tmp_path / "huge.vpds"
+    path.write_bytes(b"VPDS" + struct.pack("<H", 1) + struct.pack("<5I", 1, *(3 * [2**32 - 1]), 2) + bytes(2))
+    with pytest.raises(DataFormatError, match="truncated dataset file while reading pixels"):
+        load_raw(path)
+    path.write_bytes(b"VPDS" + struct.pack("<H", 1) + struct.pack("<5I", 0, 0, *(2 * [2**32 - 1]), 2))
+    with pytest.raises(DataFormatError, match="too large for an array"):
+        load_raw(path)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cut=st.booleans(), where=st.floats(0.0, 1.0), flip=st.integers(1, 255))
+def test_any_truncation_or_byte_change_loads_or_raises_data_format_error(tmp_path_factory, cut, where, flip):
+    path = tmp_path_factory.mktemp("vpds") / "ds.vpds"
+    save_raw(path, u8_dataset(np.random.default_rng(3), n=5, c=2, h=3, w=2, k=3))
+    blob = bytearray(path.read_bytes())
+    pos = min(int(where * len(blob)), len(blob) - 1)
+    if cut:
+        del blob[pos:]
+    else:
+        blob[pos] ^= flip
+    path.write_bytes(bytes(blob))
+    try:
+        peek_raw_header(path)
+        load_raw(path)
+    except DataFormatError:
+        pass
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

@@ -407,6 +407,23 @@ def test_checkpoint_reuse_skips_source_training(experiment_run, tmp_path):
     assert (reused / "prompt_metrics.csv").read_bytes() == (out / "prompt_metrics.csv").read_bytes()
 
 
+def test_checkpointed_config_reads_only_the_downstream_splits(experiment_run, tmp_path):
+    out, _ = experiment_run
+    synthetic = ExperimentConfig.from_dict(small_config()).datasets()
+    garbage = tmp_path / "garbage.vpds"
+    garbage.write_bytes(b"not a dataset")
+    files = {"source_train": str(garbage), "source_test": str(garbage)}
+    for key in ("downstream_train", "downstream_test"):
+        files[key] = str(tmp_path / f"{key}.vpds")
+        save_raw(files[key], synthetic[key])
+    raw = small_config(source__checkpoint=str(out / "source.ckpt"))
+    raw["data"] = {"files": files}
+    data = ExperimentConfig.from_dict(raw).datasets()
+    assert sorted(data) == ["downstream_test", "downstream_train"]
+    for key in data:
+        assert np.array_equal(data[key].labels, synthetic[key].labels)
+
+
 def test_adversarial_regime_extends_source_metrics(tmp_path):
     run_experiment(small_config(out=tmp_path, source__regime="adversarial"))
     records = read_metrics(tmp_path / "source_metrics.csv")

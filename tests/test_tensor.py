@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from promptlab import (
     Graph,
@@ -67,6 +69,30 @@ def test_conv2d_forward_matches_loop_reference(rng):
         np.testing.assert_allclose(out.data, ref_conv2d(x, k, stride), rtol=2e-5, atol=1e-5)
 
 
+def conv2d_with_gradients(x, k, g, stride):
+    """conv2d forward and backward with output gradient exactly ``g``;
+    returns the input and kernel leaves and the output."""
+    tx, tk = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
+    with Graph() as graph:
+        out = conv2d(tx, tk, stride=stride)
+        loss = matmul(reshape(out, (1, out.size)), Tensor(g.reshape(-1, 1)))  # d loss / d out == g exactly
+    graph.backward(loss)
+    return tx, tk, out
+
+
+def assert_conv2d_bytes_match(gen, n, c, h, w, f, kh, kw, stride):
+    x = gen.normal(size=(n, c, h, w)).astype(np.float32)
+    k = gen.normal(size=(f, c, kh, kw)).astype(np.float32)
+    h_out, w_out = (h - kh) // stride + 1, (w - kw) // stride + 1
+    g = gen.normal(size=(n, f, h_out, w_out)).astype(np.float32)
+    tx, tk, out = conv2d_with_gradients(x, k, g, stride)
+    ref_out, ref_gk, ref_gx = im2col_conv2d_f32(x, k, stride, g)
+    assert out.data.tobytes() == ref_out.tobytes()
+    # leaf gradients accumulate onto zeros, as the graph does
+    assert tk.grad.tobytes() == (np.zeros_like(k) + ref_gk).tobytes()
+    assert tx.grad.tobytes() == (np.zeros_like(x) + ref_gx).tobytes()
+
+
 @pytest.mark.parametrize(
     "n, c, h, w, f, kh, kw, stride",
     [
@@ -81,19 +107,35 @@ def test_conv2d_forward_matches_loop_reference(rng):
 )
 def test_conv2d_bytes_match_the_im2col_formulation(n, c, h, w, f, kh, kw, stride):
     gen = np.random.default_rng(n * 1000 + c * 100 + kh * 10 + stride)
-    x = gen.normal(size=(n, c, h, w)).astype(np.float32)
-    k = gen.normal(size=(f, c, kh, kw)).astype(np.float32)
-    h_out, w_out = (h - kh) // stride + 1, (w - kw) // stride + 1
-    g = gen.normal(size=(n, f, h_out, w_out)).astype(np.float32)
-    tx, tk = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
-    with Graph() as graph:
-        out = conv2d(tx, tk, stride=stride)
-        loss = matmul(reshape(out, (1, out.size)), Tensor(g.reshape(-1, 1)))  # d loss / d out == g exactly
-    graph.backward(loss)
-    ref_out, ref_gk, ref_gx = im2col_conv2d_f32(x, k, stride, g)
-    assert out.data.tobytes() == ref_out.tobytes()
-    # leaf gradients accumulate onto zeros, as the graph does
-    assert tk.grad.tobytes() == (np.zeros_like(k) + ref_gk).tobytes()
+    assert_conv2d_bytes_match(gen, n, c, h, w, f, kh, kw, stride)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 40),
+    c=st.integers(1, 16),
+    f=st.integers(1, 8),
+    kh=st.integers(1, 5),
+    kw=st.integers(1, 5),
+    stride=st.integers(1, 3),
+    extra_h=st.integers(0, 28),
+    extra_w=st.integers(0, 28),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_conv2d_bytes_match_the_im2col_formulation_property(n, c, f, kh, kw, stride, extra_h, extra_w, seed):
+    h, w = kh + extra_h, kw + extra_w  # up to 33
+    assert_conv2d_bytes_match(np.random.default_rng(seed), n, c, h, w, f, kh, kw, stride)
+
+
+def test_conv2d_input_gradient_adds_each_pixels_terms_in_kernel_offset_order():
+    """Terms from 1e-8 to 1e8: float32 sums of these depend on their order,
+    so any other scatter order changes the input-gradient bytes."""
+    k = np.array([[1e8, 3.0, 1e-8], [-1e8, 7e-3, 5e4], [-2.5, -5e4, 1.25e-4]], dtype=np.float32)
+    k = np.stack([k, k[::-1, ::-1] * np.float32(-0.5)])[:, None]  # (2, 1, 3, 3)
+    x = np.linspace(0.0, 1.0, 2 * 9 * 9, dtype=np.float32).reshape(2, 1, 9, 9)
+    g = np.linspace(1.0, 3.0, 2 * 2 * 7 * 7, dtype=np.float32).reshape(2, 2, 7, 7)
+    tx, _, _ = conv2d_with_gradients(x, k, g, 1)
+    _, _, ref_gx = im2col_conv2d_f32(x, k, 1, g)
     assert tx.grad.tobytes() == (np.zeros_like(x) + ref_gx).tobytes()
 
 
