@@ -48,8 +48,7 @@ def main() -> None:
 
     spec = ConvNetSpec((1, 20, 20), ((8, 3, 2), (16, 3, 2)), 32, 10)
     train = generate_synthetic(SynthSpec(10, 20, (1, 20, 20), "source", 0.4, seed=5))
-    test = generate_synthetic(SynthSpec(10, 10, (1, 20, 20), "source", 0.4, seed=6),
-                              split="test")
+    test = generate_synthetic(SynthSpec(10, 10, (1, 20, 20), "source", 0.4, seed=6))
     params = init_params(spec, seed=1)
     params, _ = train_standard(params, train, TrainHyper(8, 16, 0.05, 0.9, 9))
     clf = SourceClassifier(params)

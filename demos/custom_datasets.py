@@ -38,7 +38,7 @@ def main() -> None:
               f"{hdr['c']}x{hdr['h']}x{hdr['w']}  {hdr['n_classes']} classes  "
               f"{path.stat().st_size} bytes")
 
-    back = load_raw(files["downstream_test"], split="test")
+    back = load_raw(files["downstream_test"])
     print(f"round trip check: {len(back)} samples, "
           f"pixel range [{back.images.min():.3f}, {back.images.max():.3f}]")
 

@@ -14,13 +14,12 @@ fails with that error and never with an allocation failure.
 from __future__ import annotations
 
 import math
-import os
 import struct
 
 import numpy as np
 
 from .errors import CheckpointError, ConfigError
-from .fileio import atomic_open
+from .fileio import atomic_open, read_exact
 from .nets import ConvNetSpec, ModelParams
 from .prompt import VisualPrompt
 from .tensor import Tensor
@@ -54,35 +53,33 @@ def save_tensors(path, named: dict[str, np.ndarray]) -> None:
             fh.write(arr.tobytes())
 
 
-def _read_exact(fh, count: int, what: str) -> bytes:
-    if count > os.fstat(fh.fileno()).st_size - fh.tell():
-        raise CheckpointError(f"truncated checkpoint while reading {what}")
-    return fh.read(count)
+def _truncated(what: str) -> CheckpointError:
+    return CheckpointError(f"truncated checkpoint while reading {what}")
 
 
 def load_tensors(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
+        magic = read_exact(fh, 4, "magic", _truncated)
         if magic != _MAGIC:
             raise CheckpointError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-        (version,) = struct.unpack("<H", _read_exact(fh, 2, "version"))
+        (version,) = struct.unpack("<H", read_exact(fh, 2, "version", _truncated))
         if version != _VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        (count,) = struct.unpack("<I", _read_exact(fh, 4, "entry count"))
+        (count,) = struct.unpack("<I", read_exact(fh, 4, "entry count", _truncated))
         out: dict[str, np.ndarray] = {}
         for i in range(count):
-            (name_len,) = struct.unpack("<H", _read_exact(fh, 2, f"entry {i} name length"))
+            (name_len,) = struct.unpack("<H", read_exact(fh, 2, f"entry {i} name length", _truncated))
             try:
-                name = _read_exact(fh, name_len, f"entry {i} name").decode("utf-8")
+                name = read_exact(fh, name_len, f"entry {i} name", _truncated).decode("utf-8")
             except UnicodeDecodeError:
                 raise CheckpointError(f"entry {i} name is not valid UTF-8") from None
             if name in out:
                 raise CheckpointError(f"duplicate entry '{name}'")
-            (rank,) = struct.unpack("<I", _read_exact(fh, 4, f"'{name}' rank"))
+            (rank,) = struct.unpack("<I", read_exact(fh, 4, f"'{name}' rank", _truncated))
             if rank > _MAX_RANK:
                 raise CheckpointError(f"entry '{name}' has rank {rank}, more than {_MAX_RANK}")
-            shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, f"'{name}' extents"))
-            payload = _read_exact(fh, 4 * math.prod(shape), f"'{name}' payload")
+            shape = struct.unpack(f"<{rank}I", read_exact(fh, 4 * rank, f"'{name}' extents", _truncated))
+            payload = read_exact(fh, 4 * math.prod(shape), f"'{name}' payload", _truncated)
             try:
                 arr = np.frombuffer(payload, dtype="<f4").reshape(shape)
             except ValueError:  # zero-sized, but the other extents overflow an array's size
@@ -140,8 +137,9 @@ _PROMPT_META = {"prompt.pad_width": 1, "prompt.canvas": 3, "prompt.temperature":
 def load_prompt(path) -> tuple[VisualPrompt, int]:
     """Read a prompt checkpoint; returns ``(prompt, temperature)``.
 
-    Each metadata entry must hold non-negative integers, the parameters
-    must fill the canvas, and the frame must leave an interior, or a
+    Each metadata entry must hold non-negative integers, the canvas
+    extents and the temperature must be at least 1, the parameters must
+    fill the canvas, and the frame must leave an interior, or a
     :class:`CheckpointError` names the entry.
     """
     loaded = load_tensors(path)
@@ -157,11 +155,16 @@ def load_prompt(path) -> tuple[VisualPrompt, int]:
             )
         meta[key] = [int(v) for v in values]
     canvas = tuple(meta["prompt.canvas"])
+    if 0 in canvas:
+        raise CheckpointError(f"entry 'prompt.canvas' has a zero extent: {list(canvas)}")
+    temperature = meta["prompt.temperature"][0]
+    if temperature < 1:
+        raise CheckpointError(f"entry 'prompt.temperature' must be >= 1, got {temperature}")
     params = loaded["prompt.params"]
     if params.shape != canvas:
         raise CheckpointError(f"entry 'prompt.params' has shape {params.shape}, the canvas is {canvas}")
     try:
         prompt = VisualPrompt(canvas, meta["prompt.pad_width"][0], Tensor(params, requires_grad=True))
-    except ConfigError as exc:  # a frame that leaves no interior
+    except ConfigError as exc:  # with the canvas checked above: a width below 1, or a frame with no interior
         raise CheckpointError(f"entry 'prompt.pad_width': {exc}") from None
-    return prompt, meta["prompt.temperature"][0]
+    return prompt, temperature

@@ -10,14 +10,13 @@ shift rather than a resampled copy of its own task.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataFormatError
-from .fileio import atomic_open
+from .fileio import atomic_open, read_exact
 
 __all__ = [
     "Dataset",
@@ -39,7 +38,6 @@ class Dataset:
     images: np.ndarray
     labels: np.ndarray
     n_classes: int
-    split: str = "train"
 
     def __post_init__(self):
         if self.images.ndim != 4:
@@ -63,8 +61,6 @@ class Dataset:
             lo, hi = float(self.images.min()), float(self.images.max())
             if not (lo >= 0.0 and hi <= 1.0):  # min and max propagate NaN, which fails both
                 raise DataFormatError(f"pixel values must lie in [0,1], found [{lo}, {hi}]")
-        if self.split not in ("train", "test"):
-            raise DataFormatError(f"split must be 'train' or 'test', got {self.split!r}")
 
     def __len__(self) -> int:
         return self.images.shape[0]
@@ -138,7 +134,7 @@ def _class_patterns(cls: int, n_classes: int, h: int, w: int, phases: np.ndarray
     return 0.5 + amp * np.sin(arg + phases[:, None, None])
 
 
-def generate_synthetic(spec: SynthSpec, split: str = "train") -> Dataset:
+def generate_synthetic(spec: SynthSpec) -> Dataset:
     """Render a deterministic dataset from a SynthSpec.
 
     Each class draws its noise from a per-class child seed so the
@@ -165,7 +161,7 @@ def generate_synthetic(spec: SynthSpec, split: str = "train") -> Dataset:
     labels = np.repeat(np.arange(spec.n_classes, dtype=np.int64), spec.samples_per_class)
     if spec.style == "downstream":
         images = np.ascontiguousarray(1.0 - np.rot90(images, k=1, axes=(2, 3)))
-    return Dataset(images=images, labels=labels, n_classes=spec.n_classes, split=split)
+    return Dataset(images=images, labels=labels, n_classes=spec.n_classes)
 
 
 def save_raw(path, dataset: Dataset) -> None:
@@ -187,21 +183,19 @@ def save_raw(path, dataset: Dataset) -> None:
         fh.write(pixels.tobytes())
 
 
-def _read_exact(fh, count: int, what: str) -> bytes:
-    if count > os.fstat(fh.fileno()).st_size - fh.tell():
-        raise DataFormatError(f"truncated dataset file while reading {what}")
-    return fh.read(count)
+def _truncated(what: str) -> DataFormatError:
+    return DataFormatError(f"truncated dataset file while reading {what}")
 
 
 def _read_header(fh) -> tuple[int, int, int, int, int]:
     """Check magic and version; return (N, C, h, w, K)."""
-    magic = _read_exact(fh, 4, "magic")
+    magic = read_exact(fh, 4, "magic", _truncated)
     if magic != _MAGIC:
         raise DataFormatError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-    (version,) = struct.unpack("<H", _read_exact(fh, 2, "version"))
+    (version,) = struct.unpack("<H", read_exact(fh, 2, "version", _truncated))
     if version != _VERSION:
         raise DataFormatError(f"unsupported dataset version {version}")
-    return struct.unpack("<5I", _read_exact(fh, 20, "dimensions"))
+    return struct.unpack("<5I", read_exact(fh, 20, "dimensions", _truncated))
 
 
 def peek_raw_header(path) -> dict:
@@ -211,13 +205,13 @@ def peek_raw_header(path) -> dict:
     return {"n": n, "c": c, "h": h, "w": w, "n_classes": k}
 
 
-def load_raw(path, split: str = "train") -> Dataset:
+def load_raw(path) -> Dataset:
     """Read the binary dataset container written by :func:`save_raw`."""
     with open(path, "rb") as fh:
         n, c, h, w, k = _read_header(fh)
-        labels = np.frombuffer(_read_exact(fh, 2 * n, "labels"), dtype="<u2").astype(np.int64)
+        labels = np.frombuffer(read_exact(fh, 2 * n, "labels", _truncated), dtype="<u2").astype(np.int64)
         count = n * c * h * w
-        pixels = np.frombuffer(_read_exact(fh, count, "pixels"), dtype=np.uint8)
+        pixels = np.frombuffer(read_exact(fh, count, "pixels", _truncated), dtype=np.uint8)
         if fh.read(1):
             raise DataFormatError("trailing bytes after pixel payload")
     if labels.size and labels.max() >= k:
@@ -226,5 +220,5 @@ def load_raw(path, split: str = "train") -> Dataset:
         images = (pixels.reshape(n, c, h, w).astype(np.float32)) / 255.0
     except ValueError:  # no pixels, but the other dimensions overflow an array's size
         raise DataFormatError(f"dimensions {(n, c, h, w)} are too large for an array") from None
-    return Dataset(images=images, labels=labels, n_classes=k, split=split)
+    return Dataset(images=images, labels=labels, n_classes=k)
 

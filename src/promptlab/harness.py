@@ -341,14 +341,19 @@ class ExperimentConfig:
         reads: all four, or only the downstream pair when the source is
         loaded from ``source.checkpoint``."""
         return {
-            key: (generate_synthetic if isinstance(src, SynthSpec) else load_raw)(src, split=key.split("_")[1])
+            key: (generate_synthetic if isinstance(src, SynthSpec) else load_raw)(src)
             for key, src in self.splits.items()
             if self.source_checkpoint is None or key.startswith("downstream")
         }
 
     def _validate(self) -> None:
-        """Cross-field checks: each temperature against the downstream class
-        count K_t, and the downstream images against the prompt interior."""
+        """Cross-field checks: the canvas channel count against what the
+        prompt image export supports, each temperature against the
+        downstream class count K_t, and the downstream images against the
+        prompt interior."""
+        sc, sh, sw = self.source_spec.input_size
+        if sc not in (1, 3):
+            raise ConfigError(f"source.spec.input_size: the channel count must be 1 or 3, got {sc}")
         dst = self.splits["downstream_train"]
         if isinstance(dst, SynthSpec):
             k_t, image_size = dst.n_classes, dst.image_size
@@ -364,7 +369,6 @@ class ExperimentConfig:
                     f"{key}: temperature T={t} reduces {self.source_spec.n_classes} source logits to "
                     f"m={m} < K_t={k_t} downstream classes"
                 )
-        sc, sh, sw = self.source_spec.input_size
         want = (sc, sh - 2 * self.pad_width, sw - 2 * self.pad_width)
         if image_size != want:
             raise ConfigError(
@@ -460,14 +464,17 @@ def _train_prompt_phase(cfg, source, data, temperature, adversarial, final_eval_
     )
 
 
-def _train_prompt_cell(cfg, source, data, temperature, adversarial, timing):
-    """Train one sweep or ablation prompt, evaluated after its last epoch
-    only (the tables read no earlier accuracy), and append its seconds
-    to ``timing["prompt_cells_s"]``; returns its metrics records."""
-    t0 = time.perf_counter()
-    records = _train_prompt_phase(cfg, source, data, temperature, adversarial, final_eval_only=True)[2]
-    timing.setdefault("prompt_cells_s", []).append(time.perf_counter() - t0)
-    return records
+def _train_cells(cfg, source, data, cells, timing):
+    """Train one sweep or ablation prompt per ``(temperature, adversarial)``
+    cell, each evaluated after its last epoch only (the tables read no
+    earlier accuracy), and append each cell's seconds to
+    ``timing["prompt_cells_s"]``; returns the metrics records in cell order."""
+    out = []
+    for temperature, adversarial in cells:
+        t0 = time.perf_counter()
+        out.append(_train_prompt_phase(cfg, source, data, temperature, adversarial, final_eval_only=True)[2])
+        timing.setdefault("prompt_cells_s", []).append(time.perf_counter() - t0)
+    return out
 
 
 def train_and_save_prompt(cfg: ExperimentConfig, data: dict[str, Dataset], source: ModelParams, timing: dict):
@@ -523,24 +530,19 @@ def sweep_temperature(config) -> list[dict]:
     1.
     """
     with session(config) as (cfg, data, source, timing):
-
-        def final(temperature):
-            return _train_prompt_cell(cfg, source, data, temperature, cfg.prompt_adversarial, timing)[-1]
-
-        base = final(None)
-        rows = []
-        for t in cfg.temperature_grid:
-            last = final(t)
-            rows.append(
-                {
-                    "T": t,
-                    "m": cfg.pbl(t).m,
-                    "std_acc": last.std_acc,
-                    "adv_acc": last.adv_acc,
-                    "std_delta": last.std_acc - base.std_acc,
-                    "adv_delta": last.adv_acc - base.adv_acc,
-                }
-            )
+        cells = [(t, cfg.prompt_adversarial) for t in [None, *cfg.temperature_grid]]
+        base, *finals = [records[-1] for records in _train_cells(cfg, source, data, cells, timing)]
+        rows = [
+            {
+                "T": t,
+                "m": cfg.pbl(t).m,
+                "std_acc": last.std_acc,
+                "adv_acc": last.adv_acc,
+                "std_delta": last.std_acc - base.std_acc,
+                "adv_delta": last.adv_acc - base.adv_acc,
+            }
+            for t, last in zip(cfg.temperature_grid, finals)
+        ]
         _write_table(
             cfg.output_dir / "sweep.csv",
             "T,m,std_acc,adv_acc,std_delta,adv_delta",
@@ -558,22 +560,19 @@ def run_ablation_grid(config) -> list[dict]:
     per-epoch work and peak-memory figures.
     """
     with session(config) as (cfg, data, source, timing):
-        rows = []
-        for use_pbl in (False, True):
-            for use_at in (False, True):
-                temperature = cfg.temperature if use_pbl else 1
-                records = _train_prompt_cell(cfg, source, data, temperature, use_at, timing)
-                rows.append(
-                    {
-                        "pbl": use_pbl,
-                        "at": use_at,
-                        "T": temperature,
-                        "std_acc": records[-1].std_acc,
-                        "adv_acc": records[-1].adv_acc,
-                        "wall_ms_per_epoch": sum(r.wall_ms for r in records) / len(records),
-                        "peak_mem_bytes": max(r.peak_mem_bytes for r in records),
-                    }
-                )
+        rows = [
+            {"pbl": use_pbl, "at": use_at, "T": cfg.temperature if use_pbl else 1}
+            for use_pbl in (False, True)
+            for use_at in (False, True)
+        ]
+        cells = [(row["T"], row["at"]) for row in rows]
+        for row, records in zip(rows, _train_cells(cfg, source, data, cells, timing)):
+            row.update(
+                std_acc=records[-1].std_acc,
+                adv_acc=records[-1].adv_acc,
+                wall_ms_per_epoch=sum(r.wall_ms for r in records) / len(records),
+                peak_mem_bytes=max(r.peak_mem_bytes for r in records),
+            )
         _write_table(
             cfg.output_dir / "ablation.csv",
             "pbl,at,T,std_acc,adv_acc,wall_ms_per_epoch,peak_mem_bytes",

@@ -208,10 +208,5 @@ def ilm_update(freq: FrequencyMatrix) -> LabelMapping:
         used_cols[j] = True
         if len(assigned) == k_t:
             break
-    # any class never seen (possible only for zero-size matrices) — defensive
-    for c in range(k_t):
-        if c not in assigned:
-            j = int(np.flatnonzero(~used_cols)[0])
-            assigned[c] = j
-            used_cols[j] = True
+    # every class is assigned: its row has m >= K_t entries, and other classes take at most K_t - 1 columns
     return LabelMapping(tuple(assigned[c] for c in range(k_t)))

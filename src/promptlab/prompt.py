@@ -67,10 +67,6 @@ class VisualPrompt:
         np.clip(self.params.data, 0.0, 1.0, out=self.params.data)
         self.params.data[~self.mask] = 0.0
 
-    def copy(self) -> "VisualPrompt":
-        dup = Tensor(self.params.data.copy(), requires_grad=self.params.requires_grad)
-        return VisualPrompt(self.canvas, self.pad_width, dup)
-
 
 def apply_prompt(prompt: VisualPrompt, x_t: Tensor) -> Tensor:
     """Compose the prompt frame with a batch of interior images.

@@ -107,16 +107,20 @@ def _train_engine(
     pipeline,
     dataset: Dataset,
     hyper: TrainHyper,
-    batch_transform=None,
+    attack: AttackConfig | None,
+    eval_dataset: Dataset | None,
+    metrics_epsilon: float,
+    *,
     after_epoch=None,
     post_step=None,
-    eval_dataset: Dataset | None = None,
-    metrics_epsilon: float = 0.0,
-    *,
     final_eval_only: bool = False,
 ) -> list[MetricsRecord]:
     """Train ``target`` through ``pipeline``; returns one record per epoch.
 
+    With an ``attack``, each batch is replaced by its sign-attack
+    perturbation through ``pipeline`` before the step; with None,
+    training is clean.  ``after_epoch`` runs after each epoch's last
+    step and before its evaluation, ``post_step`` after every step.
     Each epoch is evaluated on ``eval_dataset`` after it trains (only the
     last one with ``final_eval_only``).  When more than one epoch is
     evaluated and at least two CPUs are usable, every epoch but the last
@@ -162,8 +166,8 @@ def _train_engine(
                 idx = order[start : start + hyper.batch_size]
                 xb = dataset.images[idx]
                 yb = dataset.labels[idx]
-                if batch_transform is not None:
-                    xb = batch_transform(xb, yb, meter)
+                if attack is not None:
+                    xb = fgsm(pipeline, Tensor(xb), yb, attack, meter=meter).data
                 zero_grad(target)  # the perturbation pass may have left gradients behind
                 with Graph() as g:
                     logits = pipeline.logits(Tensor(xb))
@@ -206,6 +210,14 @@ def _train_engine(
     return records
 
 
+def _train_source(params, dataset, hyper, attack, eval_dataset, metrics_epsilon):
+    if params.frozen:
+        raise GraphError("cannot train frozen parameters")
+    return params, _train_engine(
+        params, SourceClassifier(params), dataset, hyper, attack, eval_dataset, metrics_epsilon
+    )
+
+
 def train_standard(
     params: ModelParams,
     dataset: Dataset,
@@ -214,17 +226,7 @@ def train_standard(
     metrics_epsilon: float = 0.0,
 ) -> tuple[ModelParams, list[MetricsRecord]]:
     """Minimize cross-entropy of the bare classifier on clean batches."""
-    if params.frozen:
-        raise GraphError("cannot train frozen parameters")
-    records = _train_engine(
-        params,
-        SourceClassifier(params),
-        dataset,
-        hyper,
-        eval_dataset=eval_dataset,
-        metrics_epsilon=metrics_epsilon,
-    )
-    return params, records
+    return _train_source(params, dataset, hyper, None, eval_dataset, metrics_epsilon)
 
 
 def train_adversarial(
@@ -238,23 +240,7 @@ def train_adversarial(
     """Like :func:`train_standard`, but every batch is replaced by its
     single-step sign-attack perturbation before the parameter step
     (one-step approximation of the inner maximization)."""
-    if params.frozen:
-        raise GraphError("cannot train frozen parameters")
-    pipeline = SourceClassifier(params)
-
-    def perturb(xb, yb, meter):
-        return fgsm(pipeline, Tensor(xb), yb, attack, meter=meter).data
-
-    records = _train_engine(
-        params,
-        pipeline,
-        dataset,
-        hyper,
-        batch_transform=perturb,
-        eval_dataset=eval_dataset,
-        metrics_epsilon=metrics_epsilon,
-    )
-    return params, records
+    return _train_source(params, dataset, hyper, attack, eval_dataset, metrics_epsilon)
 
 
 def train_prompt(
@@ -275,9 +261,10 @@ def train_prompt(
     ``lm`` selects the mapping policy: ``"rlm"`` draws one injective
     mapping from the run seed and keeps it; ``"ilm"`` re-derives the
     mapping from prediction frequencies before training and again after
-    every epoch.  ``cfg=None`` removes the reduction stage entirely;
-    note that temperature 1 keeps the stage but makes it an identity,
-    so both run the same objective.  With an ``attack``, each batch is
+    every epoch, before that epoch is evaluated: ``epochs + 1`` tallies
+    over ``dataset`` in all.  ``cfg=None`` removes the reduction stage
+    entirely; note that temperature 1 keeps the stage but makes it an
+    identity, so both run the same objective.  With an ``attack``, each batch is
     perturbed by the sign attack at its budget through the full pipeline
     (prompt, source, reduction, mapping) before the prompt step; with
     None, training is clean.
@@ -313,31 +300,24 @@ def train_prompt(
             f"{prompt.interior_size}"
         )
     clf = PromptedClassifier(source, prompt, mapping=None, pbl=cfg)
-    if lm == "rlm":
-        clf.mapping = rlm_init(m, k_t, hyper.seed)
-    else:
-        clf.mapping = ilm_update(prediction_frequencies(clf.reduced_fn, dataset))
 
     def refresh_mapping():
-        if lm == "ilm":
-            clf.mapping = ilm_update(prediction_frequencies(clf.reduced_fn, dataset))
+        clf.mapping = ilm_update(prediction_frequencies(clf.reduced_fn, dataset))
 
-    perturb = None
-    if attack is not None:
-
-        def perturb(xb, yb, meter):
-            return fgsm(clf, Tensor(xb), yb, attack, meter=meter).data
-
+    if lm == "ilm":
+        refresh_mapping()
+    else:
+        clf.mapping = rlm_init(m, k_t, hyper.seed)
     records = _train_engine(
         prompt,
         clf,
         dataset,
         hyper,
-        batch_transform=perturb,
-        after_epoch=refresh_mapping,
+        attack,
+        eval_dataset,
+        metrics_epsilon,
+        after_epoch=refresh_mapping if lm == "ilm" else None,
         post_step=prompt.project,
-        eval_dataset=eval_dataset,
-        metrics_epsilon=metrics_epsilon,
         final_eval_only=final_eval_only,
     )
     return prompt, clf, records

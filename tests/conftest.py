@@ -59,13 +59,13 @@ def tiny_params(tiny_spec):
     return init_params(tiny_spec, seed=7)
 
 
-def make_dataset(n_classes=4, per_class=6, size=(1, 8, 8), seed=0, split="train"):
+def make_dataset(n_classes=4, per_class=6, size=(1, 8, 8), seed=0):
     """Random-pixel dataset; labels are class-ordered like the generator's."""
     rng = np.random.Generator(np.random.PCG64(seed))
     n = n_classes * per_class
     images = rng.uniform(0.0, 1.0, size=(n, *size)).astype(np.float32)
     labels = np.repeat(np.arange(n_classes, dtype=np.int64), per_class)
-    return Dataset(images=images, labels=labels, n_classes=n_classes, split=split)
+    return Dataset(images=images, labels=labels, n_classes=n_classes)
 
 
 @pytest.fixture

@@ -62,9 +62,7 @@ def toy_setup():
     """A small trained-and-frozen source plus matching datasets."""
     spec = ConvNetSpec((1, 12, 12), ((6, 3, 2), (12, 3, 2)), 24, 6)
     train = generate_synthetic(SynthSpec(6, 12, (1, 12, 12), "source", 0.3, seed=31))
-    test = generate_synthetic(
-        SynthSpec(6, 20, (1, 12, 12), "source", 0.3, seed=32), split="test"
-    )
+    test = generate_synthetic(SynthSpec(6, 20, (1, 12, 12), "source", 0.3, seed=32))
     downstream = generate_synthetic(SynthSpec(3, 10, (1, 6, 6), "downstream", 0.3, seed=41))
     params = init_params(spec, seed=2)
     params, _ = train_standard(params, train, TrainHyper(8, 16, 0.05, 0.9, 13))

@@ -209,6 +209,9 @@ def test_any_truncation_or_byte_change_loads_or_raises_checkpoint_error(tmp_path
         ("prompt.temperature", [-1.0], r"'prompt.temperature' must hold 1 "),
         ("prompt.pad_width", [0.0], r"'prompt.pad_width': pad_width must be >= 1, got 0"),
         ("prompt.pad_width", [4.0], r"'prompt.pad_width': pad_width 4 leaves no interior"),
+        ("prompt.canvas", [0.0, 8.0, 8.0], r"'prompt.canvas' has a zero extent: \[0, 8, 8\]"),
+        ("prompt.canvas", [1.0, 0.0, 8.0], r"'prompt.canvas' has a zero extent: \[1, 0, 8\]"),
+        ("prompt.temperature", [0.0], r"'prompt.temperature' must be >= 1, got 0"),
     ],
 )
 def test_prompt_load_rejects_bad_metadata(tmp_path, entry, values, fragment):

@@ -126,6 +126,19 @@ def test_bad_data_block_fails_before_the_output_directory(config_file, capsys):
     assert not out.exists()
 
 
+def test_unexportable_channel_count_fails_before_the_output_directory(config_file, capsys):
+    """Two channels fit every shape check, but no prompt image can show them."""
+    path, out = config_file(
+        source__spec__input_size=[2, 16, 16],
+        data__source__image_size=[2, 16, 16],
+        data__downstream__image_size=[2, 8, 8],
+    )
+    assert main(["eval", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error[config] source.spec.input_size: the channel count must be 1 or 3, got 2\n"
+    assert not out.exists()
+
+
 def test_directory_checkpoint_fails_before_the_output_directory(config_file, tmp_path, capsys):
     path, out = config_file(source__checkpoint=str(tmp_path))
     assert main(["train-source", "--config", str(path)]) == 1

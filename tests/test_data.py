@@ -73,10 +73,6 @@ class TestDatasetValidation:
         with pytest.raises(DataFormatError, match="pixel values"):
             Dataset(images, np.zeros(2, np.int64), 2)
 
-    def test_rejects_unknown_split(self):
-        with pytest.raises(DataFormatError, match="split"):
-            Dataset(np.zeros((1, 1, 4, 4), np.float32), np.zeros(1, np.int64), 2, split="val")
-
     def test_coerces_float64_images(self):
         ds = Dataset(np.zeros((2, 1, 4, 4), np.float64), np.zeros(2, np.int64), 2)
         assert ds.images.dtype == np.float32
@@ -151,11 +147,6 @@ def test_downstream_style_is_inverted_rotation_of_source():
     assert np.array_equal(down.labels, src.labels)
 
 
-def test_split_is_propagated():
-    ds = generate_synthetic(small_spec(), split="test")
-    assert ds.split == "test"
-
-
 def test_multichannel_replicates_pattern():
     ds = generate_synthetic(small_spec(image_size=(3, 8, 8), noise_level=0.0))
     assert np.array_equal(ds.images[:, 0], ds.images[:, 1])
@@ -207,18 +198,18 @@ def test_generator_matches_per_sample_rendering(n_classes, per_class, c, h, w, s
 # binary container IO
 
 
-def u8_dataset(rng, n=6, c=1, h=5, w=4, k=3, split="train"):
+def u8_dataset(rng, n=6, c=1, h=5, w=4, k=3):
     """Random dataset whose pixels sit exactly on the u8 quantization grid."""
     images = rng.integers(0, 256, size=(n, c, h, w)).astype(np.float32) / 255.0
     labels = rng.integers(0, k, size=n).astype(np.int64)
-    return Dataset(images=images, labels=labels, n_classes=k, split=split)
+    return Dataset(images=images, labels=labels, n_classes=k)
 
 
 def test_round_trip_on_quantized_pixels(tmp_path, rng):
     ds = u8_dataset(rng)
     path = tmp_path / "ds.vpds"
     save_raw(path, ds)
-    back = load_raw(path, split="train")
+    back = load_raw(path)
     assert np.array_equal(back.images, ds.images)
     assert np.array_equal(back.labels, ds.labels)
     assert back.n_classes == ds.n_classes
@@ -241,14 +232,13 @@ def test_round_trip_quantizes_arbitrary_floats(tmp_path):
 
 def test_round_trip_handwriting_sized_corpus(tmp_path):
     rng = np.random.Generator(np.random.PCG64(99))
-    ds = u8_dataset(rng, n=100, c=1, h=28, w=28, k=10, split="test")
+    ds = u8_dataset(rng, n=100, c=1, h=28, w=28, k=10)
     path = tmp_path / "digits.vpds"
     save_raw(path, ds)
-    back = load_raw(path, split="test")
+    back = load_raw(path)
     assert back.images.shape == (100, 1, 28, 28)
     assert np.array_equal(back.images, ds.images)
     assert np.array_equal(back.labels, ds.labels)
-    assert back.split == "test"
 
 
 def test_peek_header_matches_payload(tmp_path, rng):
@@ -375,14 +365,10 @@ def fitted_source():
 
 
 def test_source_task_is_learnable(fitted_source):
-    test = generate_synthetic(
-        SynthSpec(8, 10, (1, 20, 20), "source", 0.45, seed=12), split="test"
-    )
+    test = generate_synthetic(SynthSpec(8, 10, (1, 20, 20), "source", 0.45, seed=12))
     assert standard_accuracy(fitted_source, test) >= 0.9
 
 
 def test_downstream_style_defeats_unadapted_source(fitted_source):
-    shifted = generate_synthetic(
-        SynthSpec(8, 10, (1, 20, 20), "downstream", 0.45, seed=12), split="test"
-    )
+    shifted = generate_synthetic(SynthSpec(8, 10, (1, 20, 20), "downstream", 0.45, seed=12))
     assert standard_accuracy(fitted_source, shifted) < 0.7

@@ -192,6 +192,7 @@ def adversarial(cfg):
         (lambda c: c.__setitem__("seed", np.int64(3)), r"^config key 'seed' must hold JSON data, got "),
         (lambda c: c["source"]["hyper"].__setitem__("learning_rate", np.float32(0.05)), r"^config key 'source\.hyper\.learning_rate' must hold JSON data"),
         (lambda c: c["source"]["spec"]["conv_blocks"][0].__setitem__(2, np.int32(2)), r"^config key 'source\.spec\.conv_blocks\[0\]\[2\]' must hold JSON data"),
+        (lambda c: c["source"]["spec"]["input_size"].__setitem__(0, 2), r"^source\.spec\.input_size: the channel count must be 1 or 3, got 2$"),
     ],
 )
 def test_config_validation_messages(mutate, fragment):
@@ -271,7 +272,6 @@ def test_datasets_have_the_configured_geometry():
     assert data["source_test"].images.shape == (32, 1, 16, 16)
     assert data["downstream_train"].images.shape == (16, 1, 8, 8)
     assert data["downstream_test"].images.shape == (12, 1, 8, 8)
-    assert data["source_test"].split == "test"
     assert data["downstream_train"].n_classes == 2
 
 

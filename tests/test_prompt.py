@@ -85,9 +85,3 @@ def test_gradient_zero_outside_gate():
     assert p.params.grad[0, 0, 1] == 2.0
 
 
-def test_copy_is_independent():
-    p = VisualPrompt((1, 6, 6), 1)
-    p.params.data[p.mask] = 0.25
-    q = p.copy()
-    q.params.data[q.mask] = 0.75
-    assert p.params.data[0, 0, 0] == pytest.approx(0.25)

@@ -37,10 +37,8 @@ from promptlab import (
 SOURCE_SPEC = ConvNetSpec((1, 12, 12), ((6, 3, 2), (12, 3, 2)), 24, 6)
 
 
-def source_data(spc=12, seed=31, split="train"):
-    return generate_synthetic(
-        SynthSpec(6, spc, (1, 12, 12), "source", 0.3, seed=seed), split=split
-    )
+def source_data(spc=12, seed=31):
+    return generate_synthetic(SynthSpec(6, spc, (1, 12, 12), "source", 0.3, seed=seed))
 
 
 def downstream_data(spc=10, seed=41):
@@ -138,7 +136,7 @@ def test_epoch_metrics_make_one_clean_pass(monkeypatch):
     calls = []
     real = attack._predict
     monkeypatch.setattr(attack, "_predict", lambda *a: calls.append(1) or real(*a))
-    eval_ds = source_data(spc=4, split="test")
+    eval_ds = source_data(spc=4)
     params = init_params(SOURCE_SPEC, seed=2)
     _, records = train_standard(
         params, source_data(spc=4), TrainHyper(1, 8, 0.05, 0.9, 7), eval_dataset=eval_ds, metrics_epsilon=0.05
@@ -245,6 +243,16 @@ def test_ilm_final_mapping_matches_final_frequencies(frozen_source):
                              TrainHyper(3, 8, 0.2, 0.9, 5), pad_width=3)
     expected = ilm_update(prediction_frequencies(clf.reduced_fn, data))
     assert np.array_equal(clf.mapping.indices, expected.indices)
+
+
+@pytest.mark.parametrize("lm, tallies", [("ilm", 4), ("rlm", 0)])
+def test_ilm_tallies_before_training_and_after_each_epoch(frozen_source, monkeypatch, lm, tallies):
+    """ILM tallies prediction frequencies ``epochs + 1`` times and RLM never;
+    the traced benchmark's exact ``mapping.ilm.calls`` count rests on this."""
+    calls = []
+    monkeypatch.setattr(train, "prediction_frequencies", lambda *a: calls.append(1) or prediction_frequencies(*a))
+    train_prompt(frozen_source, downstream_data(), lm, None, TrainHyper(3, 8, 0.2, 0.9, 5), pad_width=3)
+    assert len(calls) == tallies
 
 
 def test_temperature_one_equals_no_reduction(frozen_source):
