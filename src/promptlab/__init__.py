@@ -9,12 +9,15 @@ drive it all from reproducible JSON-configured experiments.
 
 Importing the package pins the BLAS NumPy links to one thread for the
 whole process (see ``promptlab.blas``), so that results do not depend on
-the machine's core count.
+the machine's core count.  It also fixes glibc's malloc thresholds for
+the whole process (see ``promptlab.heap``), so that freed buffers stay
+in the heap instead of being faulted in again.
 """
 
-from . import blas
+from . import blas, heap
 
 blas.pin_one_thread()
+heap.fix_thresholds()
 
 from .attack import (
     AttackConfig,

@@ -13,6 +13,7 @@ that is excluded from that guarantee.
 from __future__ import annotations
 
 import json
+import platform
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
@@ -20,7 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import blas
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
+from . import blas, heap
 from .attack import AttackConfig, adversarial_accuracies
 from .checkpoint import load_model, save_model, save_prompt
 from .data import Dataset, SynthSpec, generate_synthetic, load_raw, peek_raw_header
@@ -346,20 +352,43 @@ class ExperimentConfig:
             if self.source_checkpoint is None or key.startswith("downstream")
         }
 
+    def _split_shape(self, key: str) -> tuple[int, tuple[int, int, int]]:
+        """The class count and image size of split ``key``, without
+        generating or loading it (a VPDS file's header is read)."""
+        split = self.splits[key]
+        if isinstance(split, SynthSpec):
+            return split.n_classes, split.image_size
+        hdr = peek_raw_header(split)
+        return hdr["n_classes"], (hdr["c"], hdr["h"], hdr["w"])
+
     def _validate(self) -> None:
         """Cross-field checks: the canvas channel count against what the
-        prompt image export supports, each temperature against the
-        downstream class count K_t, and the downstream images against the
-        prompt interior."""
+        prompt image export supports, the source splits (unless the
+        source is loaded from a checkpoint, when the run reads none)
+        against the source spec, each temperature against the downstream
+        class count K_t, and the downstream images against the prompt
+        interior."""
         sc, sh, sw = self.source_spec.input_size
         if sc not in (1, 3):
             raise ConfigError(f"source.spec.input_size: the channel count must be 1 or 3, got {sc}")
-        dst = self.splits["downstream_train"]
-        if isinstance(dst, SynthSpec):
-            k_t, image_size = dst.n_classes, dst.image_size
-        else:  # (K_t, image size) from the header, without loading the data
-            hdr = peek_raw_header(dst)
-            k_t, image_size = hdr["n_classes"], (hdr["c"], hdr["h"], hdr["w"])
+        if self.source_checkpoint is None:
+            for key in ("source_train", "source_test"):
+                n_classes, image_size = self._split_shape(key)
+                if isinstance(self.splits[key], SynthSpec):
+                    size_at, classes_at = "data.source.image_size", "data.source.n_classes"
+                else:
+                    size_at = classes_at = f"data.files.{key}"
+                if image_size != self.source_spec.input_size:
+                    raise ConfigError(
+                        f"{size_at}: {key} images {image_size} do not match "
+                        f"source.spec.input_size {self.source_spec.input_size}"
+                    )
+                if n_classes > self.source_spec.n_classes:  # labels index the source logits
+                    raise ConfigError(
+                        f"{classes_at}: {key} has {n_classes} classes, more than "
+                        f"source.spec.n_classes={self.source_spec.n_classes}"
+                    )
+        k_t, image_size = self._split_shape("downstream_train")
         temperatures = [("prompt.temperature", self.temperature)]
         temperatures += [(f"prompt.temperature_grid[{i}]", t) for i, t in enumerate(self.temperature_grid)]
         for key, t in temperatures:
@@ -426,6 +455,18 @@ def _prepare_source(cfg: ExperimentConfig, data: dict[str, Dataset], timing: dic
     return params
 
 
+def _rusage() -> dict | None:
+    """Minor page faults and user and system CPU seconds so far, of this
+    process and of its joined children; None without ``resource`` (Windows)."""
+    if resource is None:
+        return None
+    usage = {}
+    for who, kind in (("self", resource.RUSAGE_SELF), ("children", resource.RUSAGE_CHILDREN)):
+        ru = resource.getrusage(kind)
+        usage[who] = {"minflt": ru.ru_minflt, "utime_s": ru.ru_utime, "stime_s": ru.ru_stime}
+    return usage
+
+
 @contextmanager
 def session(config):
     """The setup every entry point shares.
@@ -435,16 +476,32 @@ def session(config):
     builds the datasets and trains or loads the source.  Yields ``(cfg,
     data, frozen source, timing)``; ``timing.json`` is written when the
     block completes, with the phase seconds, the outcome of the BLAS
-    thread pin under ``blas`` and, under ``cpus``, the number of CPUs the
-    run could use (with two or more, per-epoch evaluation overlaps
-    training).
+    thread pin under ``blas`` and of the malloc thresholds under
+    ``malloc``, the Python and NumPy versions and the machine type, the
+    number of CPUs the run could use under ``cpus`` (with two or more,
+    per-epoch evaluation overlaps training), and under ``rusage`` the
+    minor page faults and CPU seconds the block cost this process
+    (``self``) and the workers it joined (``children``).
     """
     cfg = config if isinstance(config, ExperimentConfig) else ExperimentConfig.from_dict(config)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    timing: dict = {"blas": blas.status(), "cpus": usable_cpus()}
+    timing: dict = {
+        "blas": blas.status(),
+        "malloc": heap.status(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "cpus": usable_cpus(),
+    }
+    usage = _rusage()
     data = cfg.datasets()
     source = _prepare_source(cfg, data, timing)
     yield cfg, data, source, timing
+    if usage is not None:
+        end = _rusage()
+        timing["rusage"] = {
+            who: {key: end[who][key] - start for key, start in fields.items()} for who, fields in usage.items()
+        }
     _write_json(cfg.output_dir / "timing.json", timing)
 
 

@@ -82,13 +82,10 @@ _evaluator = None  # set in the evaluation worker only, by _start_evaluator
 
 def _start_evaluator(target, pipeline, evaluate) -> None:
     """Initialise a forked evaluation worker: it keeps its inherited copy
-    of ``target``'s tensors, with gradients off, and the pipeline and
-    ``evaluate`` that read them."""
+    of ``target``'s tensors, and the pipeline and ``evaluate`` that read
+    them."""
     global _evaluator
-    tensors = [t for _, t in target.named_tensors()]
-    for t in tensors:
-        t.requires_grad = False  # the attack then forms only the input gradient it reads
-    _evaluator = (tensors, pipeline, evaluate)
+    _evaluator = ([t for _, t in target.named_tensors()], pipeline, evaluate)
 
 
 def _evaluate_epoch(values, mapping) -> tuple[float, float]:
@@ -139,10 +136,19 @@ def _train_engine(
     last = hyper.epochs - 1
 
     def evaluate() -> tuple[float, float]:
-        if metrics_epsilon > 0.0:
-            report = adversarial_accuracy(pipeline, eval_ds, AttackConfig(metrics_epsilon))
-            return report.standard_accuracy, report.adversarial_accuracy
-        return standard_accuracy(pipeline, eval_ds), 0.0  # 0.0: not measured
+        # with the target's gradients off, the attack forms only the input gradient it reads
+        tensors = [t for _, t in target.named_tensors()]
+        flags = [t.requires_grad for t in tensors]
+        for t in tensors:
+            t.requires_grad = False
+        try:
+            if metrics_epsilon > 0.0:
+                report = adversarial_accuracy(pipeline, eval_ds, AttackConfig(metrics_epsilon))
+                return report.standard_accuracy, report.adversarial_accuracy
+            return standard_accuracy(pipeline, eval_ds), 0.0  # 0.0: not measured
+        finally:
+            for t, flag in zip(tensors, flags):
+                t.requires_grad = flag
 
     pool = None
     if not final_eval_only and last > 0 and usable_cpus() >= 2 and _can_fork():

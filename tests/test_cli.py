@@ -139,6 +139,14 @@ def test_unexportable_channel_count_fails_before_the_output_directory(config_fil
     assert not out.exists()
 
 
+def test_source_data_that_does_not_fit_the_spec_fails_before_the_output_directory(config_file, capsys):
+    path, out = config_file(data__source__n_classes=9)
+    assert main(["eval", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error[config] data.source.n_classes: source_train has 9 classes, more than source.spec.n_classes=8\n"
+    assert not out.exists()
+
+
 def test_directory_checkpoint_fails_before_the_output_directory(config_file, tmp_path, capsys):
     path, out = config_file(source__checkpoint=str(tmp_path))
     assert main(["train-source", "--config", str(path)]) == 1

@@ -4,6 +4,7 @@ reproducibility, the temperature sweep, and the ablation grid."""
 import json
 import multiprocessing
 import os
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -262,6 +263,51 @@ def test_non_json_config_fails_before_the_output_directory(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "leaf, value",
+    [("n_classes", k) for k in (9, 16, 1000)]
+    + [
+        ("image_size", size)
+        for size in (
+            [2, 16, 16], [3, 16, 16],
+            [1, 8, 16], [1, 17, 16], [1, 32, 16],
+            [1, 16, 1], [1, 16, 15], [1, 16, 20], [1, 16, 64],
+        )
+    ],
+    ids=lambda v: str(v).replace(", ", "-"),
+)
+def test_source_data_that_does_not_fit_the_spec_fails_before_the_output_directory(tmp_path, leaf, value):
+    """More classes than source logits, or images of another size than the
+    source input, used to pass validation and fail in the first batch."""
+    with pytest.raises(ConfigError, match=rf"^data\.source\.{leaf}: source_train "):
+        run_experiment(small_config(out=tmp_path / "out", **{f"data__source__{leaf}": value}))
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "split, images, n_classes, fragment",
+    [
+        ("source_test", np.zeros((4, 1, 16, 12), np.float32), 8, r"images \(1, 16, 12\) do not match"),
+        ("source_train", np.zeros((4, 1, 16, 16), np.float32), 9, "has 9 classes, more than source.spec.n_classes=8"),
+    ],
+    ids=["image_size", "n_classes"],
+)
+def test_source_files_that_do_not_fit_the_spec_fail_before_the_output_directory(
+    tmp_path, split, images, n_classes, fragment
+):
+    files = {}
+    for key, ds in ExperimentConfig.from_dict(small_config()).datasets().items():
+        if key == split:
+            ds = Dataset(images, np.zeros(len(images), np.int64), n_classes)
+        files[key] = str(tmp_path / f"{key}.vpds")
+        save_raw(files[key], ds)
+    raw = small_config(out=tmp_path / "out")
+    raw["data"] = {"files": files}
+    with pytest.raises(ConfigError, match=rf"^data\.files\.{split}: {split} {fragment}"):
+        run_experiment(raw)
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # dataset construction
 
@@ -340,6 +386,19 @@ def test_run_writes_all_artifacts(experiment_run):
     timing = json.loads((out / "timing.json").read_text())
     assert "prompt_cells_s" not in timing
     assert timing["cpus"] == len(os.sched_getaffinity(0))
+
+
+def test_timing_records_the_environment_and_what_the_run_cost(tmp_path, cpus):
+    cpus(2)  # the evaluation worker is a child, joined before the session ends
+    run_experiment(small_config(out=tmp_path))
+    timing = json.loads((tmp_path / "timing.json").read_text())
+    assert (timing["python"], timing["numpy"], timing["machine"]) == (
+        platform.python_version(), np.__version__, platform.machine()
+    )
+    for who in ("self", "children"):
+        usage = timing["rusage"][who]
+        assert set(usage) == {"minflt", "utime_s", "stime_s"}
+        assert usage["minflt"] > 0 and usage["utime_s"] + usage["stime_s"] > 0, who
 
 
 def test_report_matches_metrics_and_disk(experiment_run):

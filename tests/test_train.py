@@ -359,6 +359,34 @@ def test_evaluation_error_reaches_the_caller(frozen_source, monkeypatch, cpus, k
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+def test_evaluation_clears_the_target_gradient_flags_for_the_call(monkeypatch, cpus, fails):
+    """An in-process evaluation sees the target's tensors with
+    ``requires_grad`` cleared, so its attack forms no parameter gradient,
+    and the flags are back when it returns or raises."""
+    params = init_params(SOURCE_SPEC, seed=2)
+    tensors = [t for _, t in params.named_tensors()]
+    seen = []
+    real = train.adversarial_accuracy
+
+    def recording(*args, **kwargs):
+        seen.append([t.requires_grad for t in tensors])
+        if fails:
+            raise NumericsError("injected in evaluation")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(train, "adversarial_accuracy", recording)
+    cpus(1)
+    hyper = TrainHyper(2, 8, 0.05, 0.9, 7)
+    if fails:
+        with pytest.raises(NumericsError, match="injected in evaluation"):
+            train_standard(params, source_data(spc=4), hyper, metrics_epsilon=0.05)
+    else:  # epoch 1 trains after epoch 0's evaluation, so it needs the flags back
+        train_standard(params, source_data(spc=4), hyper, metrics_epsilon=0.05)
+    assert seen == [[False] * len(tensors)] * (1 if fails else 2)
+    assert all(t.requires_grad for t in tensors)
+
+
 def test_worker_that_dies_fails_the_caller(frozen_source, monkeypatch, cpus):
     caller, real = os.getpid(), train.adversarial_accuracy
     exit_in_worker = lambda *a, **k: real(*a, **k) if os.getpid() == caller else os._exit(3)  # noqa: E731
