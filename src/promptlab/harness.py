@@ -90,53 +90,45 @@ def _config_shape(raw: dict) -> dict:
 _LEAF_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
                float: ((int, float), "a number"), str: ((str,), "a string"),
                type(None): ((type(None), str), "null or a string")}
+_JSON_TYPES = (dict, list, bool, str, int, float, type(None))
 
 
-def _check_leaf(value, default, where: str, name: str) -> None:
-    """Reject ``value`` unless it has the JSON type of ``default``, entry by
-    entry for a list."""
-    if isinstance(default, list):
+def _walk(value, shape, where: str = "", name: str = ""):
+    """A copy of ``value`` as plain JSON data, checked against ``shape`` in
+    the same pass; ``value`` is entry ``name`` (a key, with any list indices)
+    of the object at dotted path ``where``.
+
+    Each node is first made JSON, as a JSON round trip would give it (a tuple
+    becomes a list, a subclass of str, int or float its base type), and then
+    checked: an object for unknown and missing keys, anything else for the
+    JSON type of its default, entry by entry for a list."""
+    path = f"{where}.{name}" if where and name else where or name
+    if type(value) not in _JSON_TYPES:  # a tuple, or a subclass such as np.float64 or an IntEnum
+        base = next((base for base in (dict, list, tuple, str, int, float) if isinstance(value, base)), None)
+        if base is None:
+            raise ConfigError(f"config key '{path}' must hold JSON data, got {value!r}")
+        value = list(value) if base is tuple else base(value)
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"config key '{path}' must be an object, got {value!r}")
+        copy = {}
+        for key in dict.fromkeys([*value, *shape]):
+            at = f"{path}.{key}" if path else str(key)
+            if key not in shape:
+                raise ConfigError(f"unknown config key '{at}'")
+            if key in value:
+                copy[key] = _walk(value[key], shape[key], path, str(key))
+            elif at not in _OPTIONAL:
+                raise ConfigError(f"config is missing key '{at}'")
+        return copy
+    if isinstance(shape, list):
         if not isinstance(value, list):
-            raise ConfigError(f"{where}: {name} must be a list, got {value!r}")
-        for i, entry in enumerate(value):
-            _check_leaf(entry, default[0], where, f"{name}[{i}]")
-        return
-    types, kind = _LEAF_TYPES[type(default)]
+            raise ConfigError(f"{where or 'config'}: {name} must be a list, got {value!r}")
+        return [_walk(entry, shape[0], where, f"{name}[{i}]") for i, entry in enumerate(value)]
+    types, kind = _LEAF_TYPES[type(shape)]
     if type(value) not in types:
-        raise ConfigError(f"{where}: {name} must be {kind}, got {value!r}")
-
-
-def _json_copy(value, path: str = ""):
-    """A deep copy of ``value`` as plain JSON data, as a JSON round trip would
-    give it (a tuple becomes a list, a subclass of str, int or float its base
-    type); a value JSON cannot hold is rejected with its dotted key."""
-    if isinstance(value, dict):
-        return {key: _json_copy(v, f"{path}.{key}" if path else str(key)) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_copy(v, f"{path}[{i}]") for i, v in enumerate(value)]
-    if value is None or type(value) in (bool, str, int, float):
-        return value
-    for kind in (str, int, float):  # a subclass such as np.float64 or an IntEnum, as JSON writes it
-        if isinstance(value, kind):
-            return kind(value)
-    raise ConfigError(f"config key '{path}' must hold JSON data, got {value!r}")
-
-
-def _check_keys(raw, shape: dict, where: str = "") -> None:
-    """Reject the first unknown, missing or mistyped key of ``raw``, by dotted path."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config key '{where}' must be an object, got {raw!r}")
-    for key in dict.fromkeys([*raw, *shape]):
-        path = f"{where}.{key}" if where else key
-        if key not in shape:
-            raise ConfigError(f"unknown config key '{path}'")
-        if key not in raw:
-            if path not in _OPTIONAL:
-                raise ConfigError(f"config is missing key '{path}'")
-        elif isinstance(shape[key], dict):
-            _check_keys(raw[key], shape[key], path)
-        else:
-            _check_leaf(raw[key], shape[key], where or "config", key)
+        raise ConfigError(f"{where or 'config'}: {name} must be {kind}, got {value!r}")
+    return value
 
 
 def _parse(path: str, build, *args):
@@ -270,14 +262,14 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict, seed_override: int | None = None, out_override=None) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
-        raw = _json_copy(raw)
+        raw = dict(raw)
+        raw.pop("derived_seeds", None)  # a run's own config.json records them; re-derived below
         if seed_override is not None:
             raw["seed"] = int(seed_override)
         if out_override is not None:
             raw["output_dir"] = str(out_override)
-        raw.pop("derived_seeds", None)  # a run's own config.json records them; re-derived below
         shape = _config_shape(raw)
-        _check_keys(raw, shape)
+        raw = _walk(raw, shape)
         src, pr, ev, data = raw["source"], raw["prompt"], raw["eval"], raw["data"]
         if src["regime"] not in ("standard", "adversarial"):
             raise ConfigError(f"source.regime must be 'standard' or 'adversarial', got {src['regime']!r}")
@@ -362,48 +354,52 @@ class ExperimentConfig:
         return hdr["n_classes"], (hdr["c"], hdr["h"], hdr["w"])
 
     def _validate(self) -> None:
-        """Cross-field checks: the canvas channel count against what the
-        prompt image export supports, the source splits (unless the
-        source is loaded from a checkpoint, when the run reads none)
-        against the source spec, each temperature against the downstream
-        class count K_t, and the downstream images against the prompt
-        interior."""
-        sc, sh, sw = self.source_spec.input_size
-        if sc not in (1, 3):
-            raise ConfigError(f"source.spec.input_size: the channel count must be 1 or 3, got {sc}")
-        if self.source_checkpoint is None:
-            for key in ("source_train", "source_test"):
-                n_classes, image_size = self._split_shape(key)
-                if isinstance(self.splits[key], SynthSpec):
-                    size_at, classes_at = "data.source.image_size", "data.source.n_classes"
-                else:
-                    size_at = classes_at = f"data.files.{key}"
-                if image_size != self.source_spec.input_size:
-                    raise ConfigError(
-                        f"{size_at}: {key} images {image_size} do not match "
-                        f"source.spec.input_size {self.source_spec.input_size}"
-                    )
-                if n_classes > self.source_spec.n_classes:  # labels index the source logits
-                    raise ConfigError(
-                        f"{classes_at}: {key} has {n_classes} classes, more than "
-                        f"source.spec.n_classes={self.source_spec.n_classes}"
-                    )
-        k_t, image_size = self._split_shape("downstream_train")
+        """Cross-field checks against what the run builds: the canvas channel
+        count against what the prompt image export supports, then each split
+        the run reads (all four, or the downstream pair when the source is
+        loaded from a checkpoint) for its image size and class count (the
+        source pair against the source spec, the downstream pair against the
+        prompt's interior and K_t, the class count of downstream_train), then
+        each temperature against K_t."""
+        spec = self.source_spec
+        channels = spec.input_size[0]
+        if channels not in (1, 3):
+            raise ConfigError(f"source.spec.input_size: the channel count must be 1 or 3, got {channels}")
+        k_t = self._split_shape("downstream_train")[0]
+        prompt = None
+        for key in _SPLITS:
+            block = key.split("_")[0]
+            if block == "source":
+                if self.source_checkpoint is not None:
+                    continue
+                size, size_is = spec.input_size, f"do not match source.spec.input_size {spec.input_size}"
+                # labels index the source logits
+                most, most_is = spec.n_classes, f"source.spec.n_classes={spec.n_classes}"
+            else:
+                if prompt is None:  # the run's frame: canvas-sized, so built once the source pair fits the canvas
+                    prompt = _parse("prompt.pad_width", VisualPrompt, spec.input_size, self.pad_width)
+                size = prompt.interior_size
+                size_is = (f"do not fill the prompt interior {size} "
+                           f"(canvas {prompt.canvas}, pad_width {prompt.pad_width})")
+                most, most_is = k_t, f"K_t={k_t}"  # labels index the label mapping
+            n_classes, image_size = self._split_shape(key)
+            if isinstance(self.splits[key], SynthSpec):
+                size_at, most_at = f"data.{block}.image_size", f"data.{block}.n_classes"
+            else:
+                size_at = most_at = f"data.files.{key}"
+            if image_size != size:
+                raise ConfigError(f"{size_at}: {key} images {image_size} {size_is}")
+            if n_classes > most:
+                raise ConfigError(f"{most_at}: {key} has {n_classes} classes, more than {most_is}")
         temperatures = [("prompt.temperature", self.temperature)]
         temperatures += [(f"prompt.temperature_grid[{i}]", t) for i, t in enumerate(self.temperature_grid)]
         for key, t in temperatures:
             m = _parse(key, self.pbl, t).m
             if m < k_t:
                 raise ConfigError(
-                    f"{key}: temperature T={t} reduces {self.source_spec.n_classes} source logits to "
+                    f"{key}: temperature T={t} reduces {spec.n_classes} source logits to "
                     f"m={m} < K_t={k_t} downstream classes"
                 )
-        want = (sc, sh - 2 * self.pad_width, sw - 2 * self.pad_width)
-        if image_size != want:
-            raise ConfigError(
-                f"downstream images {image_size} do not fill the prompt interior {want} "
-                f"(canvas {self.source_spec.input_size}, pad_width {self.pad_width})"
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,80 @@
+"""The golden manifest: the sha256 of every normative file the acceptance
+fixtures write.
+
+``tests/golden.json`` holds the digests of the six default-config runs
+(``source.ckpt``, ``source_metrics.csv``, ``prompt.ckpt``,
+``prompt_metrics.csv``, ``prompt.ppm``, ``report.json``), the three robust
+temperature sweeps (``sweep.csv``) and the ablation grid (``ablation.csv``),
+with the fingerprint of the environment that made them: the NumPy version,
+the BLAS build and kernel, and the machine type.  ``config.json`` is left
+out, because it records a temporary output directory.
+``test_acceptance.py::test_normative_files_match_the_golden_manifest``
+compares fresh runs with it and names every file whose bytes moved; in an
+environment with another fingerprint it is skipped, naming both.
+
+``python tests/golden.py`` runs that test alone.  A change that moves bytes
+on purpose rewrites the manifest from fresh runs with
+``python tests/golden.py --update``; the diff of ``golden.json`` then shows
+which files moved.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import platform
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+HERE = Path(__file__).resolve().parent
+MANIFEST = HERE / "golden.json"
+RUN_FILES = ("source.ckpt", "source_metrics.csv", "prompt.ckpt", "prompt_metrics.csv", "prompt.ppm", "report.json")
+
+# Set by ``--update``: the test then writes the manifest instead of comparing.
+UPDATE = False
+
+
+def fingerprint() -> dict:
+    """What the bytes depend on besides the code, the config and the seed."""
+    from promptlab import blas  # imported here, after pytest has put src/ on the path for --update
+
+    return {"numpy": np.__version__, "blas": blas.status()["config"], "machine": platform.machine()}
+
+
+def check(files: dict[str, Path]) -> None:
+    """Compare the sha256 of each named file with the manifest; fail naming
+    every file that differs, is missing or is not in the manifest."""
+    found = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in files.items()}
+    if UPDATE:
+        manifest = {"fingerprint": fingerprint(), "sha256": found}
+        MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        return
+    manifest = json.loads(MANIFEST.read_text())
+    if manifest["fingerprint"] != fingerprint():
+        pytest.skip(f"{MANIFEST.name} was made with {manifest['fingerprint']}, this environment is {fingerprint()}")
+    want = manifest["sha256"]
+    moved = sorted(name for name in found.keys() & want.keys() if found[name] != want[name])
+    missing, extra = sorted(want.keys() - found.keys()), sorted(found.keys() - want.keys())
+    if moved or missing or extra:
+        pytest.fail(
+            f"normative files differ from {MANIFEST.name}: changed {moved}, not written {missing}, "
+            f"not in the manifest {extra}; if the change is meant, run python tests/golden.py --update"
+        )
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--update", action="store_true", help="rewrite golden.json instead of comparing with it")
+    args = parser.parse_args(argv)
+    import golden  # the module the test imports, not this __main__ copy
+
+    golden.UPDATE = args.update
+    return pytest.main([f"{HERE / 'test_acceptance.py'}::test_normative_files_match_the_golden_manifest", "-q"])
+
+
+if __name__ == "__main__":
+    sys.exit(main())

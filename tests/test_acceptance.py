@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import conftest
+import golden
 from gradcheck import ALL_CHECKS, ref_block_reduce
 from test_attack import FixedPipeline, _dataset
 from test_mapping import greedy_reference
@@ -290,3 +291,26 @@ def test_criterion_10_ablation_grid_cost_structure(grid_runs, tmp_path):
                 f"adversarial cell (pbl={pbl}) not more expensive: "
                 f"{at_cost} vs {clean_cost}"
             )
+
+
+@pytest.fixture(scope="module")
+def ablation_run(grid_runs, tmp_path_factory):
+    """Criterion 10's ablation grid, run where the manifest test can read its
+    table: that criterion writes into its own temporary directory."""
+    out = tmp_path_factory.mktemp("ablation")
+    cfg = default_config(seed=0, output_dir=str(out))
+    cfg["source"]["checkpoint"] = str(grid_runs["runs"][(0, "standard")][0] / "source.ckpt")
+    run_ablation_grid(cfg)
+    return out
+
+
+def test_normative_files_match_the_golden_manifest(grid_runs, robust_sweeps, ablation_run, tmp_path_factory):
+    """Every normative file of the grid, the sweeps and the ablation has the
+    sha256 that tests/golden.json records (see tests/golden.py)."""
+    files = {
+        f"grid/{out.name}/{name}": out / name for out, _ in grid_runs["runs"].values() for name in golden.RUN_FILES
+    }
+    (sweeps,) = tmp_path_factory.getbasetemp().glob("sweep[0-9]*")  # the directory robust_sweeps made
+    files.update({f"sweep/s{seed}/sweep.csv": sweeps / f"s{seed}" / "sweep.csv" for seed in robust_sweeps})
+    files["ablation/ablation.csv"] = ablation_run / "ablation.csv"
+    golden.check(files)

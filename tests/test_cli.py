@@ -147,6 +147,15 @@ def test_source_data_that_does_not_fit_the_spec_fails_before_the_output_director
     assert not out.exists()
 
 
+def test_frame_without_width_fails_before_the_output_directory(config_file, capsys):
+    """Downstream images as large as the canvas match a frame of width 0."""
+    path, out = config_file(prompt__pad_width=0, data__downstream__image_size=[1, 16, 16])
+    assert main(["eval", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error[config] prompt.pad_width: pad_width must be >= 1, got 0\n"
+    assert not out.exists()
+
+
 def test_directory_checkpoint_fails_before_the_output_directory(config_file, tmp_path, capsys):
     path, out = config_file(source__checkpoint=str(tmp_path))
     assert main(["train-source", "--config", str(path)]) == 1

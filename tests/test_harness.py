@@ -136,6 +136,13 @@ def adversarial(cfg):
     return cfg["source"]
 
 
+def frame(cfg, pad_width, image_size):
+    """Set the frame width and the downstream image size.  With the size a
+    by-hand ``canvas - 2 * pad_width`` gives, a width below 1 used to pass."""
+    cfg["prompt"]["pad_width"] = pad_width
+    cfg["data"]["downstream"]["image_size"] = image_size
+
+
 @pytest.mark.parametrize(
     "mutate, fragment",
     [
@@ -194,6 +201,9 @@ def adversarial(cfg):
         (lambda c: c["source"]["hyper"].__setitem__("learning_rate", np.float32(0.05)), r"^config key 'source\.hyper\.learning_rate' must hold JSON data"),
         (lambda c: c["source"]["spec"]["conv_blocks"][0].__setitem__(2, np.int32(2)), r"^config key 'source\.spec\.conv_blocks\[0\]\[2\]' must hold JSON data"),
         (lambda c: c["source"]["spec"]["input_size"].__setitem__(0, 2), r"^source\.spec\.input_size: the channel count must be 1 or 3, got 2$"),
+        (lambda c: frame(c, 0, [1, 16, 16]), r"^prompt\.pad_width: pad_width must be >= 1, got 0$"),
+        (lambda c: frame(c, -1, [1, 18, 18]), r"^prompt\.pad_width: pad_width must be >= 1, got -1$"),
+        (lambda c: frame(c, 8, [1, 1, 1]), r"^prompt\.pad_width: pad_width 8 leaves no interior on a 16x16 canvas$"),
     ],
 )
 def test_config_validation_messages(mutate, fragment):
@@ -207,6 +217,25 @@ def test_number_leaves_accept_integers():
     cfg = ExperimentConfig.from_dict(small_config(eval__epsilon_grid=[0, 0.05], source__attack={"epsilon": 0}))
     assert cfg.epsilon_grid == [0.0, 0.05] and type(cfg.epsilon_grid[0]) is float
     assert cfg.source_attack.epsilon == 0.0
+
+
+def test_tuples_and_numpy_scalars_load_as_plain_json(tmp_path):
+    """A config built in Python may hold tuples and NumPy scalars of a JSON
+    type; they load as lists and plain numbers, and config.json records the
+    same config as its list form."""
+    raw = small_config(
+        out=tmp_path,
+        source__spec__input_size=(1, 16, 16),
+        source__spec__conv_blocks=((6, 3, 2),),
+        source__hyper__learning_rate=np.float64(0.05),
+    )
+    cfg = ExperimentConfig.from_dict(raw)
+    spec, lr = cfg.raw["source"]["spec"], cfg.raw["source"]["hyper"]["learning_rate"]
+    assert type(spec["input_size"]) is list and type(spec["conv_blocks"][0]) is list
+    assert type(lr) is float and lr == 0.05
+    run_experiment(cfg)
+    stored = json.loads((tmp_path / "config.json").read_text())
+    assert stored == {**small_config(out=tmp_path), "derived_seeds": cfg.derived_seeds}
 
 
 def test_optional_keys_default_and_stay_out_of_config_json(tmp_path):
@@ -289,8 +318,10 @@ def test_source_data_that_does_not_fit_the_spec_fails_before_the_output_director
     [
         ("source_test", np.zeros((4, 1, 16, 12), np.float32), 8, r"images \(1, 16, 12\) do not match"),
         ("source_train", np.zeros((4, 1, 16, 16), np.float32), 9, "has 9 classes, more than source.spec.n_classes=8"),
+        ("downstream_test", np.zeros((4, 1, 6, 6), np.float32), 2, r"images \(1, 6, 6\) do not fill the prompt interior \(1, 8, 8\) "),
+        ("downstream_test", np.zeros((4, 1, 8, 8), np.float32), 5, "has 5 classes, more than K_t=2$"),
     ],
-    ids=["image_size", "n_classes"],
+    ids=["image_size", "n_classes", "downstream_test-image_size", "downstream_test-n_classes"],
 )
 def test_source_files_that_do_not_fit_the_spec_fail_before_the_output_directory(
     tmp_path, split, images, n_classes, fragment
