@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CheckpointError, ConfigError
 from .fileio import atomic_open, read_exact
-from .nets import ConvNetSpec, ModelParams
+from .nets import ConvNetSpec, ModelParams, _layer_shapes
 from .prompt import VisualPrompt
 from .tensor import Tensor
 
@@ -99,8 +99,6 @@ def save_model(path, params: ModelParams) -> None:
 def load_model(path, spec: ConvNetSpec, frozen: bool = False) -> ModelParams:
     """Load a model checkpoint, verifying names and shapes against the spec."""
     loaded = load_tensors(path)
-    from .nets import _layer_shapes  # shape table for verification
-
     expected = dict(_layer_shapes(spec))
     if set(loaded) != set(expected):
         raise CheckpointError(

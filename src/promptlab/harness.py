@@ -30,7 +30,7 @@ from . import blas, heap
 from .attack import AttackConfig, adversarial_accuracies
 from .checkpoint import load_model, save_model, save_prompt
 from .data import Dataset, SynthSpec, generate_synthetic, load_raw, peek_raw_header
-from .errors import ConfigError
+from .errors import CheckpointError, ConfigError
 from .fileio import atomic_open
 from .mapping import PblConfig
 from .metrics import write_metrics
@@ -322,12 +322,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path, seed_override=None, out_override=None) -> "ExperimentConfig":
-        path = Path(path)
-        if not path.exists():
+        if not Path(path).exists():
             raise ConfigError(f"config file not found: {path}")
+        path = _parse("config file", _existing, path)
         try:
-            raw = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+            raw = json.loads(path.read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
         return cls.from_dict(raw, seed_override=seed_override, out_override=out_override)
 
@@ -355,16 +355,22 @@ class ExperimentConfig:
 
     def _validate(self) -> None:
         """Cross-field checks against what the run builds: the canvas channel
-        count against what the prompt image export supports, then each split
-        the run reads (all four, or the downstream pair when the source is
-        loaded from a checkpoint) for its image size and class count (the
-        source pair against the source spec, the downstream pair against the
-        prompt's interior and K_t, the class count of downstream_train), then
-        each temperature against K_t."""
+        count against what the prompt image export supports, then
+        ``source.checkpoint`` (if set) loaded against the source spec, then
+        each split the run reads (all four, or the downstream pair when the
+        source is loaded from a checkpoint) for its image size and class
+        count (the source pair against the source spec, the downstream pair
+        against the prompt's interior and K_t, the class count of
+        downstream_train), then each temperature against K_t."""
         spec = self.source_spec
         channels = spec.input_size[0]
         if channels not in (1, 3):
             raise ConfigError(f"source.spec.input_size: the channel count must be 1 or 3, got {channels}")
+        if self.source_checkpoint is not None:
+            try:
+                load_model(self.source_checkpoint, spec)
+            except CheckpointError as exc:
+                raise CheckpointError(f"source.checkpoint: {exc}") from None
         k_t = self._split_shape("downstream_train")[0]
         prompt = None
         for key in _SPLITS:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor, _make_output, record_op
+from .tensor import Tensor, record_op
 
 __all__ = [
     "PblConfig",
@@ -78,18 +78,14 @@ def block_reduce(v: Tensor, cfg: PblConfig) -> Tensor:
     out_data = np.concatenate(pieces, axis=1)
     arg_cols = np.concatenate(arg_pieces, axis=1)
     assert out_data.shape == (nb, m)
-    out = _make_output(out_data, (v,))
     rows = np.arange(nb)[:, None]
 
     def bwd(g):
-        if not v.requires_grad:
-            return (None,)
         gv = np.zeros_like(v.data)
         gv[rows, arg_cols] = g  # blocks partition the columns: no collisions
         return (gv,)
 
-    record_op(out, (v,), bwd, flops=nb * n)
-    return out
+    return record_op(out_data, (v,), bwd, flops=nb * n)
 
 
 @dataclass(frozen=True)
@@ -122,17 +118,14 @@ def map_labels(i_logits: Tensor, mapping: LabelMapping) -> Tensor:
         raise ShapeError(
             f"mapping index {cols.max()} out of range for reduced dimension {m}"
         )
-    out = _make_output(np.ascontiguousarray(i_logits.data[:, cols]), (i_logits,))
+    out_data = np.ascontiguousarray(i_logits.data[:, cols])
 
     def bwd(g):
-        if not i_logits.requires_grad:
-            return (None,)
         gi = np.zeros_like(i_logits.data)
         np.add.at(gi, (slice(None), cols), g)
         return (gi,)
 
-    record_op(out, (i_logits,), bwd, flops=i_logits.data.shape[0] * cols.size)
-    return out
+    return record_op(out_data, (i_logits,), bwd, flops=out_data.size)
 
 
 def rlm_init(m: int, k_t: int, seed: int) -> LabelMapping:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor, _make_output, record_op
+from .tensor import Tensor, record_op
 
 __all__ = ["VisualPrompt", "apply_prompt"]
 
@@ -89,7 +89,6 @@ def apply_prompt(prompt: VisualPrompt, x_t: Tensor) -> Tensor:
     border = np.clip(prompt.params.data, 0.0, 1.0) * prompt.mask
     out_data = np.broadcast_to(border, (n, c, hh, ww)).copy()
     out_data[:, :, p : hh - p, p : ww - p] = x_t.data
-    out = _make_output(out_data, (prompt.params, x_t))
 
     def bwd(g):
         gp = None
@@ -101,5 +100,4 @@ def apply_prompt(prompt: VisualPrompt, x_t: Tensor) -> Tensor:
             gx = np.ascontiguousarray(g[:, :, p : hh - p, p : ww - p])
         return gp, gx
 
-    record_op(out, (prompt.params, x_t), bwd, flops=n * c * hh * ww)
-    return out
+    return record_op(out_data, (prompt.params, x_t), bwd, flops=n * c * hh * ww)

@@ -7,6 +7,11 @@ gradients into the ``grad`` buffers of the participating leaves.  The
 graph is rebuilt on every forward pass; nothing is retained between
 passes except the leaf tensors themselves.
 
+Every op, the ones here and the custom ones elsewhere in the package
+(``apply_prompt``, ``block_reduce``, ``map_labels``), computes its result
+and a ``backward_fn`` closure, then ends in one ``return record_op(data,
+inputs, backward_fn, flops)``, which wraps the result and records the op.
+
 All values are float32.  Every operation validates its operand shapes
 up front.  The :class:`Tensor` constructor rejects NaN/Inf; op outputs
 and gradients are unchecked, and an overflow is caught where a value
@@ -84,16 +89,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}{flag})"
 
 
-class _TapeEntry:
-    __slots__ = ("output", "inputs", "backward_fn", "flops")
-
-    def __init__(self, output, inputs, backward_fn, flops):
-        self.output = output
-        self.inputs = inputs
-        self.backward_fn = backward_fn
-        self.flops = flops
-
-
 _GRAPH_STACK: list["Graph"] = []
 
 
@@ -107,7 +102,7 @@ class Graph:
     """
 
     def __init__(self):
-        self._tape: list[_TapeEntry] = []
+        self._tape: list[tuple] = []  # (output, inputs, backward_fn, flops) per op
         self._produced: set[int] = set()
         self._counted: set[int] = set()
         self.flops: int = 0
@@ -124,7 +119,7 @@ class Graph:
         return False
 
     def record(self, output: Tensor, inputs: tuple[Tensor, ...], backward_fn, flops: int) -> None:
-        self._tape.append(_TapeEntry(output, inputs, backward_fn, flops))
+        self._tape.append((output, inputs, backward_fn, flops))
         self._produced.add(id(output))
         self.flops += int(flops)
         for t in (output, *inputs):
@@ -140,15 +135,15 @@ class Graph:
             raise GraphError("loss tensor was not produced by this graph")
 
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        for entry in reversed(self._tape):
-            g_out = grads.pop(id(entry.output), None)
+        for output, inputs, backward_fn, flops in reversed(self._tape):
+            g_out = grads.pop(id(output), None)
             if g_out is None:
                 continue  # op not on any path to the loss
-            if not entry.output.requires_grad:
-                continue  # nothing below needs a gradient
-            self.flops += 2 * entry.flops
-            input_grads = entry.backward_fn(g_out)
-            for inp, g_in in zip(entry.inputs, input_grads):
+            if not output.requires_grad:
+                continue  # no input needs a gradient: backward_fn is never called
+            self.flops += 2 * flops
+            input_grads = backward_fn(g_out)
+            for inp, g_in in zip(inputs, input_grads):
                 if g_in is None:
                     continue
                 g_in = _as_f32(g_in)
@@ -171,18 +166,20 @@ class Graph:
                     inp.grad += g_in
 
 
-def record_op(output: Tensor, inputs: tuple[Tensor, ...], backward_fn, flops: int = 0) -> None:
-    """Record a custom op onto the active graph, if one is open."""
-    if _GRAPH_STACK:
-        _GRAPH_STACK[-1].record(output, inputs, backward_fn, flops)
+def record_op(data, inputs: tuple[Tensor, ...], backward_fn, flops: int = 0) -> Tensor:
+    """Wrap an op's result and record the op onto the active graph, if one is open.
 
-
-def _make_output(data: np.ndarray, inputs: tuple[Tensor, ...]) -> Tensor:
-    """Wrap an op's result, unchecked; custom ops (``record_op``) use it too."""
+    The output holds ``data`` as float32, unchecked, and requires grad when
+    any input does.  ``backward_fn(g)`` gets the output's gradient and
+    returns one gradient (or None) per input.  It runs only when the output
+    requires grad, so an op with one input need not check its input's flag.
+    """
     out = Tensor.__new__(Tensor)
-    out.data = data.astype(np.float32, copy=False)
+    out.data = _as_f32(data)
     out.requires_grad = any(t.requires_grad for t in inputs)
     out.grad = None
+    if _GRAPH_STACK:
+        _GRAPH_STACK[-1].record(out, inputs, backward_fn, flops)
     return out
 
 
@@ -204,7 +201,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(
             f"matmul inner dimensions disagree: {a.data.shape} vs {b.data.shape}"
         )
-    out = _make_output(a.data @ b.data, (a, b))
     m, k = a.data.shape
     n = b.data.shape[1]
 
@@ -213,8 +209,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         gb = a.data.T @ g if b.requires_grad else None
         return ga, gb
 
-    record_op(out, (a, b), bwd, flops=2 * m * k * n)
-    return out
+    return record_op(a.data @ b.data, (a, b), bwd, flops=2 * m * k * n)
 
 
 @functools.lru_cache(maxsize=64)
@@ -277,7 +272,6 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
     cols = np.take(x.data.reshape(n, c * h * w), _im2col_index(c, h, w, kh, kw, stride), axis=1, mode="wrap")
     kmat = kernel.data.reshape(f, c * kh * kw)
     out_data = (kmat @ cols.transpose(0, 2, 1)).reshape(n, f, h_out, w_out)
-    out = _make_output(out_data, (x, kernel))
 
     def bwd(g):
         gmat = g.reshape(n, f, h_out * w_out)
@@ -294,48 +288,37 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
             gx = gx.reshape(x.data.shape)
         return gx, gk
 
-    record_op(out, (x, kernel), bwd, flops=2 * n * h_out * w_out * f * c * kh * kw)
-    return out
+    return record_op(out_data, (x, kernel), bwd, flops=2 * n * h_out * w_out * f * c * kh * kw)
 
 
 def relu(x: Tensor) -> Tensor:
     """max(x, 0); gradient passes where x > 0."""
-    out = _make_output(np.maximum(x.data, 0.0), (x,))
 
     def bwd(g):
-        if not x.requires_grad:
-            return (None,)
         return (g * (x.data > 0.0),)
 
-    record_op(out, (x,), bwd, flops=x.data.size)
-    return out
+    return record_op(np.maximum(x.data, 0.0), (x,), bwd, flops=x.data.size)
 
 
 def clamp01(x: Tensor) -> Tensor:
     """Clamp into [0, 1]; gradient passes only on the open interval (0, 1)."""
-    out = _make_output(np.clip(x.data, 0.0, 1.0), (x,))
 
     def bwd(g):
-        if not x.requires_grad:
-            return (None,)
         gate = (x.data > 0.0) & (x.data < 1.0)
         return (g * gate,)
 
-    record_op(out, (x,), bwd, flops=x.data.size)
-    return out
+    return record_op(np.clip(x.data, 0.0, 1.0), (x,), bwd, flops=x.data.size)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of two same-shape tensors."""
     if a.data.shape != b.data.shape:
         raise ShapeError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
-    out = _make_output(a.data + b.data, (a, b))
 
     def bwd(g):
         return (g if a.requires_grad else None, g if b.requires_grad else None)
 
-    record_op(out, (a, b), bwd, flops=a.data.size)
-    return out
+    return record_op(a.data + b.data, (a, b), bwd, flops=a.data.size)
 
 
 def add_row_bias(x: Tensor, bias: Tensor) -> Tensor:
@@ -344,15 +327,13 @@ def add_row_bias(x: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(
             f"add_row_bias needs (N,K) and (K,), got {x.data.shape} and {bias.data.shape}"
         )
-    out = _make_output(x.data + bias.data, (x, bias))
 
     def bwd(g):
         gx = g if x.requires_grad else None
         gb = g.sum(axis=0) if bias.requires_grad else None
         return gx, gb
 
-    record_op(out, (x, bias), bwd, flops=x.data.size)
-    return out
+    return record_op(x.data + bias.data, (x, bias), bwd, flops=x.data.size)
 
 
 def add_channel_bias(x: Tensor, bias: Tensor) -> Tensor:
@@ -361,15 +342,13 @@ def add_channel_bias(x: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(
             f"add_channel_bias needs (N,F,H,W) and (F,), got {x.data.shape} and {bias.data.shape}"
         )
-    out = _make_output(x.data + bias.data[None, :, None, None], (x, bias))
 
     def bwd(g):
         gx = g if x.requires_grad else None
         gb = g.sum(axis=(0, 2, 3)) if bias.requires_grad else None
         return gx, gb
 
-    record_op(out, (x, bias), bwd, flops=x.data.size)
-    return out
+    return record_op(x.data + bias.data[None, :, None, None], (x, bias), bwd, flops=x.data.size)
 
 
 def reshape(x: Tensor, new_shape: tuple[int, ...]) -> Tensor:
@@ -378,28 +357,20 @@ def reshape(x: Tensor, new_shape: tuple[int, ...]) -> Tensor:
         data = x.data.reshape(new_shape)
     except ValueError as exc:
         raise ShapeError(f"cannot reshape {x.data.shape} into {new_shape}: {exc}") from None
-    out = _make_output(np.ascontiguousarray(data), (x,))
 
     def bwd(g):
-        if not x.requires_grad:
-            return (None,)
         return (g.reshape(x.data.shape),)
 
-    record_op(out, (x,), bwd, flops=0)
-    return out
+    return record_op(np.ascontiguousarray(data), (x,), bwd, flops=0)
 
 
 def tensor_sum(x: Tensor) -> Tensor:
     """Sum all elements down to a scalar."""
-    out = _make_output(np.asarray(x.data.sum(), dtype=np.float32), (x,))
 
     def bwd(g):
-        if not x.requires_grad:
-            return (None,)
         return (np.broadcast_to(g, x.data.shape).astype(np.float32),)
 
-    record_op(out, (x,), bwd, flops=x.data.size)
-    return out
+    return record_op(x.data.sum(), (x,), bwd, flops=x.data.size)
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -424,14 +395,10 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     z = z - z.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(z).sum(axis=1))
     loss_val = np.float32((log_norm - z[np.arange(n), y]).mean())
-    out = _make_output(np.asarray(loss_val, dtype=np.float32), (logits,))
 
     def bwd(g):
-        if not logits.requires_grad:
-            return (None,)
         probs = np.exp(z - log_norm[:, None])
         probs[np.arange(n), y] -= 1.0
         return ((probs * (np.float64(g) / n)).astype(np.float32),)
 
-    record_op(out, (logits,), bwd, flops=6 * n * k)
-    return out
+    return record_op(loss_val, (logits,), bwd, flops=6 * n * k)

@@ -214,7 +214,8 @@ def test_criterion_06_robust_source_inheritance(grid_runs):
 
 @pytest.fixture(scope="module")
 def robust_sweeps(grid_runs, tmp_path_factory):
-    """Per-seed temperature sweeps over the saved robust sources."""
+    """Per-seed temperature sweeps over the saved robust sources: the
+    directory they were written under and each seed's rows by T."""
     base = tmp_path_factory.mktemp("sweep")
     tables = {}
     for seed in (0, 1, 2):
@@ -225,13 +226,13 @@ def robust_sweeps(grid_runs, tmp_path_factory):
         cfg["prompt"]["temperature_grid"] = [1, 2, 4]
         rows = sweep_temperature(cfg)
         tables[seed] = {r["T"]: r for r in rows}
-    return tables
+    return {"dir": base, "tables": tables}
 
 
 def test_criterion_07_reduction_benefit(robust_sweeps):
     with criterion(7, "best reduction temperature helps clean accuracy"):
         strict = []
-        for seed, rows in robust_sweeps.items():
+        for seed, rows in robust_sweeps["tables"].items():
             t1 = rows[1]
             best_t = max((2, 4), key=lambda t: rows[t]["std_acc"])
             best = rows[best_t]
@@ -274,14 +275,21 @@ def test_criterion_09_bitwise_reproducibility(grid_runs, tmp_path):
             assert ours == theirs, f"{name} differs between identical runs"
 
 
-def test_criterion_10_ablation_grid_cost_structure(grid_runs, tmp_path):
+@pytest.fixture(scope="module")
+def ablation_run(grid_runs, tmp_path_factory):
+    """The four-cell ablation grid over the seed-0 standard source: its
+    output directory and its rows."""
+    out = tmp_path_factory.mktemp("ablation")
+    cfg = default_config(seed=0, output_dir=str(out))
+    cfg["source"]["checkpoint"] = str(grid_runs["runs"][(0, "standard")][0] / "source.ckpt")
+    return {"dir": out, "rows": run_ablation_grid(cfg)}
+
+
+def test_criterion_10_ablation_grid_cost_structure(ablation_run):
     with criterion(10, "four-cell ablation completes; adversarial cells cost more"):
-        source_ckpt, _ = grid_runs["runs"][(0, "standard")]
-        cfg = default_config(seed=0, output_dir=str(tmp_path / "ablation"))
-        cfg["source"]["checkpoint"] = str(source_ckpt / "source.ckpt")
-        rows = run_ablation_grid(cfg)
+        rows = ablation_run["rows"]
         assert len(rows) == 4
-        assert (tmp_path / "ablation" / "ablation.csv").exists()
+        assert (ablation_run["dir"] / "ablation.csv").exists()
         by_cell = {(r["pbl"], r["at"]): r for r in rows}
         assert set(by_cell) == {(False, False), (False, True), (True, False), (True, True)}
         for pbl in (False, True):
@@ -293,24 +301,13 @@ def test_criterion_10_ablation_grid_cost_structure(grid_runs, tmp_path):
             )
 
 
-@pytest.fixture(scope="module")
-def ablation_run(grid_runs, tmp_path_factory):
-    """Criterion 10's ablation grid, run where the manifest test can read its
-    table: that criterion writes into its own temporary directory."""
-    out = tmp_path_factory.mktemp("ablation")
-    cfg = default_config(seed=0, output_dir=str(out))
-    cfg["source"]["checkpoint"] = str(grid_runs["runs"][(0, "standard")][0] / "source.ckpt")
-    run_ablation_grid(cfg)
-    return out
-
-
-def test_normative_files_match_the_golden_manifest(grid_runs, robust_sweeps, ablation_run, tmp_path_factory):
+def test_normative_files_match_the_golden_manifest(grid_runs, robust_sweeps, ablation_run):
     """Every normative file of the grid, the sweeps and the ablation has the
     sha256 that tests/golden.json records (see tests/golden.py)."""
     files = {
         f"grid/{out.name}/{name}": out / name for out, _ in grid_runs["runs"].values() for name in golden.RUN_FILES
     }
-    (sweeps,) = tmp_path_factory.getbasetemp().glob("sweep[0-9]*")  # the directory robust_sweeps made
-    files.update({f"sweep/s{seed}/sweep.csv": sweeps / f"s{seed}" / "sweep.csv" for seed in robust_sweeps})
-    files["ablation/ablation.csv"] = ablation_run / "ablation.csv"
+    sweeps = robust_sweeps["dir"]
+    files.update({f"sweep/s{seed}/sweep.csv": sweeps / f"s{seed}" / "sweep.csv" for seed in robust_sweeps["tables"]})
+    files["ablation/ablation.csv"] = ablation_run["dir"] / "ablation.csv"
     golden.check(files)

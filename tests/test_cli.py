@@ -99,6 +99,20 @@ def test_invalid_json_reports_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error[config] ")
 
 
+def test_config_directory_reports_one_config_error(tmp_path, capsys):
+    assert main(["eval", "--config", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error[config] config file: path is not a file: {tmp_path}\n"
+
+
+def test_config_that_is_not_utf8_reports_one_config_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"output_dir": "r\u00e9sultats"}'.encode("latin-1"))
+    assert main(["eval", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[config] config file {path} is not valid JSON: 'utf-8' codec can't decode byte 0xe9")
+    assert err.count("\n") == 1
+
+
 def test_corrupt_dataset_reports_data_error(config_file, tmp_path, capsys):
     garbage = tmp_path / "garbage.vpds"
     garbage.write_bytes(b"not a dataset")
@@ -164,6 +178,19 @@ def test_directory_checkpoint_fails_before_the_output_directory(config_file, tmp
     assert not out.exists()
 
 
+def test_checkpoint_of_another_architecture_fails_before_the_output_directory(config_file, tmp_path, capsys):
+    spec = ConvNetSpec(input_size=(1, 16, 16), conv_blocks=((6, 3, 2),), hidden_width=24, n_classes=9)
+    ckpt = tmp_path / "nine.ckpt"
+    save_model(ckpt, init_params(spec, seed=0))
+    path, out = config_file(source__checkpoint=str(ckpt))
+    assert main(["eval", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error[checkpoint] source.checkpoint: entry 'output.weight' has shape (24, 9), architecture wants (24, 8)\n"
+    )
+    assert not out.exists()
+
+
 def test_corrupt_checkpoint_reports_checkpoint_error(config_file, tmp_path, capsys):
     fake = tmp_path / "fake.ckpt"
     fake.write_bytes(b"VPCKgarbage")
@@ -180,8 +207,8 @@ def test_non_finite_checkpoint_reports_one_checkpoint_error(config_file, tmp_pat
     save_model(ckpt, params)
     path, out = config_file(source__checkpoint=str(ckpt))
     assert main(["eval", "--config", str(path)]) == 1
-    assert capsys.readouterr().err == "error[checkpoint] NaN or Inf in entry 'hidden.bias'\n"
-    assert not (out / "prompt.ckpt").exists()
+    assert capsys.readouterr().err == "error[checkpoint] source.checkpoint: NaN or Inf in entry 'hidden.bias'\n"
+    assert not out.exists()
 
 
 def test_subcommand_is_required():

@@ -10,7 +10,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from promptlab import ConfigError, Dataset, VisualPrompt, load_prompt, save_raw
+from promptlab import (
+    CheckpointError,
+    ConfigError,
+    ConvNetSpec,
+    Dataset,
+    VisualPrompt,
+    init_params,
+    load_prompt,
+    save_model,
+    save_raw,
+)
 from promptlab.harness import (
     ExperimentConfig,
     default_config,
@@ -495,6 +505,18 @@ def test_checkpoint_reuse_skips_source_training(experiment_run, tmp_path):
     assert (reused / "source.ckpt").read_bytes() == (out / "source.ckpt").read_bytes()
     # same frozen source + same derived prompt seed => identical prompt phase
     assert (reused / "prompt_metrics.csv").read_bytes() == (out / "prompt_metrics.csv").read_bytes()
+
+
+@pytest.mark.parametrize("entry", [ExperimentConfig.from_dict, run_experiment, sweep_temperature])
+def test_checkpoint_of_another_architecture_fails_before_the_output_directory(tmp_path, entry):
+    spec = ConvNetSpec(input_size=(1, 16, 16), conv_blocks=((6, 3, 2),), hidden_width=24, n_classes=9)
+    ckpt = tmp_path / "nine.ckpt"
+    save_model(ckpt, init_params(spec, seed=0))
+    raw = small_config(out=tmp_path / "out", source__checkpoint=str(ckpt))
+    with pytest.raises(CheckpointError) as info:
+        entry(raw)
+    assert str(info.value) == "source.checkpoint: entry 'output.weight' has shape (24, 9), architecture wants (24, 8)"
+    assert not (tmp_path / "out").exists()
 
 
 def test_checkpointed_config_reads_only_the_downstream_splits(experiment_run, tmp_path):

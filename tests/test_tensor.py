@@ -17,6 +17,7 @@ from promptlab import (
     clamp01,
     conv2d,
     matmul,
+    record_op,
     relu,
     reshape,
     softmax_cross_entropy,
@@ -278,6 +279,66 @@ def test_flop_accounting_forward_and_backward():
     g.backward(loss)
     assert g.flops == 3 * fwd  # backward traversal adds twice the forward cost
     assert g.bytes_tracked > 0
+
+
+def weighted_sum(a, b, upstream):
+    """A custom op, a + 2b, made through record_op from float64 data; its
+    backward_fn appends each gradient it receives to ``upstream``."""
+
+    def bwd(g):
+        upstream.append(g)
+        return (g if a.requires_grad else None, 2.0 * g if b.requires_grad else None)
+
+    return record_op(a.data.astype(np.float64) + 2.0 * b.data, (a, b), bwd, flops=2 * a.size)
+
+
+@pytest.mark.parametrize("a_grad", [False, True])
+@pytest.mark.parametrize("b_grad", [False, True])
+def test_custom_op_output_is_float32_and_requires_grad_when_an_input_does(a_grad, b_grad):
+    a = Tensor([1.0, 2.0], requires_grad=a_grad)
+    b = Tensor([0.25, -1.0], requires_grad=b_grad)
+    out = weighted_sum(a, b, [])
+    assert out.data.dtype == np.float32
+    np.testing.assert_array_equal(out.data, [1.5, 0.0])
+    assert out.requires_grad == (a_grad or b_grad)
+    assert out.grad is None
+
+
+def test_custom_op_outside_a_graph_records_nothing():
+    a = Tensor([1.0, 2.0], requires_grad=True)
+    upstream = []
+    out = weighted_sum(a, Tensor([0.0, 0.0]), upstream)  # no graph open
+    with Graph() as g:
+        loss = tensor_sum(out)
+    g.backward(loss)  # out is a leaf of this graph: its op was never recorded
+    np.testing.assert_array_equal(out.grad, [1.0, 1.0])
+    assert a.grad is None and upstream == []
+
+
+def test_custom_op_backward_gets_the_upstream_gradient():
+    a = Tensor([[1.0, 2.0]], requires_grad=True)
+    b = Tensor([[3.0, 4.0]], requires_grad=True)
+    w = Tensor([[0.5], [-3.0]])
+    upstream = []
+    with Graph() as g:
+        loss = tensor_sum(matmul(weighted_sum(a, b, upstream), w))
+    g.backward(loss)
+    (grad,) = upstream
+    np.testing.assert_array_equal(grad, [[0.5, -3.0]])  # d(loss)/d(out) = w^T
+    np.testing.assert_array_equal(a.grad, [[0.5, -3.0]])
+    np.testing.assert_array_equal(b.grad, [[1.0, -6.0]])
+
+
+def test_custom_op_backward_is_never_called_when_no_input_requires_grad():
+    """The invariant that lets one-input ops skip checking their input's flag."""
+    w = Tensor([[0.5], [-3.0]], requires_grad=True)
+    upstream = []
+    with Graph() as g:
+        out = weighted_sum(Tensor([[1.0, 2.0]]), Tensor([[3.0, 4.0]]), upstream)
+        loss = tensor_sum(matmul(out, w))
+    g.backward(loss)
+    assert upstream == []
+    np.testing.assert_array_equal(w.grad, [[7.0], [10.0]])
 
 
 @pytest.mark.parametrize("op_name", sorted(ALL_CHECKS))
