@@ -75,7 +75,7 @@ def fgsm(pipeline, x: Tensor, y, cfg: AttackConfig, meter=None) -> Tensor:
 
 def _gradient_sign(pipeline, x: np.ndarray, y, meter=None) -> np.ndarray:
     """sign(∇_x loss) of one batch, the attack direction of every budget."""
-    xt = Tensor(x.copy(), requires_grad=True)
+    xt = Tensor(x, requires_grad=True)  # wrapped, not copied: nothing writes to a leaf's data
     with Graph() as g:
         logits = pipeline.logits(xt)
         loss = softmax_cross_entropy(logits, y)

@@ -156,8 +156,10 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
         base = _class_patterns(cls, spec.n_classes, h, w, phases)[:, None, :, :]
         base = np.broadcast_to(base, (spec.samples_per_class, c, h, w))
         noise = rng.uniform(-spec.noise_level, spec.noise_level, size=base.shape)
-        chunks.append(np.clip(base + noise, 0.0, 1.0))
-    images = np.concatenate(chunks).astype(np.float32)
+        # cast per class: elementwise, so the bytes are the same, and the
+        # whole set is never held in float64
+        chunks.append(np.clip(base + noise, 0.0, 1.0).astype(np.float32))
+    images = np.concatenate(chunks)
     labels = np.repeat(np.arange(spec.n_classes, dtype=np.int64), spec.samples_per_class)
     if spec.style == "downstream":
         images = np.ascontiguousarray(1.0 - np.rot90(images, k=1, axes=(2, 3)))

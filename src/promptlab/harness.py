@@ -354,14 +354,20 @@ class ExperimentConfig:
         return hdr["n_classes"], (hdr["c"], hdr["h"], hdr["w"])
 
     def _validate(self) -> None:
-        """Cross-field checks against what the run builds: the canvas channel
-        count against what the prompt image export supports, then
+        """Cross-field checks against what the run builds: ``output_dir``
+        against the file system (its first existing ancestor, or itself,
+        must be a directory, or the run could not create it), then the
+        canvas channel count against what the prompt image export supports, then
         ``source.checkpoint`` (if set) loaded against the source spec, then
         each split the run reads (all four, or the downstream pair when the
         source is loaded from a checkpoint) for its image size and class
         count (the source pair against the source spec, the downstream pair
         against the prompt's interior and K_t, the class count of
         downstream_train), then each temperature against K_t."""
+        out = self.output_dir
+        existing = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())
+        if not existing.is_dir():
+            raise ConfigError(f"output_dir: {existing} exists and is not a directory")
         spec = self.source_spec
         channels = spec.input_size[0]
         if channels not in (1, 3):
@@ -458,14 +464,17 @@ def _prepare_source(cfg: ExperimentConfig, data: dict[str, Dataset], timing: dic
 
 
 def _rusage() -> dict | None:
-    """Minor page faults and user and system CPU seconds so far, of this
-    process and of its joined children; None without ``resource`` (Windows)."""
+    """Minor page faults, user and system CPU seconds and peak RSS
+    (``ru_maxrss``, KiB on Linux) so far, of this process and of its
+    joined children; None without ``resource`` (Windows)."""
     if resource is None:
         return None
     usage = {}
     for who, kind in (("self", resource.RUSAGE_SELF), ("children", resource.RUSAGE_CHILDREN)):
         ru = resource.getrusage(kind)
-        usage[who] = {"minflt": ru.ru_minflt, "utime_s": ru.ru_utime, "stime_s": ru.ru_stime}
+        usage[who] = {
+            "minflt": ru.ru_minflt, "utime_s": ru.ru_utime, "stime_s": ru.ru_stime, "maxrss": ru.ru_maxrss,
+        }
     return usage
 
 
@@ -483,7 +492,8 @@ def session(config):
     number of CPUs the run could use under ``cpus`` (with two or more,
     per-epoch evaluation overlaps training), and under ``rusage`` the
     minor page faults and CPU seconds the block cost this process
-    (``self``) and the workers it joined (``children``).
+    (``self``) and the workers it joined (``children``), with each one's
+    peak RSS at the end of the block (``maxrss``, KiB on Linux).
     """
     cfg = config if isinstance(config, ExperimentConfig) else ExperimentConfig.from_dict(config)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
@@ -501,8 +511,9 @@ def session(config):
     yield cfg, data, source, timing
     if usage is not None:
         end = _rusage()
-        timing["rusage"] = {
-            who: {key: end[who][key] - start for key, start in fields.items()} for who, fields in usage.items()
+        timing["rusage"] = {  # deltas, but maxrss is a high-water mark, so its end value
+            who: {key: end[who][key] - (0 if key == "maxrss" else start) for key, start in fields.items()}
+            for who, fields in usage.items()
         }
     _write_json(cfg.output_dir / "timing.json", timing)
 

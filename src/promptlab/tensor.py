@@ -2,10 +2,13 @@
 
 The library is define-by-run: a :class:`Graph` is opened as a context
 manager, every operation executed inside records itself onto the tape,
-and :func:`backward` replays the tape in reverse to accumulate
+and :meth:`Graph.backward` replays the tape in reverse to accumulate
 gradients into the ``grad`` buffers of the participating leaves.  The
 graph is rebuilt on every forward pass; nothing is retained between
-passes except the leaf tensors themselves.
+passes except the leaf tensors themselves.  Backward keeps only what it
+still reads: it drops each tape entry, with the activations and saved
+buffers its closure holds, as soon as that entry's gradients are
+formed, so a graph is differentiated once.
 
 Every op, the ones here and the custom ones elsewhere in the package
 (``apply_prompt``, ``block_reduce``, ``map_labels``), computes its result
@@ -95,6 +98,10 @@ _GRAPH_STACK: list["Graph"] = []
 class Graph:
     """Tape of recorded operations for one forward/backward cycle.
 
+    :meth:`backward` consumes the tape, releasing each entry once its
+    gradients are formed, so it runs once per graph; a second call
+    raises :class:`GraphError`.
+
     Also keeps deterministic work accounting: ``flops`` counts the
     arithmetic performed (backward traversal adds twice the forward
     cost of each op it visits) and ``bytes_tracked`` sums the buffers
@@ -129,13 +136,18 @@ class Graph:
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(leaf) into every requires_grad leaf."""
+        if self._tape is None:
+            raise GraphError("graph was already differentiated: a graph is differentiated once")
         if loss.data.size != 1:
             raise GraphError(f"backward needs a scalar loss, got shape {loss.data.shape}")
         if id(loss) not in self._produced:
             raise GraphError("loss tensor was not produced by this graph")
 
+        tape, self._tape = self._tape, None
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        for output, inputs, backward_fn, flops in reversed(self._tape):
+        while tape:
+            # popped, so the entry's closure and output are freed once its gradients are formed
+            output, inputs, backward_fn, flops = tape.pop()
             g_out = grads.pop(id(output), None)
             if g_out is None:
                 continue  # op not on any path to the loss
@@ -212,6 +224,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return record_op(a.data @ b.data, (a, b), bwd, flops=2 * m * k * n)
 
 
+_COL_SLICE = 32  # examples per column-gradient GEMM in conv2d's backward
+
+
 @functools.lru_cache(maxsize=64)
 def _im2col_index(c: int, h: int, w: int, kh: int, kw: int, stride: int) -> np.ndarray:
     """Gather index into one flattened (c, h, w) raster, shaped
@@ -241,13 +256,16 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
 
     Implemented as im2col (a cached gather index) followed by one matrix
     product per example, ``kernel @ cols^T``, which writes the
-    (F, H_out*W_out) output rows directly.  The backward pass forms the
-    kernel gradient with one ``tensordot`` over the batch, and the
-    column gradient ``kernel^T @ g`` in (C, kh, kw, H_out, W_out) order.
-    One ``np.add.at`` per example scatters it onto a zeroed input raster
-    through the gather index in that same order, so each input pixel
-    receives its terms in kernel-offset ``(i, j)`` order, starting from
-    zero.  Each dot product and each pixel's sum take the same terms in
+    (F, H_out*W_out) output rows directly.  The patch matrix ``cols`` is
+    kept for backward only when the kernel requires grad, since only the
+    kernel gradient reads it.  The backward pass forms the kernel
+    gradient with one ``tensordot`` over the batch, and the column
+    gradient ``kernel^T @ g`` in (C, kh, kw, H_out, W_out) order, 32
+    examples at a time, so the (N, C*kh*kw, H_out*W_out) buffer is never
+    whole.  One ``np.add.at`` per example scatters each slice onto a
+    zeroed input raster through the gather index in that same order, so
+    each input pixel receives its terms in kernel-offset ``(i, j)``
+    order, starting from zero.  Each dot product and each pixel's sum take the same terms in
     the same order as the plain im2col formulation, so the output and
     gradient bytes match it.
     """
@@ -272,19 +290,22 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
     cols = np.take(x.data.reshape(n, c * h * w), _im2col_index(c, h, w, kh, kw, stride), axis=1, mode="wrap")
     kmat = kernel.data.reshape(f, c * kh * kw)
     out_data = (kmat @ cols.transpose(0, 2, 1)).reshape(n, f, h_out, w_out)
+    if not kernel.requires_grad:
+        cols = None  # only the kernel gradient reads the patches
 
     def bwd(g):
         gmat = g.reshape(n, f, h_out * w_out)
         gk = None
         gx = None
-        if kernel.requires_grad:
+        if cols is not None:
             gk = np.tensordot(gmat.transpose(0, 2, 1), cols, axes=([0, 1], [0, 1])).reshape(kernel.data.shape)
         if x.requires_grad:
-            dc = (kmat.T @ gmat).reshape(n, -1)
             index = _col2im_index(c, h, w, kh, kw, stride)
             gx = np.zeros((n, c * h * w), dtype=np.float32)
-            for b in range(n):
-                np.add.at(gx[b], index, dc[b])
+            for start in range(0, n, _COL_SLICE):
+                dc = (kmat.T @ gmat[start : start + _COL_SLICE]).reshape(-1, index.size)
+                for b, row in enumerate(dc, start):
+                    np.add.at(gx[b], index, row)
             gx = gx.reshape(x.data.shape)
         return gx, gk
 

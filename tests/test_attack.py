@@ -308,3 +308,44 @@ def test_epsilon_grid_takes_one_gradient_per_batch(rng, monkeypatch):
         assert report.n_survived_attack == survived
     assert len({r.n_survived_attack for r in reports}) > 1  # the budgets do differ
 
+
+def _frozen_default_source(n):
+    """A frozen source of the default spec and a batch of ``n`` examples."""
+    from promptlab import ExperimentConfig, SourceClassifier, default_config, init_params
+
+    spec = ExperimentConfig.from_dict(default_config()).source_spec
+    params = init_params(spec, seed=0)
+    params.freeze()
+    gen = np.random.default_rng(0)
+    x = gen.uniform(0.0, 1.0, size=(n, *spec.input_size)).astype(np.float32)
+    return SourceClassifier(params), x, gen.integers(0, spec.n_classes, size=n)
+
+
+def test_gradient_pass_holds_at_most_twice_a_forward_pass():
+    """Backward keeps only what it reads: no patch matrix for a frozen
+    kernel, the column gradient a slice at a time, each tape entry freed
+    once its gradients are formed, the batch wrapped, not copied."""
+    import tracemalloc
+
+    clf, x, y = _frozen_default_source(256)
+
+    def peak(run):
+        run()  # warm the cached gather indices
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    forward = peak(lambda: attack._predict(clf, x))
+    gradient = peak(lambda: attack._gradient_sign(clf, x, y))
+    assert gradient <= 2 * forward, (gradient, forward)
+
+
+def test_gradient_sign_leaves_its_input_unchanged():
+    clf, x, y = _frozen_default_source(40)
+    before = x.tobytes()
+    direction = attack._gradient_sign(clf, x, y)
+    assert x.tobytes() == before
+    assert direction.any()

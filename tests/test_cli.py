@@ -170,6 +170,15 @@ def test_frame_without_width_fails_before_the_output_directory(config_file, caps
     assert not out.exists()
 
 
+def test_output_dir_that_is_a_file_reports_one_config_error(config_file, tmp_path, capsys):
+    path, _ = config_file()
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"keep me")
+    assert main(["train-source", "--config", str(path), "--out", str(taken)]) == 1
+    assert capsys.readouterr().err == f"error[config] output_dir: {taken} exists and is not a directory\n"
+    assert taken.read_bytes() == b"keep me"
+
+
 def test_directory_checkpoint_fails_before_the_output_directory(config_file, tmp_path, capsys):
     path, out = config_file(source__checkpoint=str(tmp_path))
     assert main(["train-source", "--config", str(path)]) == 1

@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import os
 import platform
+import re
 from pathlib import Path
 
 import numpy as np
@@ -294,6 +295,17 @@ def test_entry_points_refuse_a_path(tmp_path, entry, as_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("below", ["", "sub/dir"])
+def test_output_dir_under_a_file_is_a_config_error(tmp_path, below):
+    """The run could not create an output directory that is a file or lies
+    under one; that fails in from_dict, before the run starts."""
+    blocker = tmp_path / "taken"
+    blocker.write_bytes(b"keep me")
+    with pytest.raises(ConfigError, match=re.escape(f"output_dir: {blocker} exists and is not a directory")):
+        ExperimentConfig.from_dict(small_config(out=blocker / below))
+    assert blocker.read_bytes() == b"keep me"
+
+
 def test_non_json_config_fails_before_the_output_directory(tmp_path):
     raw = small_config()
     raw["output_dir"] = tmp_path / "out"  # a Path, where the config holds a string
@@ -438,8 +450,9 @@ def test_timing_records_the_environment_and_what_the_run_cost(tmp_path, cpus):
     )
     for who in ("self", "children"):
         usage = timing["rusage"][who]
-        assert set(usage) == {"minflt", "utime_s", "stime_s"}
+        assert set(usage) == {"minflt", "utime_s", "stime_s", "maxrss"}
         assert usage["minflt"] > 0 and usage["utime_s"] + usage["stime_s"] > 0, who
+        assert usage["maxrss"] > 0, who  # the peak so far, not a delta
 
 
 def test_report_matches_metrics_and_disk(experiment_run):

@@ -70,10 +70,10 @@ def test_conv2d_forward_matches_loop_reference(rng):
         np.testing.assert_allclose(out.data, ref_conv2d(x, k, stride), rtol=2e-5, atol=1e-5)
 
 
-def conv2d_with_gradients(x, k, g, stride):
+def conv2d_with_gradients(x, k, g, stride, kernel_grad=True):
     """conv2d forward and backward with output gradient exactly ``g``;
     returns the input and kernel leaves and the output."""
-    tx, tk = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
+    tx, tk = Tensor(x, requires_grad=True), Tensor(k, requires_grad=kernel_grad)
     with Graph() as graph:
         out = conv2d(tx, tk, stride=stride)
         loss = matmul(reshape(out, (1, out.size)), Tensor(g.reshape(-1, 1)))  # d loss / d out == g exactly
@@ -81,16 +81,19 @@ def conv2d_with_gradients(x, k, g, stride):
     return tx, tk, out
 
 
-def assert_conv2d_bytes_match(gen, n, c, h, w, f, kh, kw, stride):
+def assert_conv2d_bytes_match(gen, n, c, h, w, f, kh, kw, stride, kernel_grad=True):
     x = gen.normal(size=(n, c, h, w)).astype(np.float32)
     k = gen.normal(size=(f, c, kh, kw)).astype(np.float32)
     h_out, w_out = (h - kh) // stride + 1, (w - kw) // stride + 1
     g = gen.normal(size=(n, f, h_out, w_out)).astype(np.float32)
-    tx, tk, out = conv2d_with_gradients(x, k, g, stride)
+    tx, tk, out = conv2d_with_gradients(x, k, g, stride, kernel_grad)
     ref_out, ref_gk, ref_gx = im2col_conv2d_f32(x, k, stride, g)
     assert out.data.tobytes() == ref_out.tobytes()
     # leaf gradients accumulate onto zeros, as the graph does
-    assert tk.grad.tobytes() == (np.zeros_like(k) + ref_gk).tobytes()
+    if kernel_grad:
+        assert tk.grad.tobytes() == (np.zeros_like(k) + ref_gk).tobytes()
+    else:
+        assert tk.grad is None
     assert tx.grad.tobytes() == (np.zeros_like(x) + ref_gx).tobytes()
 
 
@@ -104,6 +107,8 @@ def assert_conv2d_bytes_match(gen, n, c, h, w, f, kh, kw, stride):
         (5, 3, 5, 4, 2, 5, 4, 1),  # kernel the size of the input
         (5, 1, 32, 32, 8, 3, 3, 2),  # the default source net's two conv layers
         (5, 8, 15, 15, 16, 3, 3, 2),
+        (70, 1, 32, 32, 8, 3, 3, 2),  # batches that cross the column gradient's 32-example slices
+        (256, 8, 15, 15, 16, 3, 3, 2),
     ],
 )
 def test_conv2d_bytes_match_the_im2col_formulation(n, c, h, w, f, kh, kw, stride):
@@ -126,6 +131,12 @@ def test_conv2d_bytes_match_the_im2col_formulation(n, c, h, w, f, kh, kw, stride
 def test_conv2d_bytes_match_the_im2col_formulation_property(n, c, f, kh, kw, stride, extra_h, extra_w, seed):
     h, w = kh + extra_h, kw + extra_w  # up to 33
     assert_conv2d_bytes_match(np.random.default_rng(seed), n, c, h, w, f, kh, kw, stride)
+
+
+def test_conv2d_with_a_frozen_kernel_gives_the_same_input_gradient_bytes():
+    """A frozen kernel frees the patch matrix after the forward GEMM; the
+    input gradient does not read it."""
+    assert_conv2d_bytes_match(np.random.default_rng(70), 70, 1, 32, 32, 8, 3, 3, 2, kernel_grad=False)
 
 
 def test_conv2d_input_gradient_adds_each_pixels_terms_in_kernel_offset_order():
@@ -249,6 +260,18 @@ def test_gradients_accumulate_across_backward_calls():
             loss = tensor_sum(x)
         g.backward(loss)
         np.testing.assert_allclose(x.grad, [expected, expected])
+
+
+def test_a_graph_is_differentiated_once():
+    """Backward releases the tape as it runs, so a second pass has nothing
+    to replay: it raises instead of silently adding nothing."""
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with Graph() as g:
+        loss = tensor_sum(relu(x))
+    g.backward(loss)
+    with pytest.raises(GraphError, match="differentiated once"):
+        g.backward(loss)
+    np.testing.assert_array_equal(x.grad, [1.0, 1.0])
 
 
 def test_fan_in_gradient_sums_both_paths():
