@@ -16,7 +16,7 @@ import json
 import platform
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +257,8 @@ class ExperimentConfig:
     metrics_epsilon: float
     splits: dict[str, SynthSpec | Path]  # a generator recipe or a VPDS file per split
     derived_seeds: dict[str, int]
+    # source.checkpoint as validation loaded it, frozen; the run uses it instead of reading the file again
+    source_params: ModelParams | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_dict(cls, raw: dict, seed_override: int | None = None, out_override=None) -> "ExperimentConfig":
@@ -358,7 +360,8 @@ class ExperimentConfig:
         against the file system (its first existing ancestor, or itself,
         must be a directory, or the run could not create it), then the
         canvas channel count against what the prompt image export supports, then
-        ``source.checkpoint`` (if set) loaded against the source spec, then
+        ``source.checkpoint`` (if set) loaded against the source spec and
+        kept, frozen, as ``source_params``, then
         each split the run reads (all four, or the downstream pair when the
         source is loaded from a checkpoint) for its image size and class
         count (the source pair against the source spec, the downstream pair
@@ -374,7 +377,7 @@ class ExperimentConfig:
             raise ConfigError(f"source.spec.input_size: the channel count must be 1 or 3, got {channels}")
         if self.source_checkpoint is not None:
             try:
-                load_model(self.source_checkpoint, spec)
+                self.source_params = load_model(self.source_checkpoint, spec, frozen=True)
             except CheckpointError as exc:
                 raise CheckpointError(f"source.checkpoint: {exc}") from None
         k_t = self._split_shape("downstream_train")[0]
@@ -436,9 +439,8 @@ def _prepare_source(cfg: ExperimentConfig, data: dict[str, Dataset], timing: dic
     """Train (or load) the source model; returns it frozen."""
     out = cfg.output_dir
     if cfg.source_checkpoint is not None:
-        params = load_model(cfg.source_checkpoint, cfg.source_spec, frozen=True)
-        save_model(out / "source.ckpt", params)
-        return params
+        save_model(out / "source.ckpt", cfg.source_params)
+        return cfg.source_params
     t0 = time.perf_counter()
     params = init_params(cfg.source_spec, cfg.derived_seeds["source_init"])
     params, records = train_standard(

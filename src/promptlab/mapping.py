@@ -81,7 +81,7 @@ def block_reduce(v: Tensor, cfg: PblConfig) -> Tensor:
     rows = np.arange(nb)[:, None]
 
     def bwd(g):
-        gv = np.zeros_like(v.data)
+        gv = np.zeros((nb, n), dtype=np.float32)
         gv[rows, arg_cols] = g  # blocks partition the columns: no collisions
         return (gv,)
 
@@ -119,9 +119,10 @@ def map_labels(i_logits: Tensor, mapping: LabelMapping) -> Tensor:
             f"mapping index {cols.max()} out of range for reduced dimension {m}"
         )
     out_data = np.ascontiguousarray(i_logits.data[:, cols])
+    shape = i_logits.data.shape
 
     def bwd(g):
-        gi = np.zeros_like(i_logits.data)
+        gi = np.zeros(shape, dtype=np.float32)
         np.add.at(gi, (slice(None), cols), g)
         return (gi,)
 

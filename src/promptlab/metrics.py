@@ -2,8 +2,9 @@
 
 ``wall_ms`` and ``peak_mem_bytes`` are deterministic proxies rather
 than clock/allocator readings: the differentiation graph counts the
-arithmetic it performs and the buffers it keeps alive, and those counts
-are converted at a fixed nominal rate.  This keeps metrics files
+arithmetic it performs and the bytes of each op output, of each input
+from outside the graph (once) and of each gradient it forms, and those
+counts are converted at a fixed nominal rate.  This keeps metrics files
 bitwise reproducible across runs while still ordering cheap and
 expensive configurations correctly; real elapsed times are reported
 separately by the harness in a non-normative timing sidecar.

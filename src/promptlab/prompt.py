@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor, record_op
+from .tensor import Tensor, _needs_grad, record_op
 
 __all__ = ["VisualPrompt", "apply_prompt"]
 
@@ -89,15 +89,13 @@ def apply_prompt(prompt: VisualPrompt, x_t: Tensor) -> Tensor:
     border = np.clip(prompt.params.data, 0.0, 1.0) * prompt.mask
     out_data = np.broadcast_to(border, (n, c, hh, ww)).copy()
     out_data[:, :, p : hh - p, p : ww - p] = x_t.data
+    params = prompt.params.data
+    gate = prompt.mask & (params >= 0.0) & (params <= 1.0) if _needs_grad(prompt.params) else None
+    x_grad = x_t.requires_grad
 
     def bwd(g):
-        gp = None
-        gx = None
-        if prompt.params.requires_grad:
-            gate = prompt.mask & (prompt.params.data >= 0.0) & (prompt.params.data <= 1.0)
-            gp = g.sum(axis=0) * gate
-        if x_t.requires_grad:
-            gx = np.ascontiguousarray(g[:, :, p : hh - p, p : ww - p])
+        gp = None if gate is None else g.sum(axis=0) * gate
+        gx = np.ascontiguousarray(g[:, :, p : hh - p, p : ww - p]) if x_grad else None
         return gp, gx
 
     return record_op(out_data, (prompt.params, x_t), bwd, flops=n * c * hh * ww)

@@ -5,10 +5,17 @@ manager, every operation executed inside records itself onto the tape,
 and :meth:`Graph.backward` replays the tape in reverse to accumulate
 gradients into the ``grad`` buffers of the participating leaves.  The
 graph is rebuilt on every forward pass; nothing is retained between
-passes except the leaf tensors themselves.  Backward keeps only what it
-still reads: it drops each tape entry, with the activations and saved
-buffers its closure holds, as soon as that entry's gradients are
-formed, so a graph is differentiated once.
+passes except the leaf tensors themselves.
+
+The tape keeps only what backward reads.  An op's output is not on the
+tape: the output names its op by tape position (:attr:`Tensor.node`), so
+an activation is freed as soon as its caller drops it, unless a closure
+kept the array because its gradient reads it.  Closures capture arrays
+and flags fixed at forward time, never input tensors; the graph holds
+only the inputs none of its ops made (parameters, input batches).
+Backward drops each tape entry, with the buffers its closure holds, as
+soon as that entry's gradients are formed, so a graph is differentiated
+once.
 
 Every op, the ones here and the custom ones elsewhere in the package
 (``apply_prompt``, ``block_reduce``, ``map_labels``), computes its result
@@ -63,9 +70,11 @@ class Tensor:
     operations propagate the flag to their outputs.  ``grad`` is filled
     by :func:`backward` for leaves only (tensors not produced inside the
     graph being differentiated); repeated backward calls accumulate.
+    ``node`` is ``(graph, tape position)`` of the op that made the
+    tensor, or None when no graph recorded it.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = _as_f32(data)
@@ -73,6 +82,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
+        self.node: tuple[Graph, int] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -95,23 +105,34 @@ class Tensor:
 _GRAPH_STACK: list["Graph"] = []
 
 
+def _needs_grad(x: Tensor) -> bool:
+    """Whether an op recorded now can be asked for ``x``'s gradient: a
+    graph is open and ``x`` requires grad.  Ops build what only that
+    gradient reads (masks, gates, patches) under this test."""
+    return bool(_GRAPH_STACK) and x.requires_grad
+
+
 class Graph:
     """Tape of recorded operations for one forward/backward cycle.
 
-    :meth:`backward` consumes the tape, releasing each entry once its
-    gradients are formed, so it runs once per graph; a second call
-    raises :class:`GraphError`.
+    Each tape entry holds an op's ``backward_fn``, its flops, whether
+    its output requires grad, the output's shape, and a source per
+    input: the tape position of the op that made the input, or the
+    input itself when none of this graph's ops made it.  So the graph
+    holds no activation, only those outside inputs.  :meth:`backward`
+    keys gradients by tape position and consumes the tape, releasing
+    each entry once its gradients are formed, so it runs once per graph;
+    a second call raises :class:`GraphError`.
 
     Also keeps deterministic work accounting: ``flops`` counts the
     arithmetic performed (backward traversal adds twice the forward
-    cost of each op it visits) and ``bytes_tracked`` sums the buffers
-    that were alive on the tape, gradients included.
+    cost of each op it visits) and ``bytes_tracked`` counts each op
+    output once, each outside input once and each gradient formed.
     """
 
     def __init__(self):
-        self._tape: list[tuple] = []  # (output, inputs, backward_fn, flops) per op
-        self._produced: set[int] = set()
-        self._counted: set[int] = set()
+        self._tape: list[tuple] = []  # (sources, backward_fn, flops, requires_grad, shape) per op
+        self._outside: set[int] = set()  # ids of outside inputs, held by their tape entries
         self.flops: int = 0
         self.bytes_tracked: int = 0
 
@@ -126,13 +147,19 @@ class Graph:
         return False
 
     def record(self, output: Tensor, inputs: tuple[Tensor, ...], backward_fn, flops: int) -> None:
-        self._tape.append((output, inputs, backward_fn, flops))
-        self._produced.add(id(output))
-        self.flops += int(flops)
-        for t in (output, *inputs):
-            if id(t) not in self._counted:
-                self._counted.add(id(t))
+        sources = []
+        for t in inputs:
+            if t.node is not None and t.node[0] is self:
+                sources.append(t.node[1])
+                continue
+            if id(t) not in self._outside:
+                self._outside.add(id(t))
                 self.bytes_tracked += t.data.nbytes
+            sources.append(t)
+        output.node = (self, len(self._tape))
+        self._tape.append((tuple(sources), backward_fn, flops, output.requires_grad, output.data.shape))
+        self.flops += int(flops)
+        self.bytes_tracked += output.data.nbytes
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(leaf) into every requires_grad leaf."""
@@ -140,42 +167,43 @@ class Graph:
             raise GraphError("graph was already differentiated: a graph is differentiated once")
         if loss.data.size != 1:
             raise GraphError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-        if id(loss) not in self._produced:
+        if loss.node is None or loss.node[0] is not self:
             raise GraphError("loss tensor was not produced by this graph")
 
         tape, self._tape = self._tape, None
-        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+        grads: dict[int, np.ndarray] = {loss.node[1]: np.ones_like(loss.data)}
         while tape:
-            # popped, so the entry's closure and output are freed once its gradients are formed
-            output, inputs, backward_fn, flops = tape.pop()
-            g_out = grads.pop(id(output), None)
+            # popped, so the entry's closure is freed once its gradients are formed
+            sources, backward_fn, flops, requires_grad, _shape = tape.pop()
+            g_out = grads.pop(len(tape), None)
             if g_out is None:
                 continue  # op not on any path to the loss
-            if not output.requires_grad:
+            if not requires_grad:
                 continue  # no input needs a gradient: backward_fn is never called
             self.flops += 2 * flops
             input_grads = backward_fn(g_out)
-            for inp, g_in in zip(inputs, input_grads):
+            for src, g_in in zip(sources, input_grads):
                 if g_in is None:
                     continue
                 g_in = _as_f32(g_in)
-                if g_in.shape != inp.data.shape:  # pragma: no cover - defensive
+                made_here = isinstance(src, int)
+                shape = tape[src][4] if made_here else src.data.shape
+                if g_in.shape != shape:  # pragma: no cover - defensive
                     raise GraphError(
                         f"backward produced gradient of shape {g_in.shape} "
-                        f"for input of shape {inp.data.shape}"
+                        f"for input of shape {shape}"
                     )
                 self.bytes_tracked += g_in.nbytes
-                if id(inp) in self._produced:
-                    key = id(inp)
-                    if key in grads:
-                        grads[key] = grads[key] + g_in
+                if made_here:
+                    if src in grads:
+                        grads[src] = grads[src] + g_in
                     else:
-                        grads[key] = g_in
-                elif inp.requires_grad:
+                        grads[src] = g_in
+                elif src.requires_grad:
                     # leaf: accumulate into the persistent buffer
-                    if inp.grad is None:
-                        inp.grad = np.zeros_like(inp.data)
-                    inp.grad += g_in
+                    if src.grad is None:
+                        src.grad = np.zeros_like(src.data)
+                    src.grad += g_in
 
 
 def record_op(data, inputs: tuple[Tensor, ...], backward_fn, flops: int = 0) -> Tensor:
@@ -190,6 +218,7 @@ def record_op(data, inputs: tuple[Tensor, ...], backward_fn, flops: int = 0) -> 
     out.data = _as_f32(data)
     out.requires_grad = any(t.requires_grad for t in inputs)
     out.grad = None
+    out.node = None
     if _GRAPH_STACK:
         _GRAPH_STACK[-1].record(out, inputs, backward_fn, flops)
     return out
@@ -215,16 +244,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         )
     m, k = a.data.shape
     n = b.data.shape[1]
+    a_data = a.data if _needs_grad(b) else None
+    b_data = b.data if _needs_grad(a) else None
 
     def bwd(g):
-        ga = g @ b.data.T if a.requires_grad else None
-        gb = a.data.T @ g if b.requires_grad else None
+        ga = None if b_data is None else g @ b_data.T
+        gb = None if a_data is None else a_data.T @ g
         return ga, gb
 
     return record_op(a.data @ b.data, (a, b), bwd, flops=2 * m * k * n)
 
 
-_COL_SLICE = 32  # examples per column-gradient GEMM in conv2d's backward
+_COL_SLICE = 32  # examples per patch gather and per column-gradient GEMM in conv2d
 
 
 @functools.lru_cache(maxsize=64)
@@ -256,9 +287,13 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
 
     Implemented as im2col (a cached gather index) followed by one matrix
     product per example, ``kernel @ cols^T``, which writes the
-    (F, H_out*W_out) output rows directly.  The patch matrix ``cols`` is
-    kept for backward only when the kernel requires grad, since only the
-    kernel gradient reads it.  The backward pass forms the kernel
+    (F, H_out*W_out) output rows directly into a preallocated output.
+    Patches are gathered and multiplied 32 examples at a time.  The patch
+    matrix ``cols`` is kept whole, for backward, only when the kernel
+    requires grad, since only the kernel gradient reads it; with a frozen
+    kernel only one slice of it is alive at a time.  The closure keeps no
+    input tensor: only ``cols``, the kernel matrix and the input's
+    ``requires_grad`` flag.  The backward pass forms the kernel
     gradient with one ``tensordot`` over the batch, and the column
     gradient ``kernel^T @ g`` in (C, kh, kw, H_out, W_out) order, 32
     examples at a time, so the (N, C*kh*kw, H_out*W_out) buffer is never
@@ -285,47 +320,55 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
         )
     h_out = (h - kh) // stride + 1
     w_out = (w - kw) // stride + 1
-    # im2col: one gather per batch, (n, h_out*w_out, c*kh*kw)
-    # the index is in range by construction; "wrap" skips take's per-index bounds check
-    cols = np.take(x.data.reshape(n, c * h * w), _im2col_index(c, h, w, kh, kw, stride), axis=1, mode="wrap")
+    index = _im2col_index(c, h, w, kh, kw, stride)
+    flat = x.data.reshape(n, c * h * w)
     kmat = kernel.data.reshape(f, c * kh * kw)
-    out_data = (kmat @ cols.transpose(0, 2, 1)).reshape(n, f, h_out, w_out)
-    if not kernel.requires_grad:
-        cols = None  # only the kernel gradient reads the patches
+    # im2col, (n, h_out*w_out, c*kh*kw): whole only when the kernel gradient will read it
+    cols = np.empty((n, *index.shape), dtype=np.float32) if _needs_grad(kernel) else None
+    out_data = np.empty((n, f, h_out * w_out), dtype=np.float32)
+    for start in range(0, n, _COL_SLICE):
+        part = slice(start, start + _COL_SLICE)
+        # the index is in range by construction; "wrap" skips take's per-index bounds check
+        patches = np.take(flat[part], index, axis=1, mode="wrap", out=None if cols is None else cols[part])
+        np.matmul(kmat, patches.transpose(0, 2, 1), out=out_data[part])
+    x_grad = x.requires_grad
 
     def bwd(g):
         gmat = g.reshape(n, f, h_out * w_out)
         gk = None
         gx = None
         if cols is not None:
-            gk = np.tensordot(gmat.transpose(0, 2, 1), cols, axes=([0, 1], [0, 1])).reshape(kernel.data.shape)
-        if x.requires_grad:
+            gk = np.tensordot(gmat.transpose(0, 2, 1), cols, axes=([0, 1], [0, 1])).reshape(f, c, kh, kw)
+        if x_grad:
             index = _col2im_index(c, h, w, kh, kw, stride)
             gx = np.zeros((n, c * h * w), dtype=np.float32)
             for start in range(0, n, _COL_SLICE):
                 dc = (kmat.T @ gmat[start : start + _COL_SLICE]).reshape(-1, index.size)
                 for b, row in enumerate(dc, start):
                     np.add.at(gx[b], index, row)
-            gx = gx.reshape(x.data.shape)
+            gx = gx.reshape(n, c, h, w)
         return gx, gk
 
-    return record_op(out_data, (x, kernel), bwd, flops=2 * n * h_out * w_out * f * c * kh * kw)
+    return record_op(
+        out_data.reshape(n, f, h_out, w_out), (x, kernel), bwd, flops=2 * n * h_out * w_out * f * c * kh * kw
+    )
 
 
 def relu(x: Tensor) -> Tensor:
     """max(x, 0); gradient passes where x > 0."""
+    mask = x.data > 0.0 if _needs_grad(x) else None
 
     def bwd(g):
-        return (g * (x.data > 0.0),)
+        return (g * mask,)
 
     return record_op(np.maximum(x.data, 0.0), (x,), bwd, flops=x.data.size)
 
 
 def clamp01(x: Tensor) -> Tensor:
     """Clamp into [0, 1]; gradient passes only on the open interval (0, 1)."""
+    gate = (x.data > 0.0) & (x.data < 1.0) if _needs_grad(x) else None
 
     def bwd(g):
-        gate = (x.data > 0.0) & (x.data < 1.0)
         return (g * gate,)
 
     return record_op(np.clip(x.data, 0.0, 1.0), (x,), bwd, flops=x.data.size)
@@ -335,9 +378,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of two same-shape tensors."""
     if a.data.shape != b.data.shape:
         raise ShapeError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
+    a_grad, b_grad = a.requires_grad, b.requires_grad
 
     def bwd(g):
-        return (g if a.requires_grad else None, g if b.requires_grad else None)
+        return (g if a_grad else None, g if b_grad else None)
 
     return record_op(a.data + b.data, (a, b), bwd, flops=a.data.size)
 
@@ -348,10 +392,11 @@ def add_row_bias(x: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(
             f"add_row_bias needs (N,K) and (K,), got {x.data.shape} and {bias.data.shape}"
         )
+    x_grad, bias_grad = x.requires_grad, bias.requires_grad
 
     def bwd(g):
-        gx = g if x.requires_grad else None
-        gb = g.sum(axis=0) if bias.requires_grad else None
+        gx = g if x_grad else None
+        gb = g.sum(axis=0) if bias_grad else None
         return gx, gb
 
     return record_op(x.data + bias.data, (x, bias), bwd, flops=x.data.size)
@@ -363,10 +408,11 @@ def add_channel_bias(x: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(
             f"add_channel_bias needs (N,F,H,W) and (F,), got {x.data.shape} and {bias.data.shape}"
         )
+    x_grad, bias_grad = x.requires_grad, bias.requires_grad
 
     def bwd(g):
-        gx = g if x.requires_grad else None
-        gb = g.sum(axis=(0, 2, 3)) if bias.requires_grad else None
+        gx = g if x_grad else None
+        gb = g.sum(axis=(0, 2, 3)) if bias_grad else None
         return gx, gb
 
     return record_op(x.data + bias.data[None, :, None, None], (x, bias), bwd, flops=x.data.size)
@@ -378,18 +424,20 @@ def reshape(x: Tensor, new_shape: tuple[int, ...]) -> Tensor:
         data = x.data.reshape(new_shape)
     except ValueError as exc:
         raise ShapeError(f"cannot reshape {x.data.shape} into {new_shape}: {exc}") from None
+    shape = x.data.shape
 
     def bwd(g):
-        return (g.reshape(x.data.shape),)
+        return (g.reshape(shape),)
 
     return record_op(np.ascontiguousarray(data), (x,), bwd, flops=0)
 
 
 def tensor_sum(x: Tensor) -> Tensor:
     """Sum all elements down to a scalar."""
+    shape = x.data.shape
 
     def bwd(g):
-        return (np.broadcast_to(g, x.data.shape).astype(np.float32),)
+        return (np.broadcast_to(g, shape).astype(np.float32),)
 
     return record_op(x.data.sum(), (x,), bwd, flops=x.data.size)
 

@@ -343,6 +343,35 @@ def test_gradient_pass_holds_at_most_twice_a_forward_pass():
     assert gradient <= 2 * forward, (gradient, forward)
 
 
+def test_forward_and_gradient_passes_keep_only_what_backward_reads():
+    """At batch 256 on the default frozen source, a forward pass gathers
+    patches a slice at a time and keeps no activation its caller dropped,
+    so it peaks below the first layer's patch matrix plus its output; the
+    gradient pass adds only the masks and gradients backward reads."""
+    import tracemalloc
+
+    clf, x, y = _frozen_default_source(256)
+
+    def peak(run):
+        run()  # warm the cached gather indices
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    forward = peak(lambda: attack._predict(clf, x))
+    gradient = peak(lambda: attack._gradient_sign(clf, x, y))
+    spec = clf.params.spec
+    c, h, w = spec.input_size
+    f, k, s = spec.conv_blocks[0]
+    positions = ((h - k) // s + 1) * ((w - k) // s + 1)
+    patches, output = 256 * positions * c * k * k * 4, 256 * f * positions * 4
+    assert forward < patches + output, (forward, patches + output)
+    assert gradient <= 1.25 * forward, (gradient, forward)
+
+
 def test_gradient_sign_leaves_its_input_unchanged():
     clf, x, y = _frozen_default_source(40)
     before = x.tobytes()

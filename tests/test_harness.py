@@ -520,6 +520,21 @@ def test_checkpoint_reuse_skips_source_training(experiment_run, tmp_path):
     assert (reused / "prompt_metrics.csv").read_bytes() == (out / "prompt_metrics.csv").read_bytes()
 
 
+def test_checkpointed_sweep_reads_the_checkpoint_once(experiment_run, tmp_path, monkeypatch):
+    """Validation loads source.checkpoint, and the run uses what it loaded."""
+    from promptlab import harness
+
+    loads = []
+    load_model = harness.load_model
+    monkeypatch.setattr(harness, "load_model", lambda *args, **kw: loads.append(args[0]) or load_model(*args, **kw))
+    out, _ = experiment_run
+    sweep_temperature(
+        small_config(out=tmp_path, source__checkpoint=str(out / "source.ckpt"), prompt__temperature_grid=[1])
+    )
+    assert len(loads) == 1
+    assert (tmp_path / "source.ckpt").read_bytes() == (out / "source.ckpt").read_bytes()
+
+
 @pytest.mark.parametrize("entry", [ExperimentConfig.from_dict, run_experiment, sweep_temperature])
 def test_checkpoint_of_another_architecture_fails_before_the_output_directory(tmp_path, entry):
     spec = ConvNetSpec(input_size=(1, 16, 16), conv_blocks=((6, 3, 2),), hidden_width=24, n_classes=9)

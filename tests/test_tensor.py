@@ -304,6 +304,55 @@ def test_flop_accounting_forward_and_backward():
     assert g.bytes_tracked > 0
 
 
+def test_bytes_tracked_counts_each_output_and_each_outside_input_once():
+    """The counting rule: each op output once, each outside input once
+    (here ``a``, read by two ops), each gradient formed."""
+    a = Tensor(np.ones((2, 3)), requires_grad=True)  # 24 bytes
+    with Graph() as g:
+        loss = tensor_sum(add(relu(a), relu(a)))
+    assert g.bytes_tracked == 24 + 3 * 24 + 4  # a, two relu outputs and the sum, the scalar loss
+    g.backward(loss)
+    assert g.bytes_tracked == 100 + 24 + 2 * 24 + 2 * 24  # d/d(add), d/d(each relu), d/da twice
+
+
+def test_a_tensor_made_in_another_graph_is_a_leaf():
+    """An output of graph A read in graph B is an outside input of B:
+    counted once there, and its ``grad`` accumulates in B's backward."""
+    x = Tensor([1.0, -2.0], requires_grad=True)
+    with Graph():
+        y = relu(x)
+    with Graph() as g:
+        loss = tensor_sum(add(y, y))
+    assert g.bytes_tracked == 8 + 8 + 4  # y once, the sum, the scalar loss
+    g.backward(loss)
+    np.testing.assert_array_equal(y.grad, [2.0, 2.0])
+    assert x.grad is None  # graph A was not differentiated
+    assert g.bytes_tracked == 20 + 8 + 2 * 8
+
+
+def test_the_tape_holds_no_activations():
+    """An op output lives as long as its caller holds it: a frozen-kernel
+    conv2d output dies once the caller rebinds to the bias sum, since no
+    closure and no tape entry keeps it, and backward still forms the
+    im2col formulation's input gradient bytes."""
+    import weakref
+
+    gen = np.random.default_rng(5)
+    x = gen.normal(size=(40, 1, 32, 32)).astype(np.float32)
+    k = gen.normal(size=(8, 1, 3, 3)).astype(np.float32)
+    g = gen.normal(size=(40, 8, 15, 15)).astype(np.float32)
+    tx = Tensor(x, requires_grad=True)
+    with Graph() as graph:
+        h = conv2d(tx, Tensor(k), stride=2)
+        conv_out = weakref.ref(h.data)
+        h = add_channel_bias(h, Tensor(np.zeros(8)))
+        assert conv_out() is None
+        loss = matmul(reshape(h, (1, h.size)), Tensor(g.reshape(-1, 1)))  # d loss / d h == g exactly
+    graph.backward(loss)
+    _out, _gk, ref_gx = im2col_conv2d_f32(x, k, 2, g)
+    assert tx.grad.tobytes() == (np.zeros_like(x) + ref_gx).tobytes()
+
+
 def weighted_sum(a, b, upstream):
     """A custom op, a + 2b, made through record_op from float64 data; its
     backward_fn appends each gradient it receives to ``upstream``."""
