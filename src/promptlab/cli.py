@@ -3,7 +3,8 @@
 Subcommands: ``train-source``, ``train-prompt``, ``eval``, ``sweep-T``,
 ``report``.  All take ``--config PATH`` plus optional ``--seed U64``
 and ``--out DIR`` overrides.  Failures print one machine-greppable
-``error[code] message`` line to stderr and exit nonzero.
+``error[code] message`` line to stderr, the code being the error class's
+``code``, and exit nonzero.
 """
 
 from __future__ import annotations
@@ -11,15 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    DataFormatError,
-    GraphError,
-    NumericsError,
-    PromptLabError,
-    ShapeError,
-)
+from .errors import PromptLabError
 from .harness import (
     ExperimentConfig,
     run_ablation_grid,
@@ -28,17 +21,6 @@ from .harness import (
     sweep_temperature,
     train_and_save_prompt,
 )
-
-_ERROR_CODES = [
-    (ConfigError, "config"),
-    (DataFormatError, "data"),
-    (CheckpointError, "checkpoint"),
-    (NumericsError, "numerics"),
-    (ShapeError, "shape"),
-    (GraphError, "graph"),
-    (PromptLabError, "internal"),
-]
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -88,10 +70,7 @@ def main(argv=None) -> int:
             run_ablation_grid(cfg)
             sys.stdout.write((out / "ablation.csv").read_text())
     except PromptLabError as exc:
-        for klass, code in _ERROR_CODES:
-            if isinstance(exc, klass):
-                print(f"error[{code}] {exc}", file=sys.stderr)
-                break
+        print(f"error[{exc.code}] {exc}", file=sys.stderr)
         return 1
     return 0
 

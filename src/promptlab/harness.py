@@ -31,7 +31,7 @@ from .attack import AttackConfig, adversarial_accuracies
 from .checkpoint import load_model, save_model, save_prompt
 from .data import Dataset, SynthSpec, generate_synthetic, load_raw, peek_raw_header
 from .errors import CheckpointError, ConfigError
-from .fileio import atomic_open
+from .fileio import atomic_open, write_table, write_text
 from .mapping import PblConfig
 from .metrics import write_metrics
 from .nets import ConvNetSpec, ModelParams, init_params
@@ -336,24 +336,27 @@ class ExperimentConfig:
     def pbl(self, temperature: int) -> PblConfig:
         return PblConfig(temperature=temperature, n=self.source_spec.n_classes)
 
+    def _read_splits(self) -> tuple[str, ...]:
+        """The splits the run reads: all four, or only the downstream pair
+        when the source is loaded from ``source.checkpoint``."""
+        return _SPLITS if self.source_checkpoint is None else _SPLITS[2:]
+
     def datasets(self) -> dict[str, Dataset]:
-        """Generate or load the splits ``from_dict`` described that the run
-        reads: all four, or only the downstream pair when the source is
-        loaded from ``source.checkpoint``."""
+        """Generate or load the splits ``from_dict`` described that the run reads."""
         return {
             key: (generate_synthetic if isinstance(src, SynthSpec) else load_raw)(src)
             for key, src in self.splits.items()
-            if self.source_checkpoint is None or key.startswith("downstream")
+            if key in self._read_splits()
         }
 
-    def _split_shape(self, key: str) -> tuple[int, tuple[int, int, int]]:
-        """The class count and image size of split ``key``, without
-        generating or loading it (a VPDS file's header is read)."""
+    def _split_shape(self, key: str) -> tuple[int, int, tuple[int, int, int]]:
+        """The example count, class count and image size of split ``key``,
+        without generating or loading it (a VPDS file's header is read)."""
         split = self.splits[key]
         if isinstance(split, SynthSpec):
-            return split.n_classes, split.image_size
+            return split.n_classes * split.samples_per_class, split.n_classes, split.image_size
         hdr = peek_raw_header(split)
-        return hdr["n_classes"], (hdr["c"], hdr["h"], hdr["w"])
+        return hdr["n"], hdr["n_classes"], (hdr["c"], hdr["h"], hdr["w"])
 
     def _validate(self) -> None:
         """Cross-field checks against what the run builds: ``output_dir``
@@ -362,11 +365,11 @@ class ExperimentConfig:
         canvas channel count against what the prompt image export supports, then
         ``source.checkpoint`` (if set) loaded against the source spec and
         kept, frozen, as ``source_params``, then
-        each split the run reads (all four, or the downstream pair when the
-        source is loaded from a checkpoint) for its image size and class
-        count (the source pair against the source spec, the downstream pair
-        against the prompt's interior and K_t, the class count of
-        downstream_train), then each temperature against K_t."""
+        each split the run reads for examples and classes (an empty one is
+        refused), its image size and its class count (the source pair
+        against the source spec, the downstream pair against the prompt's
+        interior and K_t, the class count of downstream_train), then each
+        temperature against K_t."""
         out = self.output_dir
         existing = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())
         if not existing.is_dir():
@@ -380,13 +383,11 @@ class ExperimentConfig:
                 self.source_params = load_model(self.source_checkpoint, spec, frozen=True)
             except CheckpointError as exc:
                 raise CheckpointError(f"source.checkpoint: {exc}") from None
-        k_t = self._split_shape("downstream_train")[0]
+        k_t = self._split_shape("downstream_train")[1]
         prompt = None
-        for key in _SPLITS:
+        for key in self._read_splits():
             block = key.split("_")[0]
             if block == "source":
-                if self.source_checkpoint is not None:
-                    continue
                 size, size_is = spec.input_size, f"do not match source.spec.input_size {spec.input_size}"
                 # labels index the source logits
                 most, most_is = spec.n_classes, f"source.spec.n_classes={spec.n_classes}"
@@ -397,11 +398,13 @@ class ExperimentConfig:
                 size_is = (f"do not fill the prompt interior {size} "
                            f"(canvas {prompt.canvas}, pad_width {prompt.pad_width})")
                 most, most_is = k_t, f"K_t={k_t}"  # labels index the label mapping
-            n_classes, image_size = self._split_shape(key)
+            n, n_classes, image_size = self._split_shape(key)
             if isinstance(self.splits[key], SynthSpec):
                 size_at, most_at = f"data.{block}.image_size", f"data.{block}.n_classes"
             else:
                 size_at = most_at = f"data.files.{key}"
+            if n == 0 or n_classes == 0:  # a generator recipe always has both
+                raise ConfigError(f"{most_at}: {key} has {n} examples of {n_classes} classes; it needs one of each")
             if image_size != size:
                 raise ConfigError(f"{size_at}: {key} images {image_size} {size_is}")
             if n_classes > most:
@@ -422,17 +425,8 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _write_text(path: Path, text: str) -> None:
-    with atomic_open(path, "w") as fh:
-        fh.write(text)
-
-
 def _write_json(path: Path, obj) -> None:
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _write_table(path: Path, header: str, row_format: str, rows: list[dict]) -> None:
-    _write_text(path, "\n".join([header] + [row_format.format(**r) for r in rows]) + "\n")
+    write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _prepare_source(cfg: ExperimentConfig, data: dict[str, Dataset], timing: dict):
@@ -615,7 +609,7 @@ def sweep_temperature(config) -> list[dict]:
             }
             for t, last in zip(cfg.temperature_grid, finals)
         ]
-        _write_table(
+        write_table(
             cfg.output_dir / "sweep.csv",
             "T,m,std_acc,adv_acc,std_delta,adv_delta",
             "{T},{m},{std_acc:.6f},{adv_acc:.6f},{std_delta:.6f},{adv_delta:.6f}",
@@ -645,7 +639,7 @@ def run_ablation_grid(config) -> list[dict]:
                 wall_ms_per_epoch=sum(r.wall_ms for r in records) / len(records),
                 peak_mem_bytes=max(r.peak_mem_bytes for r in records),
             )
-        _write_table(
+        write_table(
             cfg.output_dir / "ablation.csv",
             "pbl,at,T,std_acc,adv_acc,wall_ms_per_epoch,peak_mem_bytes",
             "{pbl:d},{at:d},{T},{std_acc:.6f},{adv_acc:.6f},{wall_ms_per_epoch:.6f},{peak_mem_bytes}",

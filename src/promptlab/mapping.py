@@ -29,6 +29,8 @@ __all__ = [
     "ilm_update",
 ]
 
+_TALLY_BATCH = 256  # images per reduced_fn call in prediction_frequencies
+
 
 @dataclass(frozen=True)
 class PblConfig:
@@ -62,22 +64,14 @@ def block_reduce(v: Tensor, cfg: PblConfig) -> Tensor:
     if v.data.shape[1] != cfg.n:
         raise ShapeError(f"logit width {v.data.shape[1]} does not match cfg.n={cfg.n}")
     nb, n = v.data.shape
-    t = cfg.temperature
-    m = cfg.m
-    n_full = n // t
-    pieces = []
-    arg_pieces = []
-    if n_full:
-        blocks = v.data[:, : n_full * t].reshape(nb, n_full, t)
-        pieces.append(blocks.max(axis=2))
-        arg_pieces.append(blocks.argmax(axis=2) + np.arange(n_full, dtype=np.int64) * t)
-    if n_full * t < n:
-        tail = v.data[:, n_full * t :]
-        pieces.append(tail.max(axis=1, keepdims=True))
-        arg_pieces.append(tail.argmax(axis=1)[:, None] + n_full * t)
-    out_data = np.concatenate(pieces, axis=1)
-    arg_cols = np.concatenate(arg_pieces, axis=1)
-    assert out_data.shape == (nb, m)
+    t, m = cfg.temperature, cfg.m
+    # a short last block is padded with -inf, which no value beats and which
+    # loses an all -inf tie to the block's first real column
+    blocks = np.full((nb, m * t), -np.inf, dtype=np.float32)
+    blocks[:, :n] = v.data
+    blocks = blocks.reshape(nb, m, t)
+    out_data = blocks.max(axis=2)
+    arg_cols = blocks.argmax(axis=2) + np.arange(m, dtype=np.int64) * t
     rows = np.arange(nb)[:, None]
 
     def bwd(g):
@@ -152,19 +146,20 @@ class FrequencyMatrix:
             raise ConfigError("frequency counts must be non-negative")
 
 
-def prediction_frequencies(reduced_fn, dataset, batch_size: int = 256) -> FrequencyMatrix:
+def prediction_frequencies(reduced_fn, dataset) -> FrequencyMatrix:
     """Tally reduced-logit argmax per downstream class over a dataset.
 
     ``reduced_fn`` maps an image batch (ndarray) to reduced logits
     (N, m) — the pipeline with the label-mapping stage left off.  It is
-    called once per batch; ``m`` is read from the first batch's output.
+    called once per batch of ``_TALLY_BATCH`` images; ``m`` is read from
+    the first batch's output.
     """
     if len(dataset) == 0:
         raise ShapeError("cannot tally frequencies over an empty dataset")
     counts = None
-    for start in range(0, len(dataset), batch_size):
-        xb = dataset.images[start : start + batch_size]
-        yb = dataset.labels[start : start + batch_size]
+    for start in range(0, len(dataset), _TALLY_BATCH):
+        xb = dataset.images[start : start + _TALLY_BATCH]
+        yb = dataset.labels[start : start + _TALLY_BATCH]
         reduced = reduced_fn(xb)
         if counts is None:
             counts = np.zeros((dataset.n_classes, reduced.shape[1]), dtype=np.int64)

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 
 from .errors import ConfigError, DataFormatError, NumericsError
-from .fileio import atomic_open
+from .fileio import write_table
 
 __all__ = ["MetricsRecord", "write_metrics", "read_metrics", "WorkMeter", "WORK_FLOPS_PER_MS"]
 
@@ -25,7 +25,9 @@ __all__ = ["MetricsRecord", "write_metrics", "read_metrics", "WorkMeter", "WORK_
 WORK_FLOPS_PER_MS = 1_000_000
 
 CSV_HEADER = ["epoch", "loss", "std_acc", "adv_acc", "mean_confidence", "wall_ms", "peak_mem_bytes"]
-_FLOAT_FIELDS = {"loss", "std_acc", "adv_acc", "mean_confidence"}
+# per column, in CSV_HEADER order: how a row is written, and the type it is read back as
+_ROW_FORMAT = "{epoch:d},{loss:.6f},{std_acc:.6f},{adv_acc:.6f},{mean_confidence:.6f},{wall_ms:d},{peak_mem_bytes:d}"
+_COLUMN_TYPES = (int, float, float, float, float, int, int)
 
 
 @dataclass(frozen=True)
@@ -78,15 +80,7 @@ def write_metrics(records, path) -> None:
         if r.epoch <= last:
             raise DataFormatError(f"epochs must strictly increase, got {r.epoch} after {last}")
         last = r.epoch
-    with atomic_open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for r in records:
-            row = []
-            for f in fields(r):
-                v = getattr(r, f.name)
-                row.append(f"{v:.6f}" if f.name in _FLOAT_FIELDS else str(int(v)))
-            writer.writerow(row)
+    write_table(path, ",".join(CSV_HEADER), _ROW_FORMAT, [asdict(r) for r in records])
 
 
 def read_metrics(path) -> list[MetricsRecord]:
@@ -99,17 +93,7 @@ def read_metrics(path) -> list[MetricsRecord]:
         for row in reader:
             if len(row) != len(CSV_HEADER):
                 raise DataFormatError(f"bad metrics row {row}")
-            out.append(
-                MetricsRecord(
-                    epoch=int(row[0]),
-                    loss=float(row[1]),
-                    std_acc=float(row[2]),
-                    adv_acc=float(row[3]),
-                    mean_confidence=float(row[4]),
-                    wall_ms=int(row[5]),
-                    peak_mem_bytes=int(row[6]),
-                )
-            )
+            out.append(MetricsRecord(*(cast(value) for cast, value in zip(_COLUMN_TYPES, row))))
     if not out:
         raise DataFormatError("metrics file has no rows")
     return out

@@ -216,14 +216,6 @@ def _train_engine(
     return records
 
 
-def _train_source(params, dataset, hyper, attack, eval_dataset, metrics_epsilon):
-    if params.frozen:
-        raise GraphError("cannot train frozen parameters")
-    return params, _train_engine(
-        params, SourceClassifier(params), dataset, hyper, attack, eval_dataset, metrics_epsilon
-    )
-
-
 def train_standard(
     params: ModelParams,
     dataset: Dataset,
@@ -231,8 +223,9 @@ def train_standard(
     eval_dataset: Dataset | None = None,
     metrics_epsilon: float = 0.0,
 ) -> tuple[ModelParams, list[MetricsRecord]]:
-    """Minimize cross-entropy of the bare classifier on clean batches."""
-    return _train_source(params, dataset, hyper, None, eval_dataset, metrics_epsilon)
+    """Minimize cross-entropy of the bare classifier on clean batches.
+    Frozen ``params`` fail at the first step, as ``sgd_step`` refuses them."""
+    return params, _train_engine(params, SourceClassifier(params), dataset, hyper, None, eval_dataset, metrics_epsilon)
 
 
 def train_adversarial(
@@ -246,7 +239,7 @@ def train_adversarial(
     """Like :func:`train_standard`, but every batch is replaced by its
     single-step sign-attack perturbation before the parameter step
     (one-step approximation of the inner maximization)."""
-    return _train_source(params, dataset, hyper, attack, eval_dataset, metrics_epsilon)
+    return params, _train_engine(params, SourceClassifier(params), dataset, hyper, attack, eval_dataset, metrics_epsilon)
 
 
 def train_prompt(

@@ -10,7 +10,21 @@ import numpy as np
 import pytest
 
 import promptlab
-from promptlab import ConvNetSpec, init_params, save_model
+from promptlab import (
+    CheckpointError,
+    ConfigError,
+    ConvNetSpec,
+    Dataset,
+    DataFormatError,
+    GraphError,
+    NumericsError,
+    PromptLabError,
+    ShapeError,
+    cli,
+    init_params,
+    save_model,
+    save_raw,
+)
 from promptlab.cli import main
 from test_harness import small_config
 
@@ -129,6 +143,51 @@ def test_corrupt_dataset_reports_data_error(config_file, tmp_path, capsys):
     path.write_text(json.dumps(raw))
     assert main(["eval", "--config", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error[data] ")
+
+
+@pytest.mark.parametrize("n, n_classes", [(0, 2), (4, 0)])
+def test_empty_dataset_file_fails_before_the_output_directory(config_file, tmp_path, capsys, n, n_classes):
+    """A VPDS header with no examples or no classes fails validation, not the run."""
+    files = {}
+    for key, size in [("source_train", (8, 1, 16, 16)), ("source_test", (8, 1, 16, 16)),
+                      ("downstream_train", (4, 1, 8, 8)), ("downstream_test", (n, 1, 8, 8))]:
+        files[key] = tmp_path / f"{key}.vpds"
+        save_raw(files[key], Dataset(np.zeros(size, np.float32), np.arange(size[0]) % 2, 2))
+    blob = bytearray(files["downstream_test"].read_bytes())
+    blob[22:26] = n_classes.to_bytes(4, "little")  # K, after magic, version and N, C, h, w
+    files["downstream_test"].write_bytes(bytes(blob))
+    path, out = config_file()
+    raw = json.loads(path.read_text())
+    raw["data"] = {"files": {key: str(file) for key, file in files.items()}}
+    path.write_text(json.dumps(raw))
+    assert main(["eval", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error[config] data.files.downstream_test: downstream_test has {n} examples of {n_classes} classes; "
+        "it needs one of each\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (ShapeError, "shape"),
+        (GraphError, "graph"),
+        (NumericsError, "numerics"),
+        (CheckpointError, "checkpoint"),
+        (DataFormatError, "data"),
+        (ConfigError, "config"),
+        (PromptLabError, "internal"),
+    ],
+)
+def test_each_error_class_prints_its_code(config_file, monkeypatch, capsys, error, code):
+    def fail(cfg):
+        raise error("it went wrong")
+
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    path, _ = config_file()
+    assert main(["eval", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error[{code}] it went wrong\n"
 
 
 def test_bad_data_block_fails_before_the_output_directory(config_file, capsys):

@@ -20,6 +20,7 @@ from promptlab import (
     rlm_init,
     tensor_sum,
 )
+from promptlab import mapping
 
 from gradcheck import ref_block_reduce
 
@@ -92,12 +93,20 @@ def test_block_reduce_temperature_one_is_identity_copy():
 
 
 def test_block_reduce_gradient_routes_to_first_argmax():
-    # column 1 and 2 tie inside block 0: the earlier column wins
-    v = Tensor(np.array([[0.5, 2.0, 2.0, 1.0]], dtype=np.float32), requires_grad=True)
-    with Graph() as g:
-        loss = tensor_sum(block_reduce(v, PblConfig(temperature=3, n=4)))
-    g.backward(loss)
-    np.testing.assert_array_equal(v.grad, [[0.0, 1.0, 0.0, 1.0]])
+    cases = [
+        # column 1 and 2 tie inside block 0: the earlier column wins; block 1 is padded
+        ([0.5, 2.0, 2.0, 1.0], 3, [0.0, 1.0, 0.0, 1.0]),
+        # T > n: one block, padded past every real column
+        ([1.0, 3.0, 3.0], 5, [0.0, 1.0, 0.0]),
+        # T divides n: no padding; the tie in block 0 goes to its first column
+        ([2.0, 2.0, 0.5, 4.0], 2, [1.0, 0.0, 0.0, 1.0]),
+    ]
+    for row, t, grad in cases:
+        v = Tensor(np.array([row], dtype=np.float32), requires_grad=True)
+        with Graph() as g:
+            loss = tensor_sum(block_reduce(v, PblConfig(temperature=t, n=len(row))))
+        g.backward(loss)
+        np.testing.assert_array_equal(v.grad, [grad])
 
 
 def test_block_reduce_validates_width():
@@ -159,7 +168,7 @@ def test_frequency_matrix_validation():
         FrequencyMatrix(np.array([[1, -1]]))
 
 
-def test_prediction_frequencies_tallies_argmax_per_class():
+def test_prediction_frequencies_tallies_argmax_per_class(monkeypatch):
     images = np.zeros((6, 1, 2, 2), dtype=np.float32)
     images[:, 0, 0, 0] = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
     labels = np.array([0, 0, 0, 1, 1, 1])
@@ -170,12 +179,12 @@ def test_prediction_frequencies_tallies_argmax_per_class():
         flag = (batch[:, 0, 0, 0] >= 0.25).astype(np.float32)
         return np.stack([1.0 - flag, np.zeros_like(flag), flag], axis=1)
 
-    freq = prediction_frequencies(reduced_fn, ds, batch_size=4)
+    monkeypatch.setattr(mapping, "_TALLY_BATCH", 4)
+    freq = prediction_frequencies(reduced_fn, ds)
     np.testing.assert_array_equal(freq.counts, [[3, 0, 0], [0, 0, 3]])
     # batch size must not matter
-    np.testing.assert_array_equal(
-        prediction_frequencies(reduced_fn, ds, batch_size=1).counts, freq.counts
-    )
+    monkeypatch.setattr(mapping, "_TALLY_BATCH", 1)
+    np.testing.assert_array_equal(prediction_frequencies(reduced_fn, ds).counts, freq.counts)
 
 
 def test_ilm_update_matches_bruteforce_on_small_grid():
@@ -220,8 +229,8 @@ def test_ilm_update_rejects_narrow_matrix():
         ilm_update(FrequencyMatrix(np.zeros((3, 2), dtype=np.int64)))
 
 
-@pytest.mark.parametrize("n, batch_size", [(1, 4), (6, 4), (8, 4), (9, 256)])
-def test_prediction_frequencies_calls_reduced_fn_once_per_batch(n, batch_size):
+@pytest.mark.parametrize("n, batch_size", [(1, 4), (6, 4), (8, 4), (9, 256), (3, 1)])
+def test_prediction_frequencies_calls_reduced_fn_once_per_batch(monkeypatch, n, batch_size):
     """No probe pass: ``m`` comes from the first batch's output."""
     ds = Dataset(
         images=np.zeros((n, 1, 2, 2), dtype=np.float32),
@@ -234,7 +243,8 @@ def test_prediction_frequencies_calls_reduced_fn_once_per_batch(n, batch_size):
         calls.append(len(batch))
         return np.tile(np.array([0.0, 1.0, 0.0], dtype=np.float32), (len(batch), 1))
 
-    freq = prediction_frequencies(reduced_fn, ds, batch_size=batch_size)
+    monkeypatch.setattr(mapping, "_TALLY_BATCH", batch_size)
+    freq = prediction_frequencies(reduced_fn, ds)
     assert len(calls) == -(-n // batch_size)
     assert sum(calls) == n
     assert freq.counts.shape == (2, 3)
