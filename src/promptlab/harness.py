@@ -36,7 +36,7 @@ from .mapping import PblConfig
 from .metrics import write_metrics
 from .nets import ConvNetSpec, ModelParams, init_params
 from .prompt import VisualPrompt
-from .train import TrainHyper, train_adversarial, train_prompt, train_standard, usable_cpus
+from .train import TrainHyper, _frozen, train_adversarial, train_prompt, train_standard, usable_cpus
 
 __all__ = [
     "ExperimentConfig",
@@ -557,7 +557,8 @@ def train_and_save_prompt(cfg: ExperimentConfig, data: dict[str, Dataset], sourc
 
 
 def _eval_grid(pipeline, dataset, grid) -> list[dict]:
-    reports = adversarial_accuracies(pipeline, dataset, [AttackConfig(eps) for eps in grid])
+    with _frozen(pipeline.prompt):
+        reports = adversarial_accuracies(pipeline, dataset, [AttackConfig(eps) for eps in grid])
     return [{"epsilon": eps, **asdict(report)} for eps, report in zip(grid, reports)]
 
 

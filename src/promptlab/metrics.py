@@ -92,8 +92,11 @@ def read_metrics(path) -> list[MetricsRecord]:
             raise DataFormatError(f"unexpected metrics header {header}")
         for row in reader:
             if len(row) != len(CSV_HEADER):
-                raise DataFormatError(f"bad metrics row {row}")
-            out.append(MetricsRecord(*(cast(value) for cast, value in zip(_COLUMN_TYPES, row))))
+                raise DataFormatError(f"{path} line {reader.line_num}: bad metrics row {row}")
+            try:
+                out.append(MetricsRecord(*(cast(value) for cast, value in zip(_COLUMN_TYPES, row))))
+            except (ValueError, NumericsError) as exc:  # ConfigError is a ValueError
+                raise DataFormatError(f"{path} line {reader.line_num}: bad metrics row {row}: {exc}") from exc
     if not out:
         raise DataFormatError("metrics file has no rows")
     return out

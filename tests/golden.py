@@ -14,8 +14,8 @@ environment with another fingerprint it is skipped, naming both.
 
 ``python tests/golden.py`` runs that test alone.  A change that moves bytes
 on purpose rewrites the manifest from fresh runs with
-``python tests/golden.py --update``; the diff of ``golden.json`` then shows
-which files moved.
+``python tests/golden.py --update``, which prints each entry it changed,
+added or dropped, as its name and the old -> new digest prefix.
 """
 
 from __future__ import annotations
@@ -66,6 +66,16 @@ def check(files: dict[str, Path]) -> None:
         )
 
 
+def rewritten(old: dict[str, str], new: dict[str, str]) -> list[str]:
+    """One line per manifest entry that changed, was added or was dropped:
+    its name and the old -> new sha256 prefix, ``-`` standing for none."""
+    return [
+        f"{name}: {old.get(name, '-')[:12]} -> {new.get(name, '-')[:12]}"
+        for name in sorted(old.keys() | new.keys())
+        if old.get(name) != new.get(name)
+    ]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--update", action="store_true", help="rewrite golden.json instead of comparing with it")
@@ -73,7 +83,12 @@ def main(argv=None) -> int:
     import golden  # the module the test imports, not this __main__ copy
 
     golden.UPDATE = args.update
-    return pytest.main([f"{HERE / 'test_acceptance.py'}::test_normative_files_match_the_golden_manifest", "-q"])
+    before = json.loads(MANIFEST.read_text())["sha256"] if args.update and MANIFEST.exists() else {}
+    status = pytest.main([f"{HERE / 'test_acceptance.py'}::test_normative_files_match_the_golden_manifest", "-q"])
+    if args.update:
+        lines = rewritten(before, json.loads(MANIFEST.read_text())["sha256"])
+        print(f"{MANIFEST.name}: {len(lines)} entries rewritten", *lines, sep="\n")
+    return status
 
 
 if __name__ == "__main__":

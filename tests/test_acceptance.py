@@ -311,3 +311,16 @@ def test_normative_files_match_the_golden_manifest(grid_runs, robust_sweeps, abl
     files.update({f"sweep/s{seed}/sweep.csv": sweeps / f"s{seed}" / "sweep.csv" for seed in robust_sweeps["tables"]})
     files["ablation/ablation.csv"] = ablation_run["dir"] / "ablation.csv"
     golden.check(files)
+
+
+def test_golden_update_names_each_rewritten_entry():
+    """``golden.py --update`` reports each entry that changed, was added or
+    was dropped, with the old and new digest prefixes, and nothing else."""
+    old = {"a.csv": "1" * 64, "b.ckpt": "2" * 64, "gone.csv": "3" * 64}
+    new = {"a.csv": "1" * 64, "b.ckpt": "4" * 64, "new.csv": "5" * 64}
+    assert golden.rewritten(old, new) == [
+        f"b.ckpt: {'2' * 12} -> {'4' * 12}",
+        f"gone.csv: {'3' * 12} -> -",
+        f"new.csv: - -> {'5' * 12}",
+    ]
+    assert golden.rewritten(new, new) == []

@@ -378,3 +378,46 @@ def test_gradient_sign_leaves_its_input_unchanged():
     direction = attack._gradient_sign(clf, x, y)
     assert x.tobytes() == before
     assert direction.any()
+
+
+@pytest.mark.parametrize("pipeline", ["source", "prompted"])
+def test_fgsm_bytes_do_not_depend_on_the_target_gradient_flags(pipeline):
+    """The attack direction is the input gradient's sign, so clearing the
+    trained target's ``requires_grad`` (which skips every parameter
+    gradient) returns the same bytes, and the flags come back."""
+    from promptlab import (
+        ExperimentConfig,
+        PblConfig,
+        PromptedClassifier,
+        SourceClassifier,
+        VisualPrompt,
+        default_config,
+        init_params,
+        rlm_init,
+    )
+    from promptlab.train import _frozen
+
+    spec = ExperimentConfig.from_dict(default_config()).source_spec
+    gen = np.random.default_rng(3)
+    if pipeline == "source":
+        target = init_params(spec, seed=0)
+        clf, size, k = SourceClassifier(target), spec.input_size, spec.n_classes
+    else:
+        canvas = spec.input_size
+        target = VisualPrompt(canvas, 4, Tensor(gen.uniform(-0.3, 0.3, canvas).astype(np.float32), requires_grad=True))
+        source = init_params(spec, seed=0)
+        source.freeze()
+        pbl, k = PblConfig(2, spec.n_classes), 3
+        clf, size = PromptedClassifier(source, target, rlm_init(pbl.m, k, 5), pbl), target.interior_size
+    x = gen.uniform(0.0, 1.0, size=(32, *size)).astype(np.float32)
+    y = gen.integers(0, k, size=32)
+    cfg = AttackConfig(0.05)
+    trained = fgsm(clf, Tensor(x), y, cfg).data
+    assert any(t.grad is not None for _, t in target.named_tensors())  # the parameter gradients were formed
+    for _, t in target.named_tensors():
+        t.grad = None
+    with _frozen(target):
+        frozen = fgsm(clf, Tensor(x), y, cfg).data
+    assert frozen.tobytes() == trained.tobytes()
+    assert (frozen != x).any()
+    assert all(t.grad is None and t.requires_grad for _, t in target.named_tensors())

@@ -441,6 +441,25 @@ def test_run_writes_all_artifacts(experiment_run):
     assert timing["cpus"] == len(os.sched_getaffinity(0))
 
 
+def test_run_leaves_no_gradient_on_the_classifier_prompt(tmp_path, monkeypatch):
+    """The epsilon grid attacks with the prompt's ``requires_grad`` off: the
+    classifier comes back with no gradient and its flags restored."""
+    import promptlab.harness as harness
+
+    kept = []
+    real = harness.train_and_save_prompt
+
+    def keeping(*args, **kwargs):
+        clf, records = real(*args, **kwargs)
+        kept.append(clf)
+        return clf, records
+
+    monkeypatch.setattr(harness, "train_and_save_prompt", keeping)
+    run_experiment(small_config(out=tmp_path, prompt__hyper__epochs=1))
+    (clf,) = kept
+    assert [(t.grad, t.requires_grad) for _, t in clf.prompt.named_tensors()] == [(None, True)]
+
+
 def test_timing_records_the_environment_and_what_the_run_cost(tmp_path, cpus):
     cpus(2)  # the evaluation worker is a child, joined before the session ends
     run_experiment(small_config(out=tmp_path))

@@ -98,6 +98,23 @@ class TestCsvFormat:
         with pytest.raises(DataFormatError, match="bad metrics row"):
             read_metrics(path)
 
+    @pytest.mark.parametrize(
+        "column, cell",
+        [("loss", "abc"), ("epoch", "0.5"), ("std_acc", "1.5"), ("loss", "nan")],
+        ids=["loss-abc", "epoch-0.5", "std_acc-1.5", "loss-nan"],
+    )
+    def test_read_rejects_malformed_cell(self, tmp_path, column, cell):
+        """A cell that does not cast, or casts to a value no record may
+        hold, fails as DataFormatError naming the file and the row."""
+        path = tmp_path / "m.csv"
+        write_metrics([record(epoch=1), record(epoch=2)], path)
+        header, first, second = path.read_text().splitlines()
+        cells = second.split(",")
+        cells[header.split(",").index(column)] = cell
+        path.write_text("\n".join([header, first, ",".join(cells)]) + "\n")
+        with pytest.raises(DataFormatError, match=rf"m\.csv line 3: bad metrics row .*'{cell}'"):
+            read_metrics(path)
+
     def test_read_rejects_empty_body(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("epoch,loss,std_acc,adv_acc,mean_confidence,wall_ms,peak_mem_bytes\n")

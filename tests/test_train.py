@@ -387,6 +387,35 @@ def test_evaluation_clears_the_target_gradient_flags_for_the_call(monkeypatch, c
     assert all(t.requires_grad for t in tensors)
 
 
+@pytest.mark.parametrize("target", ["source", "rlm-prompt"])
+def test_training_attack_clears_the_target_gradient_flags_for_the_call(frozen_source, monkeypatch, cpus, target):
+    """The training attack of ``train_adversarial`` and of an adversarial
+    prompt sees the target's tensors with ``requires_grad`` cleared, so it
+    forms only the input gradient, and each step after it has the flags back."""
+    seen = []
+    real = train.fgsm
+
+    def recording(pipeline, *args, **kwargs):
+        attacked = pipeline.params if isinstance(pipeline, SourceClassifier) else pipeline.prompt
+        seen.append([t.requires_grad for _, t in attacked.named_tensors()])
+        return real(pipeline, *args, **kwargs)
+
+    monkeypatch.setattr(train, "fgsm", recording)
+    cpus(1)
+    hyper = TrainHyper(2, 8, 0.2, 0.9, 5)
+    if target == "source":
+        trained, _ = train_adversarial(init_params(SOURCE_SPEC, seed=2), source_data(spc=4), hyper, AttackConfig(0.05))
+        steps = 2 * 3  # 24 examples in batches of 8
+    else:
+        trained, _, _ = train_prompt(
+            frozen_source, downstream_data(), "rlm", PblConfig(2, 6), hyper, attack=AttackConfig(0.05), pad_width=3
+        )
+        steps = 2 * 4  # 30 examples in batches of 8
+    tensors = [t for _, t in trained.named_tensors()]
+    assert seen == [[False] * len(tensors)] * steps
+    assert all(t.requires_grad for t in tensors)
+
+
 def test_worker_that_dies_fails_the_caller(frozen_source, monkeypatch, cpus):
     caller, real = os.getpid(), train.adversarial_accuracy
     exit_in_worker = lambda *a, **k: real(*a, **k) if os.getpid() == caller else os._exit(3)  # noqa: E731
