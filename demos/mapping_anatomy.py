@@ -50,12 +50,12 @@ def main() -> None:
     params = init_params(spec, seed=0)
     params, _ = train_standard(params, source_train, TrainHyper(8, 16, 0.05, 0.9, 3))
     source = params.copy(frozen=True)
-    pbl = PblConfig(temperature=args.temperature, n=spec.n_classes)
+    pbl = PblConfig(temperature=args.temperature)
 
     # untrained prompt: the tallies reflect only the source's habits
     blank = PromptedClassifier(source, VisualPrompt(spec.input_size, 4), mapping=None, pbl=pbl)
     freq0 = prediction_frequencies(blank.reduced_fn, downstream)
-    print(f"before training (T={args.temperature}, m={pbl.m}):")
+    print(f"before training (T={args.temperature}, m={pbl.m(spec.n_classes)}):")
     show(freq0, ilm_update(freq0), downstream.n_classes)
 
     _, clf, records = train_prompt(

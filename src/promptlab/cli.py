@@ -32,7 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("train-source", "train the source classifier and write its checkpoint"),
         ("train-prompt", "train a visual prompt against the (trained) source"),
         ("eval", "full run: source, prompt, evaluation sweep, report"),
-        ("sweep-T", "temperature sweep against the no-reduction baseline"),
+        ("sweep-T", "temperature sweep against the T = 1 baseline"),
         ("report", "run the reduction x adversarial-training ablation grid"),
     ]:
         p = sub.add_parser(name, help=helptext)

@@ -216,8 +216,6 @@ def load_raw(path) -> Dataset:
         pixels = np.frombuffer(read_exact(fh, count, "pixels", _truncated), dtype=np.uint8)
         if fh.read(1):
             raise DataFormatError("trailing bytes after pixel payload")
-    if labels.size and labels.max() >= k:
-        raise DataFormatError(f"label {labels.max()} out of range for {k} classes")
     try:
         images = (pixels.reshape(n, c, h, w).astype(np.float32)) / 255.0
     except ValueError:  # no pixels, but the other dimensions overflow an array's size

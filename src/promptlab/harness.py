@@ -280,9 +280,7 @@ class ExperimentConfig:
         if pr["lm"] not in ("rlm", "ilm"):
             raise ConfigError(f"prompt.lm must be 'rlm' or 'ilm', got {pr['lm']!r}")
         seeds = _parse("seed", _derive_seeds, raw["seed"])
-        eps_grid = [float(e) for e in ev["epsilon_grid"]]
-        if any(e < 0 for e in eps_grid):
-            raise ConfigError(f"eval.epsilon_grid must be non-negative, got {eps_grid}")
+        eps_grid = [_parse(f"eval.epsilon_grid[{i}]", _attack, e).epsilon for i, e in enumerate(ev["epsilon_grid"])]
         if "files" in data:
             splits = {key: _parse(f"data.files.{key}", _existing, data["files"][key]) for key in _SPLITS}
         else:
@@ -332,9 +330,6 @@ class ExperimentConfig:
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
         return cls.from_dict(raw, seed_override=seed_override, out_override=out_override)
-
-    def pbl(self, temperature: int) -> PblConfig:
-        return PblConfig(temperature=temperature, n=self.source_spec.n_classes)
 
     def _read_splits(self) -> tuple[str, ...]:
         """The splits the run reads: all four, or only the downstream pair
@@ -412,7 +407,7 @@ class ExperimentConfig:
         temperatures = [("prompt.temperature", self.temperature)]
         temperatures += [(f"prompt.temperature_grid[{i}]", t) for i, t in enumerate(self.temperature_grid)]
         for key, t in temperatures:
-            m = _parse(key, self.pbl, t).m
+            m = _parse(key, PblConfig, t).m(spec.n_classes)
             if m < k_t:
                 raise ConfigError(
                     f"{key}: temperature T={t} reduces {spec.n_classes} source logits to "
@@ -515,12 +510,11 @@ def session(config):
 
 
 def _train_prompt_phase(cfg, source, data, temperature, adversarial, final_eval_only=False):
-    pbl = cfg.pbl(temperature) if temperature is not None else None
     return train_prompt(
         source,
         data["downstream_train"],
         cfg.lm,
-        pbl,
+        PblConfig(temperature),
         cfg.prompt_hyper,
         attack=cfg.prompt_attack if adversarial else None,
         pad_width=cfg.pad_width,
@@ -586,23 +580,22 @@ def run_experiment(config) -> dict:
 
 
 def sweep_temperature(config) -> list[dict]:
-    """Improvement-versus-temperature table against the no-reduction baseline.
+    """Improvement-versus-temperature table against the T = 1 baseline.
 
-    Trains the source once, then one prompt per temperature of
-    ``prompt.temperature_grid``, the one place that sets the grid, with
-    identical seeds, plus one run with the reduction stage removed.  Each
-    row holds its run's final-epoch metrics, and each prompt is evaluated
-    only after its last epoch; deltas are relative to the baseline, and
-    the T=1 row is exactly zero by the identity semantics of temperature
-    1.
+    Trains the source once, then a baseline prompt at temperature 1, which
+    reduces nothing, and one prompt per temperature of
+    ``prompt.temperature_grid``, the one place that sets the grid, all with
+    identical seeds.  Each row holds its run's final-epoch metrics, and each
+    prompt is evaluated only after its last epoch; deltas are relative to
+    the baseline, so a T=1 row is exactly zero.
     """
     with session(config) as (cfg, data, source, timing):
-        cells = [(t, cfg.prompt_adversarial) for t in [None, *cfg.temperature_grid]]
+        cells = [(t, cfg.prompt_adversarial) for t in [1, *cfg.temperature_grid]]
         base, *finals = [records[-1] for records in _train_cells(cfg, source, data, cells, timing)]
         rows = [
             {
                 "T": t,
-                "m": cfg.pbl(t).m,
+                "m": PblConfig(t).m(cfg.source_spec.n_classes),
                 "std_acc": last.std_acc,
                 "adv_acc": last.adv_acc,
                 "std_delta": last.std_acc - base.std_acc,

@@ -37,18 +37,14 @@ class PblConfig:
     """Block-reduction settings: ``temperature`` logits merged per block."""
 
     temperature: int
-    n: int
 
     def __post_init__(self):
         if self.temperature < 1:
             raise ConfigError(f"temperature must be >= 1, got {self.temperature}")
-        if self.n < 1:
-            raise ConfigError(f"logit dimension n must be >= 1, got {self.n}")
 
-    @property
-    def m(self) -> int:
-        """Reduced dimension: ceil(n / temperature)."""
-        return -(-self.n // self.temperature)
+    def m(self, n: int) -> int:
+        """Reduced dimension of ``n`` logits: ceil(n / temperature)."""
+        return -(-n // self.temperature)
 
 
 def block_reduce(v: Tensor, cfg: PblConfig) -> Tensor:
@@ -61,10 +57,8 @@ def block_reduce(v: Tensor, cfg: PblConfig) -> Tensor:
     """
     if v.data.ndim != 2:
         raise ShapeError(f"block_reduce needs (N,n) logits, got shape {v.data.shape}")
-    if v.data.shape[1] != cfg.n:
-        raise ShapeError(f"logit width {v.data.shape[1]} does not match cfg.n={cfg.n}")
     nb, n = v.data.shape
-    t, m = cfg.temperature, cfg.m
+    t, m = cfg.temperature, cfg.m(n)
     # a short last block is padded with -inf, which no value beats and which
     # loses an all -inf tie to the block's first real column
     blocks = np.full((nb, m * t), -np.inf, dtype=np.float32)

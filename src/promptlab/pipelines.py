@@ -42,10 +42,6 @@ class PromptedClassifier:
         mapping: LabelMapping | None,
         pbl: PblConfig | None = None,
     ):
-        if pbl is not None and pbl.n != source.spec.n_classes:
-            raise ConfigError(
-                f"reduction expects n={pbl.n} logits but the source emits {source.spec.n_classes}"
-            )
         if prompt.canvas != source.spec.input_size:
             raise ConfigError(
                 f"prompt canvas {prompt.canvas} does not match source input {source.spec.input_size}"

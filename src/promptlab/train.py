@@ -116,6 +116,20 @@ def _evaluate_epoch(values, mapping) -> tuple[float, float]:
     return evaluate()
 
 
+def _check_eval_dataset(dataset: Dataset, eval_dataset: Dataset | None, most: int, most_is: str) -> None:
+    """Refuse an ``eval_dataset`` the phase could not score, before its first
+    step: its images must be the size of ``dataset``'s, and it may have at
+    most ``most`` classes, the count ``most_is`` names."""
+    if eval_dataset is None:
+        return
+    if eval_dataset.image_size != dataset.image_size:
+        raise ConfigError(
+            f"eval_dataset: images {eval_dataset.image_size} do not match the training images {dataset.image_size}"
+        )
+    if eval_dataset.n_classes > most:
+        raise ConfigError(f"eval_dataset: {eval_dataset.n_classes} classes, more than {most_is}={most}")
+
+
 def _train_engine(
     target,
     pipeline,
@@ -234,7 +248,9 @@ def train_standard(
     metrics_epsilon: float = 0.0,
 ) -> tuple[ModelParams, list[MetricsRecord]]:
     """Minimize cross-entropy of the bare classifier on clean batches.
-    Frozen ``params`` fail at the first step, as ``sgd_step`` refuses them."""
+    Frozen ``params`` fail at the first step, as ``sgd_step`` refuses them; an ``eval_dataset``
+    of another image size or with more classes than the spec fails before it, as a ConfigError."""
+    _check_eval_dataset(dataset, eval_dataset, params.spec.n_classes, "spec.n_classes")
     return params, _train_engine(params, SourceClassifier(params), dataset, hyper, None, eval_dataset, metrics_epsilon)
 
 
@@ -249,6 +265,7 @@ def train_adversarial(
     """Like :func:`train_standard`, but every batch is replaced by its
     single-step sign-attack perturbation before the parameter step
     (one-step approximation of the inner maximization)."""
+    _check_eval_dataset(dataset, eval_dataset, params.spec.n_classes, "spec.n_classes")
     return params, _train_engine(params, SourceClassifier(params), dataset, hyper, attack, eval_dataset, metrics_epsilon)
 
 
@@ -279,7 +296,9 @@ def train_prompt(
     None, training is clean.
 
     Each epoch's record holds the accuracies on ``eval_dataset`` (the
-    training set when None); ``adv_acc`` is taken under the sign attack
+    training set when None), which is refused with a ConfigError before
+    the first step if its images are not the size of ``dataset``'s or it
+    has more than K_t classes; ``adv_acc`` is taken under the sign attack
     at ``metrics_epsilon`` and reads 0.0, "not measured", when that is 0.
     With ``final_eval_only=True`` only the last epoch is evaluated: every
     earlier record reads ``std_acc = adv_acc = 0.0``, which means "not
@@ -296,18 +315,17 @@ def train_prompt(
     if lm not in ("rlm", "ilm"):
         raise ConfigError(f"label mapping must be 'rlm' or 'ilm', got {lm!r}")
     k_t = dataset.n_classes
-    m = cfg.m if cfg is not None else source.spec.n_classes
+    t = cfg.temperature if cfg is not None else 1  # no reduction stage reduces as T = 1 does
+    m = PblConfig(t).m(source.spec.n_classes)
     if m < k_t:
-        raise ConfigError(
-            f"reduced dimension m={m} (T={cfg.temperature if cfg else 1}) cannot host "
-            f"K_t={k_t} downstream classes"
-        )
+        raise ConfigError(f"reduced dimension m={m} (T={t}) cannot host K_t={k_t} downstream classes")
     prompt = VisualPrompt(source.spec.input_size, pad_width)
     if dataset.image_size != prompt.interior_size:
         raise ConfigError(
             f"downstream images {dataset.image_size} do not fill the prompt interior "
             f"{prompt.interior_size}"
         )
+    _check_eval_dataset(dataset, eval_dataset, k_t, "K_t")
     clf = PromptedClassifier(source, prompt, mapping=None, pbl=cfg)
 
     def refresh_mapping():

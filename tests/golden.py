@@ -12,10 +12,12 @@ out, because it records a temporary output directory.
 compares fresh runs with it and names every file whose bytes moved; in an
 environment with another fingerprint it is skipped, naming both.
 
-``python tests/golden.py`` runs that test alone.  A change that moves bytes
-on purpose rewrites the manifest from fresh runs with
-``python tests/golden.py --update``, which prints each entry it changed,
-added or dropped, as its name and the old -> new digest prefix.
+``python tests/golden.py`` runs that test alone, and exits non-zero,
+printing the reason, when the test is skipped: a comparison that did not
+run is not a pass.  A change that moves bytes on purpose rewrites the
+manifest from fresh runs with ``python tests/golden.py --update``, which
+prints each entry it changed, added or dropped, as its name and the
+old -> new digest prefix.
 """
 
 from __future__ import annotations
@@ -76,6 +78,17 @@ def rewritten(old: dict[str, str], new: dict[str, str]) -> list[str]:
     ]
 
 
+class Skips:
+    """A pytest plugin that keeps the reason of every skipped test."""
+
+    def __init__(self):
+        self.reasons: list[str] = []
+
+    def pytest_runtest_logreport(self, report):
+        if report.skipped:
+            self.reasons.append(str(report.longrepr[2]))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--update", action="store_true", help="rewrite golden.json instead of comparing with it")
@@ -84,10 +97,15 @@ def main(argv=None) -> int:
 
     golden.UPDATE = args.update
     before = json.loads(MANIFEST.read_text())["sha256"] if args.update and MANIFEST.exists() else {}
-    status = pytest.main([f"{HERE / 'test_acceptance.py'}::test_normative_files_match_the_golden_manifest", "-q"])
+    skips = Skips()
+    test = f"{HERE / 'test_acceptance.py'}::test_normative_files_match_the_golden_manifest"
+    status = pytest.main([test, "-q"], plugins=[skips])
     if args.update:
         lines = rewritten(before, json.loads(MANIFEST.read_text())["sha256"])
         print(f"{MANIFEST.name}: {len(lines)} entries rewritten", *lines, sep="\n")
+    elif skips.reasons:
+        print(f"{MANIFEST.name}: the comparison did not run", *skips.reasons, sep="\n")
+        return 1
     return status
 
 

@@ -283,7 +283,7 @@ def check_block_reduce(rng) -> float:
         if not gaps or min(gaps) > 4 * H:
             break
     w = rng.normal(size=3 * (-(-n // t)))
-    cfg = PblConfig(temperature=t, n=n)
+    cfg = PblConfig(temperature=t)
 
     def build():
         tv = Tensor(v, requires_grad=True)

@@ -10,6 +10,7 @@ by the trend, reproducibility, and ablation criteria.
 import math
 import time
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -108,7 +109,7 @@ def test_criterion_02_block_reduction_oracle():
         for n in (10, 100, 1000):
             for t in (1, 3, 5, 10, 15, 20):
                 v = rng.standard_normal((3, n)).astype(np.float32)
-                out = block_reduce(Tensor(v), PblConfig(temperature=t, n=n)).data
+                out = block_reduce(Tensor(v), PblConfig(temperature=t)).data
                 expected = ref_block_reduce(v, t)
                 assert out.shape[1] == math.ceil(n / t)
                 assert np.array_equal(out, expected), f"mismatch at n={n}, T={t}"
@@ -125,7 +126,7 @@ def test_criterion_02_block_reduction_oracle():
             ("StanfordCars", 5, 196),
         ]
         for name, t, k in published:
-            m = PblConfig(temperature=t, n=1000).m
+            m = PblConfig(temperature=t).m(1000)
             assert m == math.ceil(1000 / t)
             assert m >= k, f"{name}: m={m} cannot host {k} classes at T={t}"
 
@@ -136,7 +137,7 @@ def test_criterion_03_temperature_one_baseline_equivalence(toy_setup):
         hyper = TrainHyper(2, 8, 0.2, 0.9, 5)
         _, _, base = train_prompt(source, downstream, "rlm", None, hyper, pad_width=3)
         _, _, kept = train_prompt(
-            source, downstream, "rlm", PblConfig(1, source.spec.n_classes), hyper, pad_width=3
+            source, downstream, "rlm", PblConfig(1), hyper, pad_width=3
         )
         base_losses = [r.loss for r in base]
         kept_losses = [r.loss for r in kept]
@@ -324,3 +325,20 @@ def test_golden_update_names_each_rewritten_entry():
         f"new.csv: - -> {'5' * 12}",
     ]
     assert golden.rewritten(new, new) == []
+
+
+@pytest.mark.parametrize("skipped, status", [(True, 1), (False, 0)], ids=["skipped", "ran"])
+def test_golden_script_fails_when_the_comparison_is_skipped(monkeypatch, capsys, skipped, status):
+    """``python tests/golden.py`` exits non-zero, printing the reason, when
+    the golden test is skipped, as it is under another fingerprint; pytest
+    itself exits 0 then."""
+    reason = "Skipped: golden.json was made with another fingerprint"
+
+    def run(args, plugins):
+        for plugin in plugins:
+            plugin.pytest_runtest_logreport(SimpleNamespace(skipped=skipped, longrepr=("golden.py", 1, reason)))
+        return 0
+
+    monkeypatch.setattr(golden.pytest, "main", run)
+    assert golden.main([]) == status
+    assert (reason in capsys.readouterr().out) == skipped

@@ -407,8 +407,8 @@ def test_fgsm_bytes_do_not_depend_on_the_target_gradient_flags(pipeline):
         target = VisualPrompt(canvas, 4, Tensor(gen.uniform(-0.3, 0.3, canvas).astype(np.float32), requires_grad=True))
         source = init_params(spec, seed=0)
         source.freeze()
-        pbl, k = PblConfig(2, spec.n_classes), 3
-        clf, size = PromptedClassifier(source, target, rlm_init(pbl.m, k, 5), pbl), target.interior_size
+        pbl, k = PblConfig(2), 3
+        clf, size = PromptedClassifier(source, target, rlm_init(pbl.m(spec.n_classes), k, 5), pbl), target.interior_size
     x = gen.uniform(0.0, 1.0, size=(32, *size)).astype(np.float32)
     y = gen.integers(0, k, size=32)
     cfg = AttackConfig(0.05)

@@ -291,7 +291,7 @@ def test_load_rejects_label_outside_class_count(tmp_path):
     buf.write(bytes(4))
     path = tmp_path / "bad.vpds"
     path.write_bytes(buf.getvalue())
-    with pytest.raises(DataFormatError, match="out of range"):
+    with pytest.raises(DataFormatError, match="labels must lie in"):
         load_raw(path)
 
 

@@ -16,6 +16,7 @@ from promptlab import (
     ConfigError,
     ConvNetSpec,
     Dataset,
+    PblConfig,
     VisualPrompt,
     init_params,
     load_prompt,
@@ -162,7 +163,7 @@ def frame(cfg, pad_width, image_size):
         (lambda c: c["source"]["hyper"].pop("epochs"), "source.hyper"),
         (lambda c: c["source"].__setitem__("regime", "fast"), "regime"),
         (lambda c: c["prompt"].__setitem__("lm", "xlm"), "prompt.lm"),
-        (lambda c: c["eval"].__setitem__("epsilon_grid", [-0.1]), "non-negative"),
+        (lambda c: c["eval"].__setitem__("epsilon_grid", [-0.1]), r"eval\.epsilon_grid\[0\]: epsilon must be >= 0, got -0\.1"),
         (lambda c: c["prompt"].__setitem__("temperature", 8), r"m=1 < K_t=2"),
         (lambda c: c["prompt"].__setitem__("pad_width", 3), "prompt interior"),
         (lambda c: c["source"].__setitem__("checkpoint", "no/such.ckpt"), "checkpoint"),
@@ -593,6 +594,22 @@ def test_adversarial_regime_extends_source_metrics(tmp_path):
 # sweep and ablation
 
 
+def test_sweep_baseline_is_the_temperature_one_cell(tmp_path, monkeypatch):
+    """The baseline trains first, with a T = 1 reduction stage, like every grid cell has a stage."""
+    import promptlab.harness as harness
+
+    seen = []
+    real = harness.train_prompt
+
+    def recording(*args, **kwargs):
+        seen.append(args[3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "train_prompt", recording)
+    sweep_temperature(small_config(out=tmp_path, prompt__temperature_grid=[2, 4]))
+    assert seen == [PblConfig(1), PblConfig(2), PblConfig(4)]
+
+
 def test_sweep_t1_delta_is_exactly_zero(tmp_path):
     rows = sweep_temperature(small_config(out=tmp_path, prompt__temperature_grid=[1, 2]))
     assert [r["T"] for r in rows] == [1, 2]
@@ -606,7 +623,7 @@ def test_sweep_t1_delta_is_exactly_zero(tmp_path):
     assert len(lines) == 3
     assert lines[1].startswith("1,8,")
     cells_s = json.loads((tmp_path / "timing.json").read_text())["prompt_cells_s"]
-    assert len(cells_s) == 3  # the no-reduction baseline, then T=1 and T=2
+    assert len(cells_s) == 3  # the T=1 baseline, then T=1 and T=2
     assert all(s > 0 for s in cells_s)
 
 
@@ -624,7 +641,7 @@ def test_sweep_rows_are_the_final_epoch_records(tmp_path, monkeypatch, metrics_e
 
     monkeypatch.setattr(harness, "train_prompt", recording)
     rows = sweep_temperature(small_config(out=tmp_path, eval__metrics_epsilon=metrics_epsilon))
-    base, *cells = finals  # the no-reduction baseline trains first
+    base, *cells = finals  # the T=1 baseline trains first
     assert len(cells) == len(rows) == 3
     for row, last in zip(rows, cells):
         assert (row["std_acc"], row["adv_acc"]) == (last.std_acc, last.adv_acc)

@@ -61,18 +61,16 @@ def greedy_reference(counts: np.ndarray) -> tuple[int, ...]:
 
 def test_pbl_config_validation_and_m():
     with pytest.raises(ConfigError):
-        PblConfig(temperature=0, n=10)
-    with pytest.raises(ConfigError):
-        PblConfig(temperature=2, n=0)
-    assert PblConfig(temperature=3, n=10).m == 4  # 10 = 3+3+3+1
-    assert PblConfig(temperature=5, n=10).m == 2
-    assert PblConfig(temperature=20, n=10).m == 1
+        PblConfig(temperature=0)
+    assert PblConfig(temperature=3).m(10) == 4  # 10 = 3+3+3+1
+    assert PblConfig(temperature=5).m(10) == 2
+    assert PblConfig(temperature=20).m(10) == 1
 
 
 def test_block_reduce_matches_oracle_including_ragged_tail(rng):
     for n, t in [(10, 3), (10, 4), (7, 2), (12, 5), (9, 9), (5, 1)]:
         v = rng.normal(size=(4, n)).astype(np.float32)
-        out = block_reduce(Tensor(v), PblConfig(temperature=t, n=n))
+        out = block_reduce(Tensor(v), PblConfig(temperature=t))
         assert out.data.shape == (4, -(-n // t))
         np.testing.assert_array_equal(out.data, ref_block_reduce(v, t))
 
@@ -81,13 +79,13 @@ def test_block_reduce_matches_oracle_including_ragged_tail(rng):
 @settings(max_examples=80, deadline=None, derandomize=True)
 def test_block_reduce_oracle_property(n, t, seed):
     v = np.random.Generator(np.random.PCG64(seed)).normal(size=(3, n)).astype(np.float32)
-    out = block_reduce(Tensor(v), PblConfig(temperature=t, n=n))
+    out = block_reduce(Tensor(v), PblConfig(temperature=t))
     np.testing.assert_array_equal(out.data, ref_block_reduce(v, t))
 
 
 def test_block_reduce_temperature_one_is_identity_copy():
     v = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))
-    out = block_reduce(v, PblConfig(temperature=1, n=3))
+    out = block_reduce(v, PblConfig(temperature=1))
     np.testing.assert_array_equal(out.data, v.data)
     assert out.data is not v.data
 
@@ -104,16 +102,14 @@ def test_block_reduce_gradient_routes_to_first_argmax():
     for row, t, grad in cases:
         v = Tensor(np.array([row], dtype=np.float32), requires_grad=True)
         with Graph() as g:
-            loss = tensor_sum(block_reduce(v, PblConfig(temperature=t, n=len(row))))
+            loss = tensor_sum(block_reduce(v, PblConfig(temperature=t)))
         g.backward(loss)
         np.testing.assert_array_equal(v.grad, [grad])
 
 
 def test_block_reduce_validates_width():
     with pytest.raises(ShapeError):
-        block_reduce(Tensor(np.zeros((2, 5), dtype=np.float32)), PblConfig(temperature=2, n=6))
-    with pytest.raises(ShapeError):
-        block_reduce(Tensor(np.zeros(5, dtype=np.float32)), PblConfig(temperature=2, n=5))
+        block_reduce(Tensor(np.zeros(5, dtype=np.float32)), PblConfig(temperature=2))
 
 
 # ---------------------------------------------------------------------------

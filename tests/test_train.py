@@ -3,6 +3,7 @@ equivalence between temperature-1 reduction and no reduction at all."""
 
 import multiprocessing
 import os
+import re
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
@@ -200,12 +201,41 @@ def test_prompt_rejects_unknown_mapping_policy(frozen_source):
 
 
 def test_prompt_rejects_overcompressed_reduction(frozen_source):
-    cfg = PblConfig(temperature=4, n=6)  # m = 2 slots for 3 classes
+    cfg = PblConfig(temperature=4)  # m = 2 slots for 3 classes
     with pytest.raises(
         ConfigError, match=r"reduced dimension m=2 \(T=4\) cannot host K_t=3"
     ):
         train_prompt(frozen_source, downstream_data(), "rlm", cfg,
                      TrainHyper(1, 8, 0.1, 0.9, 0), pad_width=3)
+
+
+@pytest.mark.parametrize("phase", ["standard", "adversarial", "prompt"])
+@pytest.mark.parametrize("fault", ["image-size", "class-count"])
+def test_malformed_eval_dataset_is_refused_before_the_first_step(frozen_source, monkeypatch, cpus, phase, fault):
+    """An evaluation set with another image size than the training set's, or
+    with more classes than the phase scores (the source head's 6, a
+    prompt's K_t = 3), fails before the first step, also where a worker
+    would evaluate it."""
+    steps = []
+    monkeypatch.setattr(train, "sgd_step", lambda *args: steps.append(args))
+    started = cpus(2)
+    hyper = TrainHyper(3, 8, 0.1, 0.9, 0)
+    train_set, bound = (downstream_data(), "K_t=3") if phase == "prompt" else (source_data(), "spec.n_classes=6")
+    if fault == "image-size":
+        eval_set = generate_synthetic(SynthSpec(train_set.n_classes, 2, (1, 4, 4), "downstream", 0.3, seed=7))
+        match = re.escape(f"eval_dataset: images (1, 4, 4) do not match the training images {train_set.image_size}")
+    else:
+        eval_set = generate_synthetic(SynthSpec(train_set.n_classes + 1, 2, train_set.image_size, "downstream", 0.3, seed=7))
+        match = f"eval_dataset: {train_set.n_classes + 1} classes, more than {bound}"
+    with pytest.raises(ConfigError, match=match):
+        if phase == "prompt":
+            train_prompt(frozen_source, train_set, "ilm", PblConfig(2), hyper, pad_width=3, eval_dataset=eval_set)
+        elif phase == "adversarial":
+            train_adversarial(init_params(SOURCE_SPEC, seed=2), train_set, hyper, AttackConfig(0.05), eval_set)
+        else:
+            train_standard(init_params(SOURCE_SPEC, seed=2), train_set, hyper, eval_set)
+    assert steps == []
+    assert started == []
 
 
 def test_prompt_rejects_interior_mismatch(frozen_source):
@@ -263,7 +293,7 @@ def test_temperature_one_equals_no_reduction(frozen_source):
         frozen_source, downstream_data(), "rlm", None, hyper, pad_width=3
     )
     p_t1, _, recs_t1 = train_prompt(
-        frozen_source, downstream_data(), "rlm", PblConfig(1, 6), hyper, pad_width=3
+        frozen_source, downstream_data(), "rlm", PblConfig(1), hyper, pad_width=3
     )
     assert [r.loss for r in recs_t1] == [r.loss for r in recs_none]
     assert p_t1.params.data.tobytes() == p_none.params.data.tobytes()
@@ -274,7 +304,7 @@ def test_prompt_training_is_deterministic(frozen_source):
     outs = []
     for _ in range(2):
         prompt, _, records = train_prompt(
-            frozen_source, downstream_data(), "ilm", PblConfig(2, 6), hyper, pad_width=3
+            frozen_source, downstream_data(), "ilm", PblConfig(2), hyper, pad_width=3
         )
         outs.append((prompt.params.data.tobytes(), records))
     assert outs[0] == outs[1]
@@ -283,10 +313,10 @@ def test_prompt_training_is_deterministic(frozen_source):
 def test_adversarial_prompt_training_costs_more(frozen_source):
     hyper = TrainHyper(2, 8, 0.2, 0.9, 5)
     _, _, clean = train_prompt(
-        frozen_source, downstream_data(), "rlm", PblConfig(2, 6), hyper, pad_width=3
+        frozen_source, downstream_data(), "rlm", PblConfig(2), hyper, pad_width=3
     )
     _, _, robust = train_prompt(
-        frozen_source, downstream_data(), "rlm", PblConfig(2, 6), hyper,
+        frozen_source, downstream_data(), "rlm", PblConfig(2), hyper,
         attack=AttackConfig(0.05), pad_width=3,
     )
     assert len(robust) == 2
@@ -296,9 +326,9 @@ def test_adversarial_prompt_training_costs_more(frozen_source):
 @pytest.mark.parametrize(
     "lm, cfg, adversarial, metrics_epsilon",
     [
-        ("ilm", PblConfig(2, 6), False, 0.05),
-        ("ilm", PblConfig(2, 6), False, 0.0),
-        ("rlm", PblConfig(2, 6), True, 0.05),
+        ("ilm", PblConfig(2), False, 0.05),
+        ("ilm", PblConfig(2), False, 0.0),
+        ("rlm", PblConfig(2), True, 0.05),
     ],
     ids=["ilm-adv-metrics", "ilm-clean-metrics", "rlm-adversarial-prompt"],
 )
@@ -332,7 +362,7 @@ def test_final_eval_only_changes_only_the_earlier_accuracies(frozen_source, lm, 
 
 def train_ilm_prompt(source, epochs=3, metrics_epsilon=0.05):
     return train_prompt(
-        source, downstream_data(), "ilm", PblConfig(2, 6), TrainHyper(epochs, 8, 0.2, 0.9, 5),
+        source, downstream_data(), "ilm", PblConfig(2), TrainHyper(epochs, 8, 0.2, 0.9, 5),
         pad_width=3, eval_dataset=downstream_data(spc=6, seed=43), metrics_epsilon=metrics_epsilon,
     )
 
@@ -408,7 +438,7 @@ def test_training_attack_clears_the_target_gradient_flags_for_the_call(frozen_so
         steps = 2 * 3  # 24 examples in batches of 8
     else:
         trained, _, _ = train_prompt(
-            frozen_source, downstream_data(), "rlm", PblConfig(2, 6), hyper, attack=AttackConfig(0.05), pad_width=3
+            frozen_source, downstream_data(), "rlm", PblConfig(2), hyper, attack=AttackConfig(0.05), pad_width=3
         )
         steps = 2 * 4  # 30 examples in batches of 8
     tensors = [t for _, t in trained.named_tensors()]
