@@ -36,7 +36,8 @@ from .mapping import PblConfig
 from .metrics import write_metrics
 from .nets import ConvNetSpec, ModelParams, init_params
 from .prompt import VisualPrompt
-from .train import TrainHyper, _frozen, train_adversarial, train_prompt, train_standard, usable_cpus
+from .train import TrainHyper, _check_data, _check_reduction, _frozen, _phase_bounds, usable_cpus
+from .train import train_adversarial, train_prompt, train_standard
 
 __all__ = [
     "ExperimentConfig",
@@ -359,12 +360,10 @@ class ExperimentConfig:
         must be a directory, or the run could not create it), then the
         canvas channel count against what the prompt image export supports, then
         ``source.checkpoint`` (if set) loaded against the source spec and
-        kept, frozen, as ``source_params``, then
-        each split the run reads for examples and classes (an empty one is
-        refused), its image size and its class count (the source pair
-        against the source spec, the downstream pair against the prompt's
-        interior and K_t, the class count of downstream_train), then each
-        temperature against K_t."""
+        kept, frozen, as ``source_params``, then each split the run reads
+        against its phase and each temperature against K_t, the class count
+        of downstream_train, by the checks ``train_*`` apply
+        (``train._check_data`` and ``train._check_reduction``)."""
         out = self.output_dir
         existing = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())
         if not existing.is_dir():
@@ -379,40 +378,17 @@ class ExperimentConfig:
             except CheckpointError as exc:
                 raise CheckpointError(f"source.checkpoint: {exc}") from None
         k_t = self._split_shape("downstream_train")[1]
-        prompt = None
+        prompt = None  # the source splits come first, and are checked against the source phase
         for key in self._read_splits():
             block = key.split("_")[0]
-            if block == "source":
-                size, size_is = spec.input_size, f"do not match source.spec.input_size {spec.input_size}"
-                # labels index the source logits
-                most, most_is = spec.n_classes, f"source.spec.n_classes={spec.n_classes}"
-            else:
-                if prompt is None:  # the run's frame: canvas-sized, so built once the source pair fits the canvas
-                    prompt = _parse("prompt.pad_width", VisualPrompt, spec.input_size, self.pad_width)
-                size = prompt.interior_size
-                size_is = (f"do not fill the prompt interior {size} "
-                           f"(canvas {prompt.canvas}, pad_width {prompt.pad_width})")
-                most, most_is = k_t, f"K_t={k_t}"  # labels index the label mapping
-            n, n_classes, image_size = self._split_shape(key)
-            if isinstance(self.splits[key], SynthSpec):
-                size_at, most_at = f"data.{block}.image_size", f"data.{block}.n_classes"
-            else:
-                size_at = most_at = f"data.files.{key}"
-            if n == 0 or n_classes == 0:  # a generator recipe always has both
-                raise ConfigError(f"{most_at}: {key} has {n} examples of {n_classes} classes; it needs one of each")
-            if image_size != size:
-                raise ConfigError(f"{size_at}: {key} images {image_size} {size_is}")
-            if n_classes > most:
-                raise ConfigError(f"{most_at}: {key} has {n_classes} classes, more than {most_is}")
-        temperatures = [("prompt.temperature", self.temperature)]
-        temperatures += [(f"prompt.temperature_grid[{i}]", t) for i, t in enumerate(self.temperature_grid)]
-        for key, t in temperatures:
-            m = _parse(key, PblConfig, t).m(spec.n_classes)
-            if m < k_t:
-                raise ConfigError(
-                    f"{key}: temperature T={t} reduces {spec.n_classes} source logits to "
-                    f"m={m} < K_t={k_t} downstream classes"
-                )
+            if block == "downstream" and prompt is None:  # the run's frame: built once the source pair fits the canvas
+                prompt = _parse("prompt.pad_width", VisualPrompt, spec.input_size, self.pad_width)
+            synth = isinstance(self.splits[key], SynthSpec)
+            at = (f"data.{block}.image_size", f"data.{block}.n_classes") if synth else (f"data.files.{key}",) * 2
+            _check_data(key, self._split_shape(key), _phase_bounds(spec, prompt, k_t), at)
+        for key, t in [("prompt.temperature", self.temperature),
+                       *((f"prompt.temperature_grid[{i}]", t) for i, t in enumerate(self.temperature_grid))]:
+            _parse(key, _check_reduction, t, spec.n_classes, k_t)
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +463,8 @@ def session(config):
     peak RSS at the end of the block (``maxrss``, KiB on Linux).
     """
     cfg = config if isinstance(config, ExperimentConfig) else ExperimentConfig.from_dict(config)
+    usage = _rusage()
+    data = cfg.datasets()  # before the output directory exists: a VPDS payload fault leaves none behind
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     timing: dict = {
         "blas": blas.status(),
@@ -496,8 +474,6 @@ def session(config):
         "machine": platform.machine(),
         "cpus": usable_cpus(),
     }
-    usage = _rusage()
-    data = cfg.datasets()
     source = _prepare_source(cfg, data, timing)
     yield cfg, data, source, timing
     if usage is not None:

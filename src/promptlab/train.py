@@ -16,10 +16,10 @@ import numpy as np
 
 from .attack import AttackConfig, adversarial_accuracy, fgsm, standard_accuracy
 from .data import Dataset
-from .errors import ConfigError, DataFormatError, GraphError
+from .errors import ConfigError, GraphError
 from .mapping import PblConfig, ilm_update, prediction_frequencies, rlm_init
 from .metrics import MetricsRecord, WorkMeter
-from .nets import ModelParams
+from .nets import ConvNetSpec, ModelParams
 from .optim import SgdOptimizer, sgd_step, zero_grad
 from .pipelines import PromptedClassifier, SourceClassifier
 from .prompt import VisualPrompt
@@ -116,18 +116,49 @@ def _evaluate_epoch(values, mapping) -> tuple[float, float]:
     return evaluate()
 
 
-def _check_eval_dataset(dataset: Dataset, eval_dataset: Dataset | None, most: int, most_is: str) -> None:
-    """Refuse an ``eval_dataset`` the phase could not score, before its first
-    step: its images must be the size of ``dataset``'s, and it may have at
-    most ``most`` classes, the count ``most_is`` names."""
-    if eval_dataset is None:
-        return
-    if eval_dataset.image_size != dataset.image_size:
-        raise ConfigError(
-            f"eval_dataset: images {eval_dataset.image_size} do not match the training images {dataset.image_size}"
-        )
-    if eval_dataset.n_classes > most:
-        raise ConfigError(f"eval_dataset: {eval_dataset.n_classes} classes, more than {most_is}={most}")
+def _phase_bounds(spec: ConvNetSpec, prompt: VisualPrompt | None = None, k_t: int = 0) -> tuple:
+    """The image size and the class bound a phase's data must fit, each with
+    its wording: the source input and head for a source phase (no
+    ``prompt``), else ``prompt``'s interior and K_t for a prompt phase."""
+    if prompt is None:  # labels index the source logits
+        return (spec.input_size, f"do not match source.spec.input_size {spec.input_size}",
+                spec.n_classes, f"source.spec.n_classes={spec.n_classes}")
+    size = prompt.interior_size  # labels index the label mapping
+    return (size, f"do not fill the prompt interior {size} (canvas {prompt.canvas}, pad_width {prompt.pad_width})",
+            k_t, f"K_t={k_t}")
+
+
+def _check_data(name: str, shape: tuple, bounds: tuple, at: tuple[str, str] | None = None) -> None:
+    """The one rule for a phase's data: ``name``, of ``shape`` ``(examples,
+    classes, image size)``, needs an example and a class, images of the
+    size ``bounds`` (from :func:`_phase_bounds`) gives, and at most its
+    classes; else a ConfigError.  A config run's keys ``at`` = (image-size
+    key, class-count key) prefix the errors, the emptiness one with the second."""
+    n, n_classes, image_size = shape
+    size, size_is, most, most_is = bounds
+    size_at, most_at = (f"{key}: " for key in at) if at else ("", "")
+    if n == 0 or n_classes == 0:
+        raise ConfigError(f"{most_at}{name} has {n} examples of {n_classes} classes; it needs one of each")
+    if image_size != size:
+        raise ConfigError(f"{size_at}{name} images {image_size} {size_is}")
+    if n_classes > most:
+        raise ConfigError(f"{most_at}{name} has {n_classes} classes, more than {most_is}")
+
+
+def _check_reduction(t: int, n: int, k_t: int) -> int:
+    """The reduced dimension m of ``n`` source logits at temperature ``t``;
+    a ConfigError if it cannot host the ``k_t`` downstream classes."""
+    m = PblConfig(t).m(n)
+    if m < k_t:
+        raise ConfigError(f"temperature T={t} reduces {n} source logits to m={m} < K_t={k_t} downstream classes")
+    return m
+
+
+def _check_phase(dataset: Dataset, eval_dataset: Dataset | None, bounds: tuple) -> None:
+    """Refuse a ``dataset`` or ``eval_dataset`` the phase could not use (:func:`_check_data`)."""
+    for name, ds in (("dataset", dataset), ("eval_dataset", eval_dataset)):
+        if ds is not None:
+            _check_data(name, (len(ds), ds.n_classes, ds.image_size), bounds)
 
 
 def _train_engine(
@@ -157,8 +188,6 @@ def _train_engine(
     the same either way.  If the phase fails, the epochs not yet handed
     to the worker are cancelled; a dead worker raises ``BrokenProcessPool``.
     """
-    if len(dataset) == 0:
-        raise DataFormatError("cannot train on an empty dataset")
     rng = np.random.Generator(np.random.PCG64(hyper.seed))
     opt = SgdOptimizer(hyper.learning_rate, hyper.momentum)
     eval_ds = eval_dataset if eval_dataset is not None else dataset
@@ -248,9 +277,9 @@ def train_standard(
     metrics_epsilon: float = 0.0,
 ) -> tuple[ModelParams, list[MetricsRecord]]:
     """Minimize cross-entropy of the bare classifier on clean batches.
-    Frozen ``params`` fail at the first step, as ``sgd_step`` refuses them; an ``eval_dataset``
-    of another image size or with more classes than the spec fails before it, as a ConfigError."""
-    _check_eval_dataset(dataset, eval_dataset, params.spec.n_classes, "spec.n_classes")
+    Frozen ``params`` fail at the first step, as ``sgd_step`` refuses them; a ``dataset`` or
+    ``eval_dataset`` that does not fit ``params.spec`` fails before it (:func:`_check_data`)."""
+    _check_phase(dataset, eval_dataset, _phase_bounds(params.spec))
     return params, _train_engine(params, SourceClassifier(params), dataset, hyper, None, eval_dataset, metrics_epsilon)
 
 
@@ -265,7 +294,7 @@ def train_adversarial(
     """Like :func:`train_standard`, but every batch is replaced by its
     single-step sign-attack perturbation before the parameter step
     (one-step approximation of the inner maximization)."""
-    _check_eval_dataset(dataset, eval_dataset, params.spec.n_classes, "spec.n_classes")
+    _check_phase(dataset, eval_dataset, _phase_bounds(params.spec))
     return params, _train_engine(params, SourceClassifier(params), dataset, hyper, attack, eval_dataset, metrics_epsilon)
 
 
@@ -295,10 +324,10 @@ def train_prompt(
     (prompt, source, reduction, mapping) before the prompt step; with
     None, training is clean.
 
+    Data that does not fit the prompt interior and K_t (:func:`_check_data`), or a
+    ``cfg`` that leaves fewer than K_t slots, fails before the first step as a ConfigError.
     Each epoch's record holds the accuracies on ``eval_dataset`` (the
-    training set when None), which is refused with a ConfigError before
-    the first step if its images are not the size of ``dataset``'s or it
-    has more than K_t classes; ``adv_acc`` is taken under the sign attack
+    training set when None); ``adv_acc`` is taken under the sign attack
     at ``metrics_epsilon`` and reads 0.0, "not measured", when that is 0.
     With ``final_eval_only=True`` only the last epoch is evaluated: every
     earlier record reads ``std_acc = adv_acc = 0.0``, which means "not
@@ -315,17 +344,10 @@ def train_prompt(
     if lm not in ("rlm", "ilm"):
         raise ConfigError(f"label mapping must be 'rlm' or 'ilm', got {lm!r}")
     k_t = dataset.n_classes
-    t = cfg.temperature if cfg is not None else 1  # no reduction stage reduces as T = 1 does
-    m = PblConfig(t).m(source.spec.n_classes)
-    if m < k_t:
-        raise ConfigError(f"reduced dimension m={m} (T={t}) cannot host K_t={k_t} downstream classes")
     prompt = VisualPrompt(source.spec.input_size, pad_width)
-    if dataset.image_size != prompt.interior_size:
-        raise ConfigError(
-            f"downstream images {dataset.image_size} do not fill the prompt interior "
-            f"{prompt.interior_size}"
-        )
-    _check_eval_dataset(dataset, eval_dataset, k_t, "K_t")
+    _check_phase(dataset, eval_dataset, _phase_bounds(source.spec, prompt, k_t))
+    t = cfg.temperature if cfg is not None else 1  # no reduction stage reduces as T = 1 does
+    m = _check_reduction(t, source.spec.n_classes, k_t)
     clf = PromptedClassifier(source, prompt, mapping=None, pbl=cfg)
 
     def refresh_mapping():

@@ -10,7 +10,8 @@ the BLAS build and kernel, and the machine type.  ``config.json`` is left
 out, because it records a temporary output directory.
 ``test_acceptance.py::test_normative_files_match_the_golden_manifest``
 compares fresh runs with it and names every file whose bytes moved; in an
-environment with another fingerprint it is skipped, naming both.
+environment with another fingerprint it is skipped, naming both, before
+any run is built.
 
 ``python tests/golden.py`` runs that test alone, and exits non-zero,
 printing the reason, when the test is skipped: a comparison that did not
@@ -47,18 +48,27 @@ def fingerprint() -> dict:
     return {"numpy": np.__version__, "blas": blas.status()["config"], "machine": platform.machine()}
 
 
-def check(files: dict[str, Path]) -> None:
-    """Compare the sha256 of each named file with the manifest; fail naming
-    every file that differs, is missing or is not in the manifest."""
-    found = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in files.items()}
+def expected() -> dict[str, str] | None:
+    """The manifest's digests, or None under ``--update``; skips the calling
+    test when the manifest was made with another fingerprint."""
     if UPDATE:
-        manifest = {"fingerprint": fingerprint(), "sha256": found}
-        MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        return
+        return None
     manifest = json.loads(MANIFEST.read_text())
     if manifest["fingerprint"] != fingerprint():
         pytest.skip(f"{MANIFEST.name} was made with {manifest['fingerprint']}, this environment is {fingerprint()}")
-    want = manifest["sha256"]
+    return manifest["sha256"]
+
+
+def check(files: dict[str, Path], want: dict[str, str] | None) -> None:
+    """Compare the sha256 of each named file with ``want``, the digests
+    :func:`expected` read; fail naming every file that differs, is missing
+    or is not in the manifest.  With ``want`` None (``--update``), write the
+    manifest instead."""
+    found = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in files.items()}
+    if want is None:
+        manifest = {"fingerprint": fingerprint(), "sha256": found}
+        MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        return
     moved = sorted(name for name in found.keys() & want.keys() if found[name] != want[name])
     missing, extra = sorted(want.keys() - found.keys()), sorted(found.keys() - want.keys())
     if moved or missing or extra:

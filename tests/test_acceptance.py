@@ -302,7 +302,15 @@ def test_criterion_10_ablation_grid_cost_structure(ablation_run):
             )
 
 
-def test_normative_files_match_the_golden_manifest(grid_runs, robust_sweeps, ablation_run):
+@pytest.fixture(scope="module")
+def golden_digests():
+    """The golden manifest's digests (None under ``--update``).  Module-scoped
+    and requested first, so pytest reads it before it builds the runs, and
+    under another fingerprint the test skips at once."""
+    return golden.expected()
+
+
+def test_normative_files_match_the_golden_manifest(golden_digests, grid_runs, robust_sweeps, ablation_run):
     """Every normative file of the grid, the sweeps and the ablation has the
     sha256 that tests/golden.json records (see tests/golden.py)."""
     files = {
@@ -311,7 +319,7 @@ def test_normative_files_match_the_golden_manifest(grid_runs, robust_sweeps, abl
     sweeps = robust_sweeps["dir"]
     files.update({f"sweep/s{seed}/sweep.csv": sweeps / f"s{seed}" / "sweep.csv" for seed in robust_sweeps["tables"]})
     files["ablation/ablation.csv"] = ablation_run["dir"] / "ablation.csv"
-    golden.check(files)
+    golden.check(files, golden_digests)
 
 
 def test_golden_update_names_each_rewritten_entry():

@@ -15,13 +15,16 @@ from promptlab import (
     CheckpointError,
     ConfigError,
     ConvNetSpec,
+    DataFormatError,
     Dataset,
     PblConfig,
+    TrainHyper,
     VisualPrompt,
     init_params,
     load_prompt,
     save_model,
     save_raw,
+    train_prompt,
 )
 from promptlab.harness import (
     ExperimentConfig,
@@ -360,6 +363,55 @@ def test_source_files_that_do_not_fit_the_spec_fail_before_the_output_directory(
     with pytest.raises(ConfigError, match=rf"^data\.files\.{split}: {split} {fragment}"):
         run_experiment(raw)
     assert not (tmp_path / "out").exists()
+
+
+def vpds_config(tmp_path, **replaced):
+    """small_config's splits, with each split in ``replaced`` swapped in, and
+    a config that reads them from VPDS files under ``tmp_path``."""
+    data = {**ExperimentConfig.from_dict(small_config()).datasets(), **replaced}
+    raw = small_config(out=tmp_path / "out")
+    raw["data"] = {"files": {key: str(tmp_path / f"{key}.vpds") for key in data}}
+    for key, ds in data.items():
+        save_raw(raw["data"]["files"][key], ds)
+    return data, raw
+
+
+def test_a_truncated_split_fails_before_the_output_directory(tmp_path):
+    """Validation reads only a VPDS file's header, so a payload cut short
+    passes it; the run loads every split before it creates the output
+    directory, so the load error leaves nothing behind."""
+    _, raw = vpds_config(tmp_path)
+    path = Path(raw["data"]["files"]["downstream_test"])
+    path.write_bytes(path.read_bytes()[:-10])
+    with pytest.raises(DataFormatError, match="truncated dataset file while reading pixels"):
+        run_experiment(raw)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "fault, prefix, split, argument",
+    [("temperature", "prompt.temperature: ", "", ""),
+     ("interior", "data.files.downstream_train: ", "downstream_train", "dataset")],
+    ids=["temperature", "interior"],
+)
+def test_config_runs_and_train_prompt_state_a_fault_in_one_text(tmp_path, fault, prefix, split, argument):
+    """A temperature that leaves fewer than K_t slots, or downstream images
+    that do not fill the prompt interior, read the same from a config run
+    and from ``train_prompt``: the config message is the library's, after
+    the config key, with the split named where the library names its argument."""
+    small = Dataset(np.zeros((4, 1, 6, 6), np.float32), np.arange(4) % 2, 2)
+    data, raw = vpds_config(tmp_path, **({"downstream_train": small} if fault == "interior" else {}))
+    raw["prompt"]["temperature"] = 8 if fault == "temperature" else 2
+    with pytest.raises(ConfigError) as config_run:
+        ExperimentConfig.from_dict(raw)
+    spec = ExperimentConfig.from_dict(small_config()).source_spec
+    source = init_params(spec, 0).copy(frozen=True)
+    with pytest.raises(ConfigError) as library:
+        train_prompt(source, data["downstream_train"], "ilm", PblConfig(raw["prompt"]["temperature"]),
+                     TrainHyper(1, 16, 0.2, 0.9, 0), pad_width=raw["prompt"]["pad_width"])
+    text = str(library.value)
+    assert text.startswith(argument)
+    assert str(config_run.value) == prefix + split + text.removeprefix(argument)
 
 
 # ---------------------------------------------------------------------------

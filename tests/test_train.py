@@ -15,7 +15,6 @@ from promptlab import (
     AttackConfig,
     ConfigError,
     ConvNetSpec,
-    DataFormatError,
     Dataset,
     GraphError,
     NumericsError,
@@ -157,7 +156,7 @@ def test_refuses_frozen_params(frozen_source):
 
 def test_refuses_empty_dataset():
     empty = Dataset(np.zeros((0, 1, 12, 12), np.float32), np.zeros(0, np.int64), 2)
-    with pytest.raises(DataFormatError, match="empty"):
+    with pytest.raises(ConfigError, match="dataset has 0 examples of 2 classes; it needs one of each"):
         train_standard(init_params(SOURCE_SPEC, 2), empty, TrainHyper(1, 8, 0.1, 0.9, 0))
 
 
@@ -203,39 +202,82 @@ def test_prompt_rejects_unknown_mapping_policy(frozen_source):
 def test_prompt_rejects_overcompressed_reduction(frozen_source):
     cfg = PblConfig(temperature=4)  # m = 2 slots for 3 classes
     with pytest.raises(
-        ConfigError, match=r"reduced dimension m=2 \(T=4\) cannot host K_t=3"
+        ConfigError, match=r"^temperature T=4 reduces 6 source logits to m=2 < K_t=3 downstream classes$"
     ):
         train_prompt(frozen_source, downstream_data(), "rlm", cfg,
                      TrainHyper(1, 8, 0.1, 0.9, 0), pad_width=3)
 
 
-@pytest.mark.parametrize("phase", ["standard", "adversarial", "prompt"])
-@pytest.mark.parametrize("fault", ["image-size", "class-count"])
-def test_malformed_eval_dataset_is_refused_before_the_first_step(frozen_source, monkeypatch, cpus, phase, fault):
-    """An evaluation set with another image size than the training set's, or
-    with more classes than the phase scores (the source head's 6, a
-    prompt's K_t = 3), fails before the first step, also where a worker
-    would evaluate it."""
+def refused_before_the_first_step(monkeypatch, cpus, source, phase, train_set, eval_set, match, lm="ilm"):
+    """``phase`` on ``train_set`` and ``eval_set`` raises the ConfigError
+    ``match`` under two CPUs, before any step and before any fork."""
     steps = []
     monkeypatch.setattr(train, "sgd_step", lambda *args: steps.append(args))
     started = cpus(2)
     hyper = TrainHyper(3, 8, 0.1, 0.9, 0)
-    train_set, bound = (downstream_data(), "K_t=3") if phase == "prompt" else (source_data(), "spec.n_classes=6")
-    if fault == "image-size":
-        eval_set = generate_synthetic(SynthSpec(train_set.n_classes, 2, (1, 4, 4), "downstream", 0.3, seed=7))
-        match = re.escape(f"eval_dataset: images (1, 4, 4) do not match the training images {train_set.image_size}")
-    else:
-        eval_set = generate_synthetic(SynthSpec(train_set.n_classes + 1, 2, train_set.image_size, "downstream", 0.3, seed=7))
-        match = f"eval_dataset: {train_set.n_classes + 1} classes, more than {bound}"
-    with pytest.raises(ConfigError, match=match):
+    with pytest.raises(ConfigError, match=f"^{re.escape(match)}$"):
         if phase == "prompt":
-            train_prompt(frozen_source, train_set, "ilm", PblConfig(2), hyper, pad_width=3, eval_dataset=eval_set)
+            train_prompt(source, train_set, lm, PblConfig(2), hyper, pad_width=3, eval_dataset=eval_set)
         elif phase == "adversarial":
             train_adversarial(init_params(SOURCE_SPEC, seed=2), train_set, hyper, AttackConfig(0.05), eval_set)
         else:
             train_standard(init_params(SOURCE_SPEC, seed=2), train_set, hyper, eval_set)
     assert steps == []
     assert started == []
+
+
+def empty_like(ds):
+    return Dataset(np.zeros((0, *ds.image_size), np.float32), np.zeros(0, np.int64), ds.n_classes)
+
+
+@pytest.mark.parametrize("phase", ["standard", "adversarial", "prompt"])
+@pytest.mark.parametrize("fault", ["image-size", "class-count", "empty"])
+def test_malformed_eval_dataset_is_refused_before_the_first_step(frozen_source, monkeypatch, cpus, phase, fault):
+    """An evaluation set with no examples, with images of another size than
+    the phase takes (the source input, a prompt's interior), or with more
+    classes than the phase scores (the source head's 6, a prompt's K_t = 3),
+    fails before the first step, also where a worker would evaluate it."""
+    if phase == "prompt":
+        train_set = downstream_data()
+        size_is, bound = "do not fill the prompt interior (1, 6, 6) (canvas (1, 12, 12), pad_width 3)", "K_t=3"
+    else:
+        train_set = source_data()
+        size_is, bound = "do not match source.spec.input_size (1, 12, 12)", "source.spec.n_classes=6"
+    k = train_set.n_classes
+    if fault == "image-size":
+        eval_set = generate_synthetic(SynthSpec(k, 2, (1, 4, 4), "downstream", 0.3, seed=7))
+        match = f"eval_dataset images (1, 4, 4) {size_is}"
+    elif fault == "class-count":
+        eval_set = generate_synthetic(SynthSpec(k + 1, 2, train_set.image_size, "downstream", 0.3, seed=7))
+        match = f"eval_dataset has {k + 1} classes, more than {bound}"
+    else:
+        eval_set = empty_like(train_set)
+        match = f"eval_dataset has 0 examples of {k} classes; it needs one of each"
+    refused_before_the_first_step(monkeypatch, cpus, frozen_source, phase, train_set, eval_set, match)
+
+
+@pytest.mark.parametrize(
+    "phase, fault, lm",
+    [("standard", "image-size", None), ("standard", "class-count", None), ("adversarial", "image-size", None),
+     ("adversarial", "class-count", None), ("prompt", "empty", "ilm"), ("prompt", "empty", "rlm")],
+    ids=["standard-image-size", "standard-class-count", "adversarial-image-size", "adversarial-class-count",
+         "prompt-empty-ilm", "prompt-empty-rlm"],
+)
+def test_malformed_training_set_is_refused_before_the_first_step(frozen_source, monkeypatch, cpus, phase, fault, lm):
+    """A training set the phase cannot take, with images of another size
+    than the source input or more classes than its head, or with no
+    examples for a prompt under either mapping policy, fails before the
+    first step with the ConfigError that names it."""
+    if fault == "image-size":
+        train_set = generate_synthetic(SynthSpec(6, 4, (1, 10, 10), "source", 0.3, seed=7))
+        match = "dataset images (1, 10, 10) do not match source.spec.input_size (1, 12, 12)"
+    elif fault == "class-count":
+        train_set = generate_synthetic(SynthSpec(8, 4, (1, 12, 12), "source", 0.3, seed=7))
+        match = "dataset has 8 classes, more than source.spec.n_classes=6"
+    else:
+        train_set = empty_like(downstream_data())
+        match = "dataset has 0 examples of 3 classes; it needs one of each"
+    refused_before_the_first_step(monkeypatch, cpus, frozen_source, phase, train_set, None, match, lm)
 
 
 def test_prompt_rejects_interior_mismatch(frozen_source):
