@@ -39,13 +39,23 @@ _MAX_RANK = 64  # numpy's dimension limit
 
 
 def save_tensors(path, named: dict[str, np.ndarray]) -> None:
+    """Write ``named`` as a VPCK file.  An entry the reader would refuse, a
+    name over 65,535 UTF-8 bytes or a NaN/Inf payload, raises a
+    :class:`CheckpointError` naming it before ``path`` is touched."""
+    entries = []
+    for name, arr in named.items():
+        raw = name.encode("utf-8")
+        if len(raw) > 0xFFFF:
+            raise CheckpointError(f"entry '{name[:40]}...' has a {len(raw)}-byte name, more than 65535")
+        arr = np.ascontiguousarray(arr, dtype=np.float32)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"NaN or Inf in entry '{name}'")
+        entries.append((raw, arr))
     with atomic_open(path) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<H", _VERSION))
-        fh.write(struct.pack("<I", len(named)))
-        for name, arr in named.items():
-            arr = np.ascontiguousarray(arr, dtype=np.float32)
-            raw = name.encode("utf-8")
+        fh.write(struct.pack("<I", len(entries)))
+        for raw, arr in entries:
             fh.write(struct.pack("<H", len(raw)))
             fh.write(raw)
             fh.write(struct.pack("<I", arr.ndim))

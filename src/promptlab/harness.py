@@ -369,9 +369,7 @@ class ExperimentConfig:
         if not existing.is_dir():
             raise ConfigError(f"output_dir: {existing} exists and is not a directory")
         spec = self.source_spec
-        channels = spec.input_size[0]
-        if channels not in (1, 3):
-            raise ConfigError(f"source.spec.input_size: the channel count must be 1 or 3, got {channels}")
+        _parse("source.spec.input_size", _check_channels, spec.input_size[0])
         if self.source_checkpoint is not None:
             try:
                 self.source_params = load_model(self.source_checkpoint, spec, frozen=True)
@@ -618,6 +616,12 @@ def run_ablation_grid(config) -> list[dict]:
     return rows
 
 
+def _check_channels(c: int) -> None:
+    """A prompt image shows 1 channel as gray or 3 as RGB, and no other count."""
+    if c not in (1, 3):
+        raise ConfigError(f"the channel count must be 1 or 3, got {c}")
+
+
 def export_prompt_image(prompt: VisualPrompt, path) -> None:
     """Render the clamped frame over a mid-gray interior as binary P6.
 
@@ -625,15 +629,11 @@ def export_prompt_image(prompt: VisualPrompt, path) -> None:
     replicated to gray RGB.
     """
     c, h, w = prompt.canvas
+    _check_channels(c)
     canvas = np.clip(prompt.params.data, 0.0, 1.0) * prompt.mask
     canvas = canvas + 0.5 * (~prompt.mask)
     quant = np.rint(canvas * 255.0).astype(np.uint8)
-    if c == 1:
-        rgb = np.repeat(quant, 3, axis=0)
-    elif c == 3:
-        rgb = quant
-    else:
-        raise ConfigError(f"pixmap export supports 1 or 3 channels, got {c}")
+    rgb = quant if c == 3 else np.repeat(quant, 3, axis=0)
     with atomic_open(path) as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(np.ascontiguousarray(rgb.transpose(1, 2, 0)).tobytes())

@@ -41,10 +41,7 @@ class TrainHyper:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (self.learning_rate >= 0.0):
-            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
+        SgdOptimizer(self.learning_rate, self.momentum)  # refuses a rate or momentum it cannot step with
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
 
@@ -334,10 +331,8 @@ def train_prompt(
     measured", and its other fields are unchanged.
     Evaluation reads no RNG and changes no training state, so the
     prompt, the mapping and the last record are the same either way.
-    With at least two usable CPUs, a phase that evaluates more than one
-    epoch does so in a one-process ``ProcessPoolExecutor``, forked at its
-    first submitted epoch, alongside the next epoch's training, and its
-    records are byte-for-byte those of a one-CPU run.
+    Evaluation may overlap training in a forked worker (:func:`_train_engine`);
+    the records are the same either way.
     """
     if not source.frozen:
         raise GraphError("prompt training requires a frozen source model")

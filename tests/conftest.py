@@ -1,9 +1,10 @@
 import os
+import struct
 
 import numpy as np
 import pytest
 
-from promptlab import ConvNetSpec, Dataset, init_params
+from promptlab import ConvNetSpec, Dataset, init_params, load_tensors
 
 # Verdict lines registered by the acceptance tests; printed as a summary
 # section at the end of the run so each criterion shows one PASS/FAIL
@@ -71,3 +72,19 @@ def make_dataset(n_classes=4, per_class=6, size=(1, 8, 8), seed=0):
 @pytest.fixture
 def small_dataset():
     return make_dataset()
+
+
+def raw_checkpoint(entries) -> bytes:
+    """VPCK bytes for (name bytes, float32 array) pairs, written as given."""
+    out = [b"VPCK", struct.pack("<HI", 1, len(entries))]
+    for raw, arr in entries:
+        out += [struct.pack("<H", len(raw)), raw, struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape), arr.tobytes()]
+    return b"".join(out)
+
+
+def poison_checkpoint(path, entry, value):
+    """Set the last element of ``entry`` in the VPCK file ``path`` to
+    ``value``, writing the bytes by hand, as ``save_tensors`` refuses NaN/Inf."""
+    loaded = load_tensors(path)
+    loaded[entry].reshape(-1)[-1] = value
+    path.write_bytes(raw_checkpoint([(name.encode(), arr) for name, arr in loaded.items()]))

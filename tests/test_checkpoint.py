@@ -19,6 +19,8 @@ from promptlab import (
 )
 from promptlab.checkpoint import load_tensors, save_tensors
 
+from conftest import poison_checkpoint, raw_checkpoint
+
 
 @pytest.fixture
 def named(rng):
@@ -54,6 +56,27 @@ def test_loaded_arrays_are_writable_copies(tmp_path, named):
     save_tensors(path, named)
     back = load_tensors(path)
     back["a.bias"][0] = 99.0  # must not raise
+
+
+@pytest.mark.parametrize(
+    "entry, match",
+    [
+        ({"w": np.array([1.0, np.nan])}, r"^NaN or Inf in entry 'w'$"),
+        ({"w": np.array([-np.inf])}, r"^NaN or Inf in entry 'w'$"),
+        ({"é" * 32768: np.zeros(1)}, r"^entry 'é{40}\.\.\.' has a 65536-byte name, more than 65535$"),
+    ],
+    ids=["nan", "inf", "long-name"],
+)
+def test_save_refuses_what_load_refuses(tmp_path, named, entry, match):
+    """An entry the reader would reject fails the write, naming it, and
+    leaves the file as it was and no temporary file beside it."""
+    path = tmp_path / "t.vpck"
+    save_tensors(path, named)
+    before = path.read_bytes()
+    with pytest.raises(CheckpointError, match=match):
+        save_tensors(path, {**named, **entry})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["t.vpck"]
 
 
 def test_rejects_bad_magic(tmp_path):
@@ -113,24 +136,16 @@ def test_reader_accepts_rank_zero_entry(tmp_path):
     assert float(back) == 2.5
 
 
-def _raw_checkpoint(entries) -> bytes:
-    """VPCK bytes for (name bytes, float32 array) pairs, written as given."""
-    out = [b"VPCK", struct.pack("<HI", 1, len(entries))]
-    for raw, arr in entries:
-        out += [struct.pack("<H", len(raw)), raw, struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape), arr.tobytes()]
-    return b"".join(out)
-
-
 def test_rejects_entry_name_that_is_not_utf8(tmp_path):
     path = tmp_path / "bad.vpck"
-    path.write_bytes(_raw_checkpoint([(b"ok", np.zeros(2, np.float32)), (b"\xff\xfe", np.zeros(2, np.float32))]))
+    path.write_bytes(raw_checkpoint([(b"ok", np.zeros(2, np.float32)), (b"\xff\xfe", np.zeros(2, np.float32))]))
     with pytest.raises(CheckpointError, match="entry 1 name is not valid UTF-8"):
         load_tensors(path)
 
 
 def test_rejects_duplicate_entry_name(tmp_path):
     path = tmp_path / "dup.vpck"
-    path.write_bytes(_raw_checkpoint([(b"w", np.zeros(2, np.float32)), (b"w", np.ones(2, np.float32))]))
+    path.write_bytes(raw_checkpoint([(b"w", np.zeros(2, np.float32)), (b"w", np.ones(2, np.float32))]))
     with pytest.raises(CheckpointError, match="duplicate entry 'w'"):
         load_tensors(path)
 
@@ -156,7 +171,7 @@ def test_rejects_zero_sized_extents_too_large_for_an_array(tmp_path):
 
 def test_reader_accepts_rank_64(tmp_path):
     path = tmp_path / "deep.vpck"
-    path.write_bytes(_raw_checkpoint([(b"d", np.full((1,) * 64, 0.5, np.float32))]))
+    path.write_bytes(raw_checkpoint([(b"d", np.full((1,) * 64, 0.5, np.float32))]))
     assert load_tensors(path)["d"].shape == (1,) * 64
     path.write_bytes(b"VPCK" + struct.pack("<HIH", 1, 1, 1) + b"d" + struct.pack("<I65I", 65, *(65 * [1])) + bytes(4))
     with pytest.raises(CheckpointError, match="rank 65, more than 64"):
@@ -224,12 +239,6 @@ def test_prompt_load_rejects_bad_metadata(tmp_path, entry, values, fragment):
         load_prompt(path)
 
 
-def _poison(path, entry, value):
-    loaded = load_tensors(path)
-    loaded[entry].reshape(-1)[-1] = value
-    save_tensors(path, loaded)
-
-
 _MODEL_ENTRIES = [f"{layer}.{kind}" for layer in ("conv0", "conv1", "hidden", "output") for kind in ("weight", "bias")]
 _PROMPT_ENTRIES = ["prompt.params", "prompt.pad_width", "prompt.canvas", "prompt.temperature"]
 
@@ -239,7 +248,7 @@ _PROMPT_ENTRIES = ["prompt.params", "prompt.pad_width", "prompt.canvas", "prompt
 def test_model_load_rejects_non_finite_entry(tmp_path, tiny_spec, entry, value):
     path = tmp_path / "m.vpck"
     save_model(path, init_params(tiny_spec, seed=4))
-    _poison(path, entry, value)
+    poison_checkpoint(path, entry, value)
     with pytest.raises(CheckpointError, match=f"NaN or Inf in entry '{entry}'"):
         load_model(path, tiny_spec)
 
@@ -249,7 +258,7 @@ def test_model_load_rejects_non_finite_entry(tmp_path, tiny_spec, entry, value):
 def test_prompt_load_rejects_non_finite_entry(tmp_path, entry, value):
     path = tmp_path / "p.vpck"
     save_prompt(path, VisualPrompt(canvas=(1, 8, 8), pad_width=2))
-    _poison(path, entry, value)
+    poison_checkpoint(path, entry, value)
     with pytest.raises(CheckpointError, match=f"NaN or Inf in entry '{entry}'"):
         load_prompt(path)
 

@@ -25,6 +25,7 @@ from promptlab import (
     save_model,
     save_raw,
 )
+from conftest import poison_checkpoint
 from promptlab.cli import main
 from test_harness import small_config
 
@@ -269,10 +270,9 @@ def test_corrupt_checkpoint_reports_checkpoint_error(config_file, tmp_path, caps
 
 def test_non_finite_checkpoint_reports_one_checkpoint_error(config_file, tmp_path, capsys):
     spec = ConvNetSpec(input_size=(1, 16, 16), conv_blocks=((6, 3, 2),), hidden_width=24, n_classes=8)
-    params = init_params(spec, seed=0)
-    params.tensors["hidden.bias"].data[3] = np.nan
     ckpt = tmp_path / "source.ckpt"
-    save_model(ckpt, params)
+    save_model(ckpt, init_params(spec, seed=0))
+    poison_checkpoint(ckpt, "hidden.bias", np.nan)
     path, out = config_file(source__checkpoint=str(ckpt))
     assert main(["eval", "--config", str(path)]) == 1
     assert capsys.readouterr().err == "error[checkpoint] source.checkpoint: NaN or Inf in entry 'hidden.bias'\n"

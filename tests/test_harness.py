@@ -858,5 +858,6 @@ def test_export_prompt_image_bytes(tmp_path):
 
 def test_export_prompt_image_rejects_two_channels(tmp_path):
     prompt = VisualPrompt((2, 4, 4), 1)
-    with pytest.raises(ConfigError, match="channels"):
+    with pytest.raises(ConfigError, match=r"^the channel count must be 1 or 3, got 2$"):
         export_prompt_image(prompt, tmp_path / "p.ppm")
+    assert not (tmp_path / "p.ppm").exists()
