@@ -74,9 +74,9 @@ def fgsm(pipeline, x: Tensor, y, cfg: AttackConfig, meter=None) -> Tensor:
 
 
 def _gradient_sign(pipeline, x: np.ndarray, y, meter=None) -> np.ndarray:
-    """sign(∇_x loss) of one batch, the attack direction of every budget."""
+    """sign(∇_x loss) of one batch, the attack direction of every budget, in a graph of the input alone."""
     xt = Tensor(x, requires_grad=True)  # wrapped, not copied: nothing writes to a leaf's data
-    with Graph() as g:
+    with Graph(wrt=xt) as g:
         logits = pipeline.logits(xt)
         loss = softmax_cross_entropy(logits, y)
     g.backward(loss)

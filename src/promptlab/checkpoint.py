@@ -39,15 +39,17 @@ _MAX_RANK = 64  # numpy's dimension limit
 
 
 def save_tensors(path, named: dict[str, np.ndarray]) -> None:
-    """Write ``named`` as a VPCK file.  An entry the reader would refuse, a
-    name over 65,535 UTF-8 bytes or a NaN/Inf payload, raises a
-    :class:`CheckpointError` naming it before ``path`` is touched."""
+    """Write ``named`` as a VPCK file.  An entry the format cannot hold or the reader
+    would refuse, a name over 65,535 UTF-8 bytes, an extent over 4,294,967,295 or a
+    NaN/Inf payload, raises a :class:`CheckpointError` naming it before ``path`` is touched."""
     entries = []
     for name, arr in named.items():
         raw = name.encode("utf-8")
         if len(raw) > 0xFFFF:
             raise CheckpointError(f"entry '{name[:40]}...' has a {len(raw)}-byte name, more than 65535")
         arr = np.ascontiguousarray(arr, dtype=np.float32)
+        if max(arr.shape, default=0) > 0xFFFFFFFF:
+            raise CheckpointError(f"entry '{name}' has an extent of {max(arr.shape)}, more than 4294967295")
         if not np.isfinite(arr).all():
             raise CheckpointError(f"NaN or Inf in entry '{name}'")
         entries.append((raw, arr))

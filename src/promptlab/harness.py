@@ -36,7 +36,7 @@ from .mapping import PblConfig
 from .metrics import write_metrics
 from .nets import ConvNetSpec, ModelParams, init_params
 from .prompt import VisualPrompt
-from .train import TrainHyper, _check_data, _check_reduction, _frozen, _phase_bounds, usable_cpus
+from .train import TrainHyper, _check_data, _check_reduction, _phase_bounds, usable_cpus
 from .train import train_adversarial, train_prompt, train_standard
 
 __all__ = [
@@ -525,8 +525,7 @@ def train_and_save_prompt(cfg: ExperimentConfig, data: dict[str, Dataset], sourc
 
 
 def _eval_grid(pipeline, dataset, grid) -> list[dict]:
-    with _frozen(pipeline.prompt):
-        reports = adversarial_accuracies(pipeline, dataset, [AttackConfig(eps) for eps in grid])
+    reports = adversarial_accuracies(pipeline, dataset, [AttackConfig(eps) for eps in grid])
     return [{"epsilon": eps, **asdict(report)} for eps, report in zip(grid, reports)]
 
 

@@ -91,7 +91,7 @@ def apply_prompt(prompt: VisualPrompt, x_t: Tensor) -> Tensor:
     out_data[:, :, p : hh - p, p : ww - p] = x_t.data
     params = prompt.params.data
     gate = prompt.mask & (params >= 0.0) & (params <= 1.0) if _needs_grad(prompt.params) else None
-    x_grad = x_t.requires_grad
+    x_grad = _needs_grad(x_t)
 
     def bwd(g):
         gp = None if gate is None else g.sum(axis=0) * gate

@@ -5,7 +5,8 @@ manager, every operation executed inside records itself onto the tape,
 and :meth:`Graph.backward` replays the tape in reverse to accumulate
 gradients into the ``grad`` buffers of the participating leaves.  The
 graph is rebuilt on every forward pass; nothing is retained between
-passes except the leaf tensors themselves.
+passes except the leaf tensors themselves.  ``Graph(wrt=x)``, which the
+attacks use, differentiates ``x`` alone, whatever other leaves' flags say.
 
 The tape keeps only what backward reads.  An op's output is not on the
 tape: the output names its op by tape position (:attr:`Tensor.node`), so
@@ -106,10 +107,12 @@ _GRAPH_STACK: list["Graph"] = []
 
 
 def _needs_grad(x: Tensor) -> bool:
-    """Whether an op recorded now can be asked for ``x``'s gradient: a
-    graph is open and ``x`` requires grad.  Ops build what only that
-    gradient reads (masks, gates, patches) under this test."""
-    return bool(_GRAPH_STACK) and x.requires_grad
+    """Whether an op recorded now can be asked for ``x``'s gradient: a graph is open,
+    ``x`` requires grad, and the graph has no ``wrt``, or ``x`` is its ``wrt``, or the
+    graph made ``x``.  Ops read input flags, and build masks and patches, under this test."""
+    g = _GRAPH_STACK[-1] if _GRAPH_STACK else None
+    made_here = x.node is not None and x.node[0] is g
+    return g is not None and x.requires_grad and (g.wrt is None or x is g.wrt or made_here)
 
 
 class Graph:
@@ -130,7 +133,8 @@ class Graph:
     output once, each outside input once and each gradient formed.
     """
 
-    def __init__(self):
+    def __init__(self, wrt: Tensor | None = None):
+        self.wrt = wrt  # the one leaf to differentiate; None: every leaf that requires grad
         self._tape: list[tuple] = []  # (sources, backward_fn, flops, requires_grad, shape) per op
         self._outside: set[int] = set()  # ids of outside inputs, held by their tape entries
         self.flops: int = 0
@@ -162,7 +166,7 @@ class Graph:
         self.bytes_tracked += output.data.nbytes
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(leaf) into every requires_grad leaf."""
+        """Accumulate d(loss)/d(leaf) into ``wrt``, or into every requires_grad leaf when it is None."""
         if self._tape is None:
             raise GraphError("graph was already differentiated: a graph is differentiated once")
         if loss.data.size != 1:
@@ -199,7 +203,7 @@ class Graph:
                         grads[src] = grads[src] + g_in
                     else:
                         grads[src] = g_in
-                elif src.requires_grad:
+                elif src.requires_grad and (self.wrt is None or src is self.wrt):
                     # leaf: accumulate into the persistent buffer
                     if src.grad is None:
                         src.grad = np.zeros_like(src.data)
@@ -209,14 +213,16 @@ class Graph:
 def record_op(data, inputs: tuple[Tensor, ...], backward_fn, flops: int = 0) -> Tensor:
     """Wrap an op's result and record the op onto the active graph, if one is open.
 
-    The output holds ``data`` as float32, unchecked, and requires grad when
-    any input does.  ``backward_fn(g)`` gets the output's gradient and
+    The output holds ``data`` as float32, unchecked, and requires grad when an
+    input needs a gradient (:func:`_needs_grad`; with no graph open, when any
+    input requires grad).  ``backward_fn(g)`` gets the output's gradient and
     returns one gradient (or None) per input.  It runs only when the output
     requires grad, so an op with one input need not check its input's flag.
+    An op reading ``.requires_grad`` stays correct: a ``wrt`` graph drops its extra gradients.
     """
     out = Tensor.__new__(Tensor)
     out.data = _as_f32(data)
-    out.requires_grad = any(t.requires_grad for t in inputs)
+    out.requires_grad = any(map(_needs_grad, inputs)) if _GRAPH_STACK else any(t.requires_grad for t in inputs)
     out.grad = None
     out.node = None
     if _GRAPH_STACK:
@@ -287,22 +293,21 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
 
     Implemented as im2col (a cached gather index) followed by one matrix
     product per example, ``kernel @ cols^T``, which writes the
-    (F, H_out*W_out) output rows directly into a preallocated output.
-    Patches are gathered and multiplied 32 examples at a time.  The patch
-    matrix ``cols`` is kept whole, for backward, only when the kernel
-    requires grad, since only the kernel gradient reads it; with a frozen
-    kernel only one slice of it is alive at a time.  The closure keeps no
-    input tensor: only ``cols``, the kernel matrix and the input's
-    ``requires_grad`` flag.  The backward pass forms the kernel
-    gradient with one ``tensordot`` over the batch, and the column
-    gradient ``kernel^T @ g`` in (C, kh, kw, H_out, W_out) order, 32
-    examples at a time, so the (N, C*kh*kw, H_out*W_out) buffer is never
-    whole.  One ``np.add.at`` per example scatters each slice onto a
-    zeroed input raster through the gather index in that same order, so
-    each input pixel receives its terms in kernel-offset ``(i, j)``
-    order, starting from zero.  Each dot product and each pixel's sum take the same terms in
-    the same order as the plain im2col formulation, so the output and
-    gradient bytes match it.
+    (F, H_out*W_out) output rows into a preallocated output.  Patches are
+    gathered and multiplied 32 examples at a time.  The patch matrix
+    ``cols`` is kept whole only when the kernel needs a gradient
+    (:func:`_needs_grad`), since only the kernel gradient reads it;
+    otherwise only one slice of it is alive at a time.  The closure keeps no
+    input tensor: only ``cols``, the kernel matrix and whether the input
+    needs a gradient.  The backward pass forms the kernel gradient with one
+    ``tensordot`` over the batch, and the column gradient ``kernel^T @ g``
+    in (C, kh, kw, H_out, W_out) order, 32 examples at a time, so the
+    (N, C*kh*kw, H_out*W_out) buffer is never whole.  One ``np.add.at`` per
+    example scatters each slice onto a zeroed input raster through the
+    gather index in that same order, so each input pixel receives its terms
+    in kernel-offset ``(i, j)`` order, starting from zero.  Each dot product
+    and each pixel's sum take the same terms in the same order as the plain
+    im2col formulation, so the output and gradient bytes match it.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError(
@@ -331,7 +336,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
         # the index is in range by construction; "wrap" skips take's per-index bounds check
         patches = np.take(flat[part], index, axis=1, mode="wrap", out=None if cols is None else cols[part])
         np.matmul(kmat, patches.transpose(0, 2, 1), out=out_data[part])
-    x_grad = x.requires_grad
+    x_grad = _needs_grad(x)
 
     def bwd(g):
         gmat = g.reshape(n, f, h_out * w_out)
@@ -378,7 +383,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of two same-shape tensors."""
     if a.data.shape != b.data.shape:
         raise ShapeError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
-    a_grad, b_grad = a.requires_grad, b.requires_grad
+    a_grad, b_grad = _needs_grad(a), _needs_grad(b)
 
     def bwd(g):
         return (g if a_grad else None, g if b_grad else None)
@@ -392,7 +397,7 @@ def add_row_bias(x: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(
             f"add_row_bias needs (N,K) and (K,), got {x.data.shape} and {bias.data.shape}"
         )
-    x_grad, bias_grad = x.requires_grad, bias.requires_grad
+    x_grad, bias_grad = _needs_grad(x), _needs_grad(bias)
 
     def bwd(g):
         gx = g if x_grad else None
@@ -408,7 +413,7 @@ def add_channel_bias(x: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(
             f"add_channel_bias needs (N,F,H,W) and (F,), got {x.data.shape} and {bias.data.shape}"
         )
-    x_grad, bias_grad = x.requires_grad, bias.requires_grad
+    x_grad, bias_grad = _needs_grad(x), _needs_grad(bias)
 
     def bwd(g):
         gx = g if x_grad else None

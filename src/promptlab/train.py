@@ -9,7 +9,6 @@ metrics.  Everything is deterministic in the hyperparameter seed.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,22 +55,6 @@ def _mean_top1_prob(logits: np.ndarray) -> float:
 def _persistent_bytes(target) -> int:
     # parameter data + gradient + velocity high-water estimate
     return sum(3 * t.data.nbytes for _, t in target.named_tensors())
-
-
-@contextmanager
-def _frozen(target):
-    """Clear ``requires_grad`` on ``target``'s tensors for the block and
-    restore each flag after it, returns or raises: an attack through the
-    target then forms only the input gradient it reads."""
-    tensors = [t for _, t in target.named_tensors()]
-    flags = [t.requires_grad for t in tensors]
-    for t in tensors:
-        t.requires_grad = False
-    try:
-        yield
-    finally:
-        for t, flag in zip(tensors, flags):
-            t.requires_grad = flag
 
 
 def usable_cpus() -> int:
@@ -173,10 +156,10 @@ def _train_engine(
 ) -> list[MetricsRecord]:
     """Train ``target`` through ``pipeline``; returns one record per epoch.
 
-    With an ``attack``, each batch is replaced by its sign-attack
-    perturbation through ``pipeline`` before the step; with None,
-    training is clean.  ``after_epoch`` runs after each epoch's last
-    step and before its evaluation, ``post_step`` after every step.
+    With an ``attack``, each batch is replaced by its sign-attack perturbation
+    through ``pipeline`` (an input gradient only, as in evaluation) before the
+    step; with None, training is clean.  ``after_epoch`` runs after each epoch's
+    last step and before its evaluation, ``post_step`` after every step.
     Each epoch is evaluated on ``eval_dataset`` after it trains (only the
     last one with ``final_eval_only``).  When more than one epoch is
     evaluated and at least two CPUs are usable, every epoch but the last
@@ -193,11 +176,10 @@ def _train_engine(
     last = hyper.epochs - 1
 
     def evaluate() -> tuple[float, float]:
-        with _frozen(target):
-            if metrics_epsilon > 0.0:
-                report = adversarial_accuracy(pipeline, eval_ds, AttackConfig(metrics_epsilon))
-                return report.standard_accuracy, report.adversarial_accuracy
-            return standard_accuracy(pipeline, eval_ds), 0.0  # 0.0: not measured
+        if metrics_epsilon > 0.0:
+            report = adversarial_accuracy(pipeline, eval_ds, AttackConfig(metrics_epsilon))
+            return report.standard_accuracy, report.adversarial_accuracy
+        return standard_accuracy(pipeline, eval_ds), 0.0  # 0.0: not measured
 
     pool = None
     if not final_eval_only and last > 0 and usable_cpus() >= 2 and _can_fork():
@@ -222,8 +204,7 @@ def _train_engine(
                 xb = dataset.images[idx]
                 yb = dataset.labels[idx]
                 if attack is not None:
-                    with _frozen(target):
-                        xb = fgsm(pipeline, Tensor(xb), yb, attack, meter=meter).data
+                    xb = fgsm(pipeline, Tensor(xb), yb, attack, meter=meter).data
                 zero_grad(target)  # a caller may hand in a target with stale gradients
                 with Graph() as g:
                     logits = pipeline.logits(Tensor(xb))

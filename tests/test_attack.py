@@ -380,11 +380,22 @@ def test_gradient_sign_leaves_its_input_unchanged():
     assert direction.any()
 
 
+class GraphBytes:
+    """A meter that keeps the ``bytes_tracked`` of each graph handed to it."""
+
+    def __init__(self):
+        self.graphs = []
+
+    def add_graph(self, g):
+        self.graphs.append(g.bytes_tracked)
+
+
 @pytest.mark.parametrize("pipeline", ["source", "prompted"])
-def test_fgsm_bytes_do_not_depend_on_the_target_gradient_flags(pipeline):
-    """The attack direction is the input gradient's sign, so clearing the
-    trained target's ``requires_grad`` (which skips every parameter
-    gradient) returns the same bytes, and the flags come back."""
+def test_fgsm_differentiates_only_the_input(pipeline):
+    """With the target's ``requires_grad`` on, the attack sees the flags
+    unchanged, leaves no parameter gradient, and returns the bytes and
+    graph size of an attack with the flags cleared by hand: no parameter
+    gradient was formed."""
     from promptlab import (
         ExperimentConfig,
         PblConfig,
@@ -395,7 +406,6 @@ def test_fgsm_bytes_do_not_depend_on_the_target_gradient_flags(pipeline):
         init_params,
         rlm_init,
     )
-    from promptlab.train import _frozen
 
     spec = ExperimentConfig.from_dict(default_config()).source_spec
     gen = np.random.default_rng(3)
@@ -409,15 +419,40 @@ def test_fgsm_bytes_do_not_depend_on_the_target_gradient_flags(pipeline):
         source.freeze()
         pbl, k = PblConfig(2), 3
         clf, size = PromptedClassifier(source, target, rlm_init(pbl.m(spec.n_classes), k, 5), pbl), target.interior_size
+    tensors = [t for _, t in target.named_tensors()]
     x = gen.uniform(0.0, 1.0, size=(32, *size)).astype(np.float32)
     y = gen.integers(0, k, size=32)
     cfg = AttackConfig(0.05)
-    trained = fgsm(clf, Tensor(x), y, cfg).data
-    assert any(t.grad is not None for _, t in target.named_tensors())  # the parameter gradients were formed
-    for _, t in target.named_tensors():
-        t.grad = None
-    with _frozen(target):
-        frozen = fgsm(clf, Tensor(x), y, cfg).data
-    assert frozen.tobytes() == trained.tobytes()
-    assert (frozen != x).any()
-    assert all(t.grad is None and t.requires_grad for _, t in target.named_tensors())
+    seen, real = [], clf.logits
+
+    def logits(batch):
+        seen.append([t.requires_grad for t in tensors])
+        return real(batch)
+
+    clf.logits = logits
+    trained, cleared = GraphBytes(), GraphBytes()
+    adv = fgsm(clf, Tensor(x), y, cfg, meter=trained).data
+    assert seen == [[True] * len(tensors)]
+    assert all(t.grad is None and t.requires_grad for t in tensors)
+    for t in tensors:
+        t.requires_grad = False
+    by_hand = fgsm(clf, Tensor(x), y, cfg, meter=cleared).data
+    assert adv.tobytes() == by_hand.tobytes()
+    assert (adv != x).any()
+    assert trained.graphs == cleared.graphs
+
+
+def test_attacks_leave_no_gradient_on_a_trained_unfrozen_source(tiny_spec, cpus):
+    """Whoever calls them, ``adversarial_accuracy`` and ``fgsm`` on a
+    trained source whose parameters still require grad leave every
+    parameter's ``.grad`` None and every flag set."""
+    from conftest import make_dataset
+    from promptlab import SourceClassifier, TrainHyper, init_params, train_standard
+
+    cpus(1)
+    ds = make_dataset(tiny_spec.n_classes, 6, tiny_spec.input_size)
+    params, _ = train_standard(init_params(tiny_spec, seed=7), ds, TrainHyper(3, 12, 0.1, 0.9, 0))
+    clf = SourceClassifier(params)
+    assert adversarial_accuracy(clf, ds, AttackConfig(0.05)).n_correct > 0
+    fgsm(clf, Tensor(ds.images), ds.labels, AttackConfig(0.05))
+    assert [name for name, t in params.named_tensors() if t.grad is not None or not t.requires_grad] == []

@@ -64,12 +64,13 @@ def test_loaded_arrays_are_writable_copies(tmp_path, named):
         ({"w": np.array([1.0, np.nan])}, r"^NaN or Inf in entry 'w'$"),
         ({"w": np.array([-np.inf])}, r"^NaN or Inf in entry 'w'$"),
         ({"é" * 32768: np.zeros(1)}, r"^entry 'é{40}\.\.\.' has a 65536-byte name, more than 65535$"),
+        ({"w": np.zeros((2**32, 0), np.float32)}, r"^entry 'w' has an extent of 4294967296, more than 4294967295$"),
     ],
-    ids=["nan", "inf", "long-name"],
+    ids=["nan", "inf", "long-name", "long-extent"],
 )
 def test_save_refuses_what_load_refuses(tmp_path, named, entry, match):
-    """An entry the reader would reject fails the write, naming it, and
-    leaves the file as it was and no temporary file beside it."""
+    """An entry the reader would reject, or the format cannot hold, fails the
+    write, naming it, and leaves the file as it was and no temporary file beside it."""
     path = tmp_path / "t.vpck"
     save_tensors(path, named)
     before = path.read_bytes()

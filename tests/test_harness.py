@@ -495,8 +495,8 @@ def test_run_writes_all_artifacts(experiment_run):
 
 
 def test_run_leaves_no_gradient_on_the_classifier_prompt(tmp_path, monkeypatch):
-    """The epsilon grid attacks with the prompt's ``requires_grad`` off: the
-    classifier comes back with no gradient and its flags restored."""
+    """The epsilon grid forms no prompt gradient: the classifier comes back
+    with no gradient and its flag set."""
     import promptlab.harness as harness
 
     kept = []

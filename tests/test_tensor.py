@@ -413,6 +413,79 @@ def test_custom_op_backward_is_never_called_when_no_input_requires_grad():
     np.testing.assert_array_equal(w.grad, [[7.0], [10.0]])
 
 
+def wrt_ops():
+    """An op per weight kind, each with an input and a weight of fitting shape."""
+    gen = np.random.default_rng(11)
+    x4 = gen.normal(size=(3, 2, 7, 7)).astype(np.float32)
+    x2 = gen.normal(size=(3, 5)).astype(np.float32)
+    return {
+        "conv2d": (lambda x, w: conv2d(x, w, stride=2), x4, gen.normal(size=(4, 2, 3, 3))),
+        "add_channel_bias": (add_channel_bias, x4, gen.normal(size=2)),
+        "add_row_bias": (add_row_bias, x2, gen.normal(size=5)),
+        "matmul": (matmul, x2, gen.normal(size=(5, 4))),
+        "matmul-weight-first": (lambda x, w: matmul(w, x), x2, gen.normal(size=(4, 3))),
+        "add": (add, x2, gen.normal(size=(3, 5))),
+    }
+
+
+@pytest.mark.parametrize("op_name", sorted(wrt_ops()))
+def test_a_wrt_graph_forms_only_the_input_gradient(op_name):
+    """In ``Graph(wrt=x)`` a trainable weight keeps its flag and gets no
+    gradient, and the graph forms what it forms with the weight's flag
+    cleared by hand: the same ``x.grad`` bytes and ``bytes_tracked``."""
+    op, x_data, w_data = wrt_ops()[op_name]
+
+    def run(w_grad, wrt):
+        x, w = Tensor(x_data, requires_grad=True), Tensor(w_data, requires_grad=w_grad)
+        with Graph(wrt=x if wrt else None) as g:
+            loss = tensor_sum(relu(op(x, w)))
+        g.backward(loss)
+        assert w.requires_grad == w_grad and w.grad is None
+        return x.grad.tobytes(), g.bytes_tracked
+
+    assert run(True, wrt=True) == run(False, wrt=False)
+
+
+def test_a_wrt_graph_conv2d_keeps_no_patches():
+    """With a trainable kernel, ``conv2d`` in ``Graph(wrt=x)`` holds only its
+    output after the forward, not the patch matrix that ``Graph()`` keeps for
+    the kernel gradient."""
+    import tracemalloc
+
+    gen = np.random.default_rng(12)
+    x = Tensor(gen.uniform(size=(64, 1, 32, 32)), requires_grad=True)
+    k = Tensor(gen.normal(size=(2, 1, 3, 3)), requires_grad=True)
+    patches = 64 * 30 * 30 * 9 * 4
+
+    def held(wrt):
+        conv2d(x, k)  # warm the cached gather index
+        tracemalloc.start()
+        try:
+            with Graph(wrt=wrt):
+                out = conv2d(x, k)
+                return tracemalloc.get_traced_memory()[0] - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+
+    assert held(None) >= patches
+    assert held(x) < patches // 8
+
+
+def test_a_wrt_graph_drops_the_gradients_a_custom_op_forms_for_other_leaves():
+    """A custom op that reads ``.requires_grad`` forms ``b``'s gradient in a
+    ``wrt`` graph too; backward fills only ``wrt.grad``."""
+    a = Tensor([1.0, 2.0], requires_grad=True)
+    b = Tensor([0.25, -1.0], requires_grad=True)
+    upstream = []
+    with Graph(wrt=a) as g:
+        h = relu(b)  # made from another leaf only: needs no gradient here
+        loss = tensor_sum(weighted_sum(a, b, upstream))
+    assert not h.requires_grad and loss.requires_grad
+    g.backward(loss)
+    np.testing.assert_array_equal(a.grad, [1.0, 1.0])
+    assert b.grad is None and b.requires_grad and len(upstream) == 1
+
+
 @pytest.mark.parametrize("op_name", sorted(ALL_CHECKS))
 def test_gradcheck_against_independent_oracle(op_name):
     """Three instances per op here; the acceptance suite runs the full ten."""

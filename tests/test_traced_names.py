@@ -3,11 +3,14 @@
 ``perfbench/tracer.py`` patches each ``(module, attribute)`` of its
 ``TRACED`` list when it installs, so a name removed or renamed here would
 fail every traced benchmark run at ``Tracer.install``.  The list is read
-from that file, which this test does not import.
+from that file, which this test does not import.  The tracer also calls
+``Graph.record`` positionally and reads some arguments by position, so
+those positions are pinned too.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -32,3 +35,27 @@ def test_traced_name_resolves(module, attr):
         cls_name, attr = attr.split(".")
         owner = vars(owner)[cls_name]
     assert attr in vars(owner) and callable(getattr(owner, attr)), f"promptlab.{module} has no callable {attr!r}"
+
+
+# (module, callable, the leading parameters the tracer passes or reads by position)
+CALL_SHAPES = [
+    ("tensor", "Graph.record", ["self", "output", "inputs", "backward_fn", "flops"]),
+    ("tensor", "Graph.backward", ["self", "loss"]),
+    ("nets", "forward", ["params", "batch"]),
+    ("attack", "fgsm", ["pipeline", "x"]),
+    ("attack", "standard_accuracy", ["pipeline", "dataset"]),
+    ("attack", "adversarial_accuracy", ["pipeline", "dataset"]),
+    ("checkpoint", "save_tensors", ["path"]),
+]
+
+
+@pytest.mark.parametrize("module, attr, leading", CALL_SHAPES, ids=[f"{m}.{a}" for m, a, _ in CALL_SHAPES])
+def test_traced_call_shape(module, attr, leading):
+    owner = importlib.import_module(f"promptlab.{module}")
+    for part in attr.split("."):
+        owner = getattr(owner, part)
+    params = list(inspect.signature(owner).parameters.values())
+    if attr.startswith("Graph."):  # the tape methods take exactly these
+        assert len(params) == len(leading), params
+    assert [p.name for p in params[: len(leading)]] == leading
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params[: len(leading)])

@@ -16,6 +16,7 @@ from promptlab import (
     ConfigError,
     ConvNetSpec,
     Dataset,
+    Graph,
     GraphError,
     NumericsError,
     PblConfig,
@@ -431,48 +432,90 @@ def test_evaluation_error_reaches_the_caller(frozen_source, monkeypatch, cpus, k
     assert multiprocessing.active_children() == []
 
 
+def attack_graphs(monkeypatch, call, *args, **kwargs):
+    """``call(*args, **kwargs)`` and the ``bytes_tracked`` of every graph it
+    differentiates."""
+    graphs, backward = [], Graph.backward
+
+    def recording(g, loss):
+        backward(g, loss)
+        graphs.append(g.bytes_tracked)
+
+    with monkeypatch.context() as m:
+        m.setattr(Graph, "backward", recording)
+        return call(*args, **kwargs), graphs
+
+
+def as_cleared_by_hand(monkeypatch, tensors, call, *args, **kwargs):
+    """:func:`attack_graphs` of ``call`` with the ``tensors``' flags cleared
+    for it, then set again."""
+    for t in tensors:
+        t.requires_grad = False
+    try:
+        return attack_graphs(monkeypatch, call, *args, **kwargs)
+    finally:
+        for t in tensors:
+            t.requires_grad = True
+
+
+def grad_bytes(tensors):
+    return [None if t.grad is None else t.grad.tobytes() for t in tensors]
+
+
 @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
-def test_evaluation_clears_the_target_gradient_flags_for_the_call(monkeypatch, cpus, fails):
-    """An in-process evaluation sees the target's tensors with
-    ``requires_grad`` cleared, so its attack forms no parameter gradient,
-    and the flags are back when it returns or raises."""
+def test_evaluation_differentiates_only_the_input(monkeypatch, cpus, fails):
+    """An in-process evaluation sees the target's flags unchanged, leaves
+    its gradients as training left them, and returns the report and graph
+    sizes of an evaluation with the flags cleared by hand: it formed no
+    parameter gradient.  Training goes on after it returns or raises."""
     params = init_params(SOURCE_SPEC, seed=2)
     tensors = [t for _, t in params.named_tensors()]
     seen = []
     real = train.adversarial_accuracy
 
-    def recording(*args, **kwargs):
+    def checked(*args, **kwargs):
         seen.append([t.requires_grad for t in tensors])
         if fails:
             raise NumericsError("injected in evaluation")
-        return real(*args, **kwargs)
+        before = grad_bytes(tensors)
+        report, graphs = attack_graphs(monkeypatch, real, *args, **kwargs)
+        assert grad_bytes(tensors) == before
+        assert (report, graphs) == as_cleared_by_hand(monkeypatch, tensors, real, *args, **kwargs)
+        return report
 
-    monkeypatch.setattr(train, "adversarial_accuracy", recording)
+    monkeypatch.setattr(train, "adversarial_accuracy", checked)
     cpus(1)
     hyper = TrainHyper(2, 8, 0.05, 0.9, 7)
     if fails:
         with pytest.raises(NumericsError, match="injected in evaluation"):
             train_standard(params, source_data(spc=4), hyper, metrics_epsilon=0.05)
-    else:  # epoch 1 trains after epoch 0's evaluation, so it needs the flags back
+    else:  # epoch 1 trains after epoch 0's evaluation
         train_standard(params, source_data(spc=4), hyper, metrics_epsilon=0.05)
-    assert seen == [[False] * len(tensors)] * (1 if fails else 2)
+    assert seen == [[True] * len(tensors)] * (1 if fails else 2)
     assert all(t.requires_grad for t in tensors)
 
 
 @pytest.mark.parametrize("target", ["source", "rlm-prompt"])
-def test_training_attack_clears_the_target_gradient_flags_for_the_call(frozen_source, monkeypatch, cpus, target):
+def test_training_attack_differentiates_only_the_input(frozen_source, monkeypatch, cpus, target):
     """The training attack of ``train_adversarial`` and of an adversarial
-    prompt sees the target's tensors with ``requires_grad`` cleared, so it
-    forms only the input gradient, and each step after it has the flags back."""
+    prompt sees the target's flags unchanged, leaves its gradients as they
+    were, and returns the bytes and graph size of an attack with the flags
+    cleared by hand: it formed only the input gradient."""
     seen = []
     real = train.fgsm
 
-    def recording(pipeline, *args, **kwargs):
+    def checked(pipeline, *args, **kwargs):
         attacked = pipeline.params if isinstance(pipeline, SourceClassifier) else pipeline.prompt
-        seen.append([t.requires_grad for _, t in attacked.named_tensors()])
-        return real(pipeline, *args, **kwargs)
+        tensors = [t for _, t in attacked.named_tensors()]
+        seen.append([t.requires_grad for t in tensors])
+        before = grad_bytes(tensors)
+        adv, graphs = attack_graphs(monkeypatch, real, pipeline, *args, **kwargs)
+        assert grad_bytes(tensors) == before
+        by_hand, by_hand_graphs = as_cleared_by_hand(monkeypatch, tensors, real, pipeline, *args)
+        assert (adv.data.tobytes(), graphs) == (by_hand.data.tobytes(), by_hand_graphs)
+        return adv
 
-    monkeypatch.setattr(train, "fgsm", recording)
+    monkeypatch.setattr(train, "fgsm", checked)
     cpus(1)
     hyper = TrainHyper(2, 8, 0.2, 0.9, 5)
     if target == "source":
@@ -484,7 +527,7 @@ def test_training_attack_clears_the_target_gradient_flags_for_the_call(frozen_so
         )
         steps = 2 * 4  # 30 examples in batches of 8
     tensors = [t for _, t in trained.named_tensors()]
-    assert seen == [[False] * len(tensors)] * steps
+    assert seen == [[True] * len(tensors)] * steps
     assert all(t.requires_grad for t in tensors)
 
 
