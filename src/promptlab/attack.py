@@ -36,6 +36,8 @@ class AttackConfig:
     def __post_init__(self):
         if not (self.epsilon >= 0.0):
             raise ConfigError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not np.isfinite(self.epsilon):
+            raise ConfigError(f"epsilon must be finite, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -125,11 +127,8 @@ def _predict(pipeline, images: np.ndarray) -> np.ndarray:
 
 
 def standard_accuracy(pipeline, dataset) -> float:
-    """Fraction of argmax-correct predictions over the dataset."""
-    if len(dataset) == 0:
-        raise ShapeError("cannot evaluate on an empty dataset")
-    preds = _predict(pipeline, dataset.images)
-    return float((preds == dataset.labels).mean())
+    """Fraction of argmax-correct predictions over the dataset: the clean pass of :func:`adversarial_accuracies`."""
+    return adversarial_accuracies(pipeline, dataset, [AttackConfig(0.0)])[0].standard_accuracy
 
 
 def adversarial_accuracy(pipeline, dataset, cfg: AttackConfig) -> EvalReport:

@@ -109,7 +109,7 @@ def save_model(path, params: ModelParams) -> None:
 
 
 def load_model(path, spec: ConvNetSpec, frozen: bool = False) -> ModelParams:
-    """Load a model checkpoint, verifying names and shapes against the spec."""
+    """Load a model checkpoint, verifying names and shapes against the spec; ``frozen`` clears every gradient flag."""
     loaded = load_tensors(path)
     expected = dict(_layer_shapes(spec))
     if set(loaded) != set(expected):
@@ -124,7 +124,7 @@ def load_model(path, spec: ConvNetSpec, frozen: bool = False) -> ModelParams:
                 f"entry '{name}' has shape {loaded[name].shape}, architecture wants {shape}"
             )
         tensors[name] = Tensor(loaded[name], requires_grad=not frozen)
-    return ModelParams(spec, tensors, frozen=frozen)
+    return ModelParams(spec, tensors)
 
 
 def save_prompt(path, prompt: VisualPrompt, temperature: int = 1) -> None:

@@ -44,7 +44,11 @@ class Dataset:
             raise DataFormatError(f"images must be (N,C,h,w), got shape {self.images.shape}")
         if self.images.dtype != np.float32:
             self.images = self.images.astype(np.float32)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        with np.errstate(invalid="ignore"):  # a NaN or Inf label casts to an arbitrary integer, refused below
+            self.labels = labels.astype(np.int64, copy=False)
+        if not np.array_equal(self.labels, labels):
+            raise DataFormatError(f"labels must be whole numbers, got {labels[self.labels != labels][:3].tolist()}")
         if self.labels.ndim != 1 or self.labels.shape[0] != self.images.shape[0]:
             raise DataFormatError(
                 f"labels shape {self.labels.shape} does not match {self.images.shape[0]} images"

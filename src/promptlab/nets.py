@@ -71,34 +71,32 @@ class ConvNetSpec:
 
 
 class ModelParams:
-    """Named parameter tensors for one ConvNetSpec instance.
+    """Named parameter tensors for one ConvNetSpec instance.  The bundle is ``frozen`` when none
+    of its tensors requires grad: no graph forms its gradient, and optimizer steps refuse it.
+    :meth:`freeze` clears every flag; ``copy(frozen)`` keeps each (None) or sets them all."""
 
-    ``frozen`` marks the bundle read-only: gradients stop flowing into
-    it and optimizer steps refuse to touch it.
-    """
-
-    def __init__(self, spec: ConvNetSpec, tensors: dict[str, Tensor], frozen: bool = False):
+    def __init__(self, spec: ConvNetSpec, tensors: dict[str, Tensor]):
         self.spec = spec
         self.tensors = tensors
-        self.frozen = bool(frozen)
-        if frozen:
-            self.freeze()
+
+    @property
+    def frozen(self) -> bool:
+        return not any(t.requires_grad for t in self.tensors.values())
 
     def named_tensors(self) -> list[tuple[str, Tensor]]:
         return list(self.tensors.items())
 
     def freeze(self) -> None:
-        self.frozen = True
         for t in self.tensors.values():
             t.requires_grad = False
             t.grad = None
 
     def copy(self, frozen: bool | None = None) -> "ModelParams":
         dup = {
-            name: Tensor(t.data.copy(), requires_grad=t.requires_grad)
+            name: Tensor(t.data.copy(), requires_grad=t.requires_grad if frozen is None else not frozen)
             for name, t in self.tensors.items()
         }
-        return ModelParams(self.spec, dup, self.frozen if frozen is None else frozen)
+        return ModelParams(self.spec, dup)
 
     def byte_signature(self) -> bytes:
         """Concatenated raw parameter bytes, for change detection."""

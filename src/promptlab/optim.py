@@ -21,6 +21,8 @@ class SgdOptimizer:
     def __init__(self, learning_rate: float, momentum: float = 0.0):
         if not (learning_rate >= 0.0):
             raise ConfigError(f"learning_rate must be >= 0, got {learning_rate}")
+        if not np.isfinite(learning_rate):
+            raise ConfigError(f"learning_rate must be finite, got {learning_rate}")
         if not (0.0 <= momentum < 1.0):
             raise ConfigError(f"momentum must lie in [0, 1), got {momentum}")
         self.learning_rate = np.float32(learning_rate)

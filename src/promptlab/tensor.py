@@ -106,11 +106,11 @@ class Tensor:
 _GRAPH_STACK: list["Graph"] = []
 
 
-def _needs_grad(x: Tensor) -> bool:
-    """Whether an op recorded now can be asked for ``x``'s gradient: a graph is open,
-    ``x`` requires grad, and the graph has no ``wrt``, or ``x`` is its ``wrt``, or the
-    graph made ``x``.  Ops read input flags, and build masks and patches, under this test."""
-    g = _GRAPH_STACK[-1] if _GRAPH_STACK else None
+def _needs_grad(x: Tensor, g: Graph | None = None) -> bool:
+    """Whether graph ``g`` (default: the innermost open one) can be asked for ``x``'s gradient: ``x``
+    requires grad, and ``g`` has no ``wrt``, or ``x`` is its ``wrt``, or ``g`` made ``x``.  Ops read
+    input flags and build masks and patches under this test; :meth:`Graph.backward` fills a leaf's under it."""
+    g = g or (_GRAPH_STACK[-1] if _GRAPH_STACK else None)
     made_here = x.node is not None and x.node[0] is g
     return g is not None and x.requires_grad and (g.wrt is None or x is g.wrt or made_here)
 
@@ -203,8 +203,7 @@ class Graph:
                         grads[src] = grads[src] + g_in
                     else:
                         grads[src] = g_in
-                elif src.requires_grad and (self.wrt is None or src is self.wrt):
-                    # leaf: accumulate into the persistent buffer
+                elif _needs_grad(src, self):  # leaf: accumulate into the persistent buffer
                     if src.grad is None:
                         src.grad = np.zeros_like(src.data)
                     src.grad += g_in

@@ -160,6 +160,7 @@ def _train_engine(
     through ``pipeline`` (an input gradient only, as in evaluation) before the
     step; with None, training is clean.  ``after_epoch`` runs after each epoch's
     last step and before its evaluation, ``post_step`` after every step.
+    ``target``'s gradients are cleared once, before the first step: each step clears them, and no attack forms one.
     Each epoch is evaluated on ``eval_dataset`` after it trains (only the
     last one with ``final_eval_only``).  When more than one epoch is
     evaluated and at least two CPUs are usable, every epoch but the last
@@ -193,6 +194,7 @@ def _train_engine(
         )
     records: list[MetricsRecord] = []
     futures = []
+    zero_grad(target)  # a caller may hand in a target with stale gradients
     try:
         for epoch in range(hyper.epochs):
             meter = WorkMeter(persistent_bytes=persistent)
@@ -205,7 +207,6 @@ def _train_engine(
                 yb = dataset.labels[idx]
                 if attack is not None:
                     xb = fgsm(pipeline, Tensor(xb), yb, attack, meter=meter).data
-                zero_grad(target)  # a caller may hand in a target with stale gradients
                 with Graph() as g:
                     logits = pipeline.logits(Tensor(xb))
                     loss = softmax_cross_entropy(logits, yb)

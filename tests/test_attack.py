@@ -75,6 +75,19 @@ def test_attack_config_rejects_negative_epsilon():
         AttackConfig(-0.1)
 
 
+@pytest.mark.parametrize(
+    "epsilon, message",
+    [
+        (float("inf"), "epsilon must be finite, got inf"),
+        (float("nan"), "epsilon must be >= 0, got nan"),
+        (float("-inf"), "epsilon must be >= 0, got -inf"),
+    ],
+)
+def test_attack_config_rejects_a_non_finite_epsilon(epsilon, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        AttackConfig(epsilon)
+
+
 def test_eval_report_validates_counts():
     with pytest.raises(ConfigError):
         EvalReport(0.5, 0.5, 10, 5, 6)  # more survivors than correct

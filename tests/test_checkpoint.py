@@ -275,9 +275,12 @@ def test_model_round_trip(tmp_path, tiny_spec):
     back = load_model(path, tiny_spec)
     assert back.byte_signature() == params.byte_signature()
     assert not back.frozen
+    assert all(t.requires_grad for _, t in back.named_tensors())
     frozen = load_model(path, tiny_spec, frozen=True)
     assert frozen.frozen
     assert all(not t.requires_grad for _, t in frozen.named_tensors())
+    frozen.tensors["output.bias"].requires_grad = True  # the flags are the one record of frozen
+    assert not frozen.frozen
 
 
 def test_model_load_rejects_wrong_architecture(tmp_path, tiny_spec):

@@ -61,6 +61,19 @@ class TestDatasetValidation:
         with pytest.raises(DataFormatError, match="labels must lie in"):
             Dataset(np.zeros((3, 1, 8, 8), np.float32), labels, 2)
 
+    @pytest.mark.parametrize("labels", [[0.7, 1.2], [0.0, 0.5], [0.0, np.nan], [1.0, np.inf]])
+    def test_rejects_labels_that_are_not_whole_numbers(self, labels):
+        with pytest.raises(DataFormatError, match="labels must be whole numbers"):
+            Dataset(np.zeros((2, 1, 2, 2), np.float32), labels, 2)
+
+    @pytest.mark.parametrize("labels", [np.array([1, 0], np.int32), [1.0, 0.0], np.array([True, False])])
+    def test_loads_whole_number_labels_of_any_dtype(self, labels):
+        ds = Dataset(np.zeros((2, 1, 2, 2), np.float32), labels, 2)
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [1, 0]
+
+    def test_loads_an_empty_label_list(self):
+        assert len(Dataset(np.zeros((0, 1, 2, 2), np.float32), [], 2)) == 0
+
     def test_rejects_pixels_outside_unit_interval(self):
         images = np.full((2, 1, 4, 4), 1.5, np.float32)
         with pytest.raises(DataFormatError, match="pixel values"):

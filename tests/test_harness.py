@@ -180,6 +180,12 @@ def frame(cfg, pad_width, image_size):
         (lambda c: c["data"]["downstream"].__setitem__("samples_per_class", 0), r"data\.downstream: samples_per_class"),
         (lambda c: c["source"]["hyper"].__setitem__("epochs", "ten"), r"source\.hyper: .*'ten'"),
         (lambda c: c["eval"].__setitem__("metrics_epsilon", -1), r"eval\.metrics_epsilon: epsilon must be >= 0"),
+        (lambda c: c["source"]["hyper"].__setitem__("learning_rate", float("inf")), r"^source\.hyper: learning_rate must be finite, got inf$"),
+        (lambda c: c["prompt"]["hyper"].__setitem__("learning_rate", float("inf")), r"^prompt\.hyper: learning_rate must be finite, got inf$"),
+        (lambda c: c["source"]["attack"].__setitem__("epsilon", float("inf")), r"^source\.attack: epsilon must be finite, got inf$"),
+        (lambda c: c["prompt"]["attack"].__setitem__("epsilon", float("inf")), r"^prompt\.attack: epsilon must be finite, got inf$"),
+        (lambda c: c["eval"].__setitem__("epsilon_grid", [0.0, float("inf")]), r"^eval\.epsilon_grid\[1\]: epsilon must be finite, got inf$"),
+        (lambda c: c["eval"].__setitem__("metrics_epsilon", float("inf")), r"^eval\.metrics_epsilon: epsilon must be finite, got inf$"),
         (lambda c: c["prompt"].__setitem__("adversarial", "false"), r"prompt: adversarial must be true or false, got 'false'"),
         (lambda c: c["prompt"].__setitem__("adversarial", 0), r"prompt: adversarial must be true or false, got 0"),
         (lambda c: c["source"]["hyper"].__setitem__("epochs", 2.9), r"source\.hyper: epochs must be an integer, got 2\.9"),

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from promptlab import ConfigError, ConvNetSpec, ShapeError, Tensor, forward, init_params
+from promptlab import ConfigError, ConvNetSpec, ShapeError, Tensor, TrainHyper, forward, init_params, train_standard
 
+from conftest import make_dataset
 from gradcheck import ref_conv2d
 
 
@@ -85,13 +86,29 @@ def test_freeze_clears_grads_and_flags(tiny_params):
     assert all(not p.requires_grad and p.grad is None for _, p in tiny_params.named_tensors())
 
 
-def test_copy_is_deep_and_can_thaw(tiny_params):
+def test_copy_is_deep_and_can_thaw(tiny_spec, tiny_params):
     tiny_params.freeze()
     dup = tiny_params.copy(frozen=False)
     assert not dup.frozen
+    assert all(t.requires_grad for _, t in dup.named_tensors())
     assert dup.byte_signature() == tiny_params.byte_signature()
     dup.tensors["output.bias"].data += 1.0
     assert dup.byte_signature() != tiny_params.byte_signature()
+    before = dup.byte_signature()
+    train_standard(dup, make_dataset(tiny_spec.n_classes, 2, tiny_spec.input_size), TrainHyper(1, 4, 0.1, 0.9, 0))
+    assert dup.byte_signature() != before  # the thawed copy trains
+
+
+def test_frozen_reads_the_flags_and_copy_keeps_them(tiny_params):
+    """``frozen`` is read from the tensors' flags, and ``copy()`` keeps each flag."""
+    tiny_params.freeze()
+    tiny_params.tensors["conv0.weight"].requires_grad = True
+    assert not tiny_params.frozen
+    flags = {name: t.requires_grad for name, t in tiny_params.named_tensors()}
+    dup = tiny_params.copy()
+    assert {name: t.requires_grad for name, t in dup.named_tensors()} == flags
+    assert not dup.frozen
+    assert dup.copy(frozen=True).frozen
 
 
 def test_byte_signature_orders_by_name(tiny_spec):

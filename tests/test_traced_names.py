@@ -13,7 +13,21 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from promptlab import (
+    Graph,
+    PblConfig,
+    SourceClassifier,
+    Tensor,
+    TrainHyper,
+    init_params,
+    softmax_cross_entropy,
+    train_prompt,
+)
+
+from conftest import make_dataset
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -59,3 +73,26 @@ def test_traced_call_shape(module, attr, leading):
         assert len(params) == len(leading), params
     assert [p.name for p in params[: len(leading)]] == leading
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params[: len(leading)])
+
+
+def test_traced_object_reads(tiny_spec):
+    """What the tracer's work counts read: a pipeline's parts and parameter
+    bytes (a source pipeline is told apart by having no ``prompt``), a dataset's
+    arrays, a graph's work counts, and ``train_prompt``'s result and records."""
+    source = init_params(tiny_spec, seed=3).copy(frozen=True)
+    dataset = make_dataset(2, 4, (1, 6, 6))
+    result = train_prompt(source, dataset, "rlm", PblConfig(2), TrainHyper(1, 4, 0.1, 0.9, 0), pad_width=3)
+    assert isinstance(result, tuple) and len(result) == 3
+    prompt, clf, records = result
+    assert clf.source is source and clf.prompt is prompt and clf.pbl == PblConfig(2)
+    assert isinstance(clf.mapping.indices, tuple)
+    assert isinstance(source.byte_signature(), bytes) and isinstance(prompt.params.data, np.ndarray)
+    bare = SourceClassifier(source)
+    assert bare.params is source and not hasattr(bare, "prompt")
+    assert isinstance(dataset.images, np.ndarray) and isinstance(dataset.labels, np.ndarray)
+    for r in records:
+        assert [type(v) for v in (r.epoch, r.loss, r.std_acc, r.adv_acc, r.mean_confidence)] == [int] + [float] * 4
+    with Graph() as g:
+        loss = softmax_cross_entropy(clf.logits(Tensor(dataset.images)), dataset.labels)
+    g.backward(loss)
+    assert isinstance(g.flops, int) and isinstance(g.bytes_tracked, int) and g.flops > 0

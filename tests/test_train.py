@@ -67,6 +67,8 @@ def frozen_source():
         (dict(momentum=1.0), "momentum"),
         (dict(momentum=-0.2), "momentum"),
         (dict(seed=-1), "seed"),
+        (dict(learning_rate=float("inf")), "^learning_rate must be finite, got inf$"),
+        (dict(learning_rate=float("-inf")), "^learning_rate must be >= 0, got -inf$"),
     ],
 )
 def test_hyper_validation(overrides, fragment):
@@ -192,6 +194,19 @@ def test_prompt_requires_frozen_source():
     with pytest.raises(GraphError, match="frozen"):
         train_prompt(params, downstream_data(), "rlm", None, TrainHyper(1, 8, 0.1, 0.9, 0),
                      pad_width=3)
+
+
+def test_prompt_refuses_a_source_with_one_tensor_thawed(frozen_source, monkeypatch):
+    """A frozen source with one tensor's flag set back is not frozen: it is
+    refused before the first step, so no prompt step adds into its gradient."""
+    source = frozen_source.copy()
+    source.tensors["conv0.weight"].requires_grad = True
+    steps = []
+    monkeypatch.setattr(train, "sgd_step", lambda *args: steps.append(args))
+    with pytest.raises(GraphError, match="frozen"):
+        train_prompt(source, downstream_data(), "rlm", None, TrainHyper(1, 8, 0.1, 0.9, 0), pad_width=3)
+    assert steps == []
+    assert source.tensors["conv0.weight"].grad is None
 
 
 def test_prompt_rejects_unknown_mapping_policy(frozen_source):
