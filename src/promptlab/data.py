@@ -144,11 +144,20 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
     Each class draws its noise from a per-class child seed so the
     generator could be parallelized by class without changing output;
     samples are emitted class-ordered (callers shuffle per epoch).
+
+    Each class block is rendered in float64, clipped and cast to float32
+    straight into its slice of one preallocated array, with the
+    downstream rotate-and-invert applied to that slice.  Every step is
+    elementwise, so the bytes equal rendering the whole set first and
+    transforming it after, while the float64 work never outgrows one
+    class.
     """
     c, h, w = spec.image_size
+    k = spec.samples_per_class
     children = np.random.SeedSequence(spec.seed).spawn(spec.n_classes)
     jitter = _PHASE_JITTER * spec.noise_level
-    chunks = []
+    downstream = spec.style == "downstream"
+    images = np.empty((spec.n_classes * k, c, w, h) if downstream else (spec.n_classes * k, c, h, w), np.float32)
     for cls in range(spec.n_classes):
         rng = np.random.Generator(np.random.PCG64(children[cls]))
         # Phase varies per sample, scaled by the noise level so that a
@@ -156,17 +165,16 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
         # identically.  The spread gives each class genuine
         # within-class appearance variation, the way photographs of one
         # object differ in framing.
-        phases = rng.uniform(-jitter, jitter, size=spec.samples_per_class)
+        phases = rng.uniform(-jitter, jitter, size=k)
         base = _class_patterns(cls, spec.n_classes, h, w, phases)[:, None, :, :]
-        base = np.broadcast_to(base, (spec.samples_per_class, c, h, w))
-        noise = rng.uniform(-spec.noise_level, spec.noise_level, size=base.shape)
-        # cast per class: elementwise, so the bytes are the same, and the
-        # whole set is never held in float64
-        chunks.append(np.clip(base + noise, 0.0, 1.0).astype(np.float32))
-    images = np.concatenate(chunks)
-    labels = np.repeat(np.arange(spec.n_classes, dtype=np.int64), spec.samples_per_class)
-    if spec.style == "downstream":
-        images = np.ascontiguousarray(1.0 - np.rot90(images, k=1, axes=(2, 3)))
+        noise = rng.uniform(-spec.noise_level, spec.noise_level, size=(k, c, h, w))
+        noise += base  # base + noise: float addition commutes bit for bit
+        block = images[cls * k : (cls + 1) * k]
+        # a quarter turn back of the downstream slice is the (h, w) view the source style fills
+        np.clip(noise, 0.0, 1.0, out=np.rot90(block, k=-1, axes=(2, 3)) if downstream else block)
+        if downstream:
+            np.subtract(1.0, block, out=block)
+    labels = np.repeat(np.arange(spec.n_classes, dtype=np.int64), k)
     return Dataset(images=images, labels=labels, n_classes=spec.n_classes)
 
 

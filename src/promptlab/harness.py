@@ -525,6 +525,11 @@ def train_and_save_prompt(cfg: ExperimentConfig, data: dict[str, Dataset], sourc
 
 
 def _eval_grid(pipeline, dataset, grid) -> list[dict]:
+    """The ``report.json`` rows of ``pipeline`` on ``dataset`` at each ε of
+    ``grid``, from :func:`adversarial_accuracies` (one clean pass), in
+    process.  A forked worker would only move the grid's peak RSS out of
+    this process: nothing runs beside it, and the worker's own pages add
+    to the run's footprint while this process waits."""
     reports = adversarial_accuracies(pipeline, dataset, [AttackConfig(eps) for eps in grid])
     return [{"epsilon": eps, **asdict(report)} for eps, report in zip(grid, reports)]
 

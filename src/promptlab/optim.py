@@ -51,11 +51,18 @@ def sgd_step(target, opt: SgdOptimizer) -> None:
     """Apply one optimizer step to any object exposing named_tensors().
 
     Frozen targets are refused outright so that a frozen source model
-    can never drift underneath a prompt being trained on top of it.
+    can never drift underneath a prompt being trained on top of it.  A
+    target with only some tensors frozen is refused too, naming the first
+    one: no graph forms its gradient, so it could never be stepped.
+    Either refusal comes before any tensor moves.
     """
     if getattr(target, "frozen", False):
         raise GraphError("refusing to update frozen parameters")
-    opt.step(target.named_tensors())
+    named = target.named_tensors()
+    off = next((name for name, t in named if not t.requires_grad), None)
+    if off is not None:
+        raise GraphError(f"refusing to update a partly frozen bundle: parameter '{off}' does not require grad")
+    opt.step(named)
 
 
 def zero_grad(target) -> None:

@@ -207,6 +207,27 @@ def test_generator_matches_per_sample_rendering(n_classes, per_class, c, h, w, s
     assert generate_synthetic(spec).images.tobytes() == render_per_sample(spec).tobytes()
 
 
+@pytest.mark.parametrize("style", ["source", "downstream"])
+@pytest.mark.parametrize("c, h, w", [(1, 32, 32), (3, 24, 24), (1, 20, 28), (3, 9, 14)])
+def test_generator_peak_is_the_images_and_a_few_class_blocks(style, c, h, w):
+    """At square, non-square and even sizes the generator gives the
+    per-sample rendering's bytes, and its traced peak is the images plus
+    at most six float64 class blocks."""
+    import tracemalloc
+
+    spec = SynthSpec(20, 30, (c, h, w), style, 0.45, seed=3)
+    generate_synthetic(SynthSpec(2, 1, (c, 3, 3), style, 0.45, seed=0))  # a process's first call also fills caches
+    tracemalloc.start()
+    try:
+        images = generate_synthetic(spec).images
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = spec.samples_per_class * c * h * w * 8
+    assert peak <= images.nbytes + 6 * block
+    assert images.tobytes() == render_per_sample(spec).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # binary container IO
 

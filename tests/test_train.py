@@ -157,6 +157,18 @@ def test_refuses_frozen_params(frozen_source):
         )
 
 
+def test_refuses_a_partly_frozen_bundle_naming_its_frozen_tensor():
+    """A bundle with one flag off is not frozen, but its step is refused
+    before any tensor moves, naming that tensor, not the caller's backward."""
+    params = init_params(SOURCE_SPEC, seed=2)
+    params.tensors["output.bias"].requires_grad = False
+    before = params.byte_signature()
+    match = r"^refusing to update a partly frozen bundle: parameter 'output.bias' does not require grad$"
+    with pytest.raises(GraphError, match=match):
+        train_standard(params, source_data(spc=2), TrainHyper(1, 8, 0.1, 0.9, 0))
+    assert params.byte_signature() == before
+
+
 def test_refuses_empty_dataset():
     empty = Dataset(np.zeros((0, 1, 12, 12), np.float32), np.zeros(0, np.int64), 2)
     with pytest.raises(ConfigError, match="dataset has 0 examples of 2 classes; it needs one of each"):
