@@ -19,7 +19,7 @@ from promptlab import (
     SynthSpec,
     Tensor,
     TrainHyper,
-    adversarial_accuracy,
+    adversarial_accuracies,
     fgsm,
     generate_synthetic,
     init_params,
@@ -54,8 +54,8 @@ def main() -> None:
     clf = SourceClassifier(params)
 
     print(f"{'epsilon':>8} {'std acc':>8} {'survivors':>10} {'adv acc':>8}")
-    for eps in args.epsilons:
-        rep = adversarial_accuracy(clf, test, AttackConfig(eps))
+    reps = adversarial_accuracies(clf, test, [AttackConfig(eps) for eps in args.epsilons])
+    for eps, rep in zip(args.epsilons, reps):
         print(f"{eps:8.3f} {rep.standard_accuracy:8.3f} "
               f"{rep.n_survived_attack:>4}/{rep.n_correct:<4} "
               f"{rep.adversarial_accuracy:8.3f}")

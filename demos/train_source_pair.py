@@ -14,7 +14,7 @@ import argparse
 from promptlab import (
     AttackConfig,
     SourceClassifier,
-    adversarial_accuracy,
+    adversarial_accuracies,
     init_params,
     train_adversarial,
     train_standard,
@@ -57,13 +57,8 @@ def main() -> None:
     models = {"standard": SourceClassifier(standard), "robust": SourceClassifier(robust)}
     print(f"\n{'model':<10} {'clean':>7}", *(f"surv@{e:g}".rjust(10) for e in args.epsilons))
     for name, clf in models.items():
-        row = [f"{name:<10}"]
-        clean = None
-        for eps in args.epsilons:
-            rep = adversarial_accuracy(clf, data["source_test"], AttackConfig(eps))
-            clean = rep.standard_accuracy
-            row.append(f"{rep.adversarial_accuracy:10.3f}")
-        print(row[0], f"{clean:7.3f}", *row[1:])
+        reps = adversarial_accuracies(clf, data["source_test"], [AttackConfig(e) for e in args.epsilons])
+        print(f"{name:<10}", f"{reps[0].standard_accuracy:7.3f}", *(f"{r.adversarial_accuracy:10.3f}" for r in reps))
     print("\nsurv@eps = fraction of initially-correct test samples still "
           "correct after the attack")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attack import AttackConfig, adversarial_accuracy, fgsm, standard_accuracy
+from .attack import AttackConfig, adversarial_accuracy, fgsm
 from .data import Dataset
 from .errors import ConfigError, GraphError
 from .mapping import PblConfig, ilm_update, prediction_frequencies, rlm_init
@@ -77,23 +77,29 @@ def _can_fork() -> bool:
 _evaluator = None  # set in the evaluation worker only, by _start_evaluator
 
 
-def _start_evaluator(target, pipeline, evaluate) -> None:
+def _start_evaluator(target, pipeline, eval_ds, metrics_epsilon) -> None:
     """Initialise a forked evaluation worker: it keeps its inherited copy
-    of ``target``'s tensors, and the pipeline and ``evaluate`` that read
-    them."""
+    of ``target``'s tensors, and what :func:`_score` reads."""
     global _evaluator
-    _evaluator = ([t for _, t in target.named_tensors()], pipeline, evaluate)
+    _evaluator = ([t for _, t in target.named_tensors()], pipeline, eval_ds, metrics_epsilon)
 
 
 def _evaluate_epoch(values, mapping) -> tuple[float, float]:
     """Write the values an epoch of training left (and its label mapping)
-    into the worker's copy of the target, and evaluate."""
-    tensors, pipeline, evaluate = _evaluator
+    into the worker's copy of the target, and score it (:func:`_score`)."""
+    tensors, pipeline, eval_ds, metrics_epsilon = _evaluator
     for t, value in zip(tensors, values):
         t.data[...] = value
     if mapping is not None:
         pipeline.mapping = mapping
-    return evaluate()
+    return _score(pipeline, eval_ds, metrics_epsilon)
+
+
+def _score(pipeline, dataset: Dataset, metrics_epsilon: float) -> tuple[float, float]:
+    """An epoch's ``(std_acc, adv_acc)`` on ``dataset``, from one :func:`adversarial_accuracy` call at
+    ``metrics_epsilon``; at ε = 0 the protocol runs no attack, and ``adv_acc`` reads 0.0, "not measured"."""
+    report = adversarial_accuracy(pipeline, dataset, AttackConfig(metrics_epsilon))
+    return report.standard_accuracy, (report.adversarial_accuracy if metrics_epsilon > 0.0 else 0.0)
 
 
 def _phase_bounds(spec: ConvNetSpec, prompt: VisualPrompt | None = None, k_t: int = 0) -> tuple:
@@ -161,26 +167,21 @@ def _train_engine(
     step; with None, training is clean.  ``after_epoch`` runs after each epoch's
     last step and before its evaluation, ``post_step`` after every step.
     ``target``'s gradients are cleared once, before the first step: each step clears them, and no attack forms one.
-    Each epoch is evaluated on ``eval_dataset`` after it trains (only the
-    last one with ``final_eval_only``).  When more than one epoch is
-    evaluated and at least two CPUs are usable, every epoch but the last
-    is evaluated by a one-process ``ProcessPoolExecutor``, forked at the
-    first submitted epoch, while the next epoch trains; the records are
-    the same either way.  If the phase fails, the epochs not yet handed
-    to the worker are cancelled; a dead worker raises ``BrokenProcessPool``.
+    Each epoch is scored on ``eval_dataset`` after it trains (only the last one with
+    ``final_eval_only``) by :func:`_score`, the one statement of an epoch's accuracies.
+    When more than one epoch is scored and at least two CPUs are usable, every epoch
+    but the last is scored by a one-process ``ProcessPoolExecutor``, forked at the first
+    submitted epoch, while the next epoch trains; the records are the same either way.
+    If the phase fails, the epochs not yet handed to the worker are cancelled; a dead
+    worker raises ``BrokenProcessPool``.
     """
     rng = np.random.Generator(np.random.PCG64(hyper.seed))
     opt = SgdOptimizer(hyper.learning_rate, hyper.momentum)
+    AttackConfig(metrics_epsilon)  # refuses an ε that _score could not attack at, before the first step
     eval_ds = eval_dataset if eval_dataset is not None else dataset
     persistent = _persistent_bytes(target)
     n = len(dataset)
     last = hyper.epochs - 1
-
-    def evaluate() -> tuple[float, float]:
-        if metrics_epsilon > 0.0:
-            report = adversarial_accuracy(pipeline, eval_ds, AttackConfig(metrics_epsilon))
-            return report.standard_accuracy, report.adversarial_accuracy
-        return standard_accuracy(pipeline, eval_ds), 0.0  # 0.0: not measured
 
     pool = None
     if not final_eval_only and last > 0 and usable_cpus() >= 2 and _can_fork():
@@ -189,9 +190,8 @@ def _train_engine(
 
         # fork, not spawn: the worker inherits the pipeline, the frozen
         # source and the evaluation set, and is sent only what training changed
-        pool = ProcessPoolExecutor(
-            1, multiprocessing.get_context("fork"), initializer=_start_evaluator, initargs=(target, pipeline, evaluate)
-        )
+        state = (target, pipeline, eval_ds, metrics_epsilon)
+        pool = ProcessPoolExecutor(1, multiprocessing.get_context("fork"), initializer=_start_evaluator, initargs=state)
     records: list[MetricsRecord] = []
     futures = []
     zero_grad(target)  # a caller may hand in a target with stale gradients
@@ -227,7 +227,7 @@ def _train_engine(
                 futures.append(pool.submit(_evaluate_epoch, values, getattr(pipeline, "mapping", None)))
                 std_acc, adv_acc = 0.0, 0.0  # replaced by the worker's results below
             else:
-                std_acc, adv_acc = evaluate()
+                std_acc, adv_acc = _score(pipeline, eval_ds, metrics_epsilon)
             records.append(
                 MetricsRecord(
                     epoch=epoch,
@@ -305,9 +305,9 @@ def train_prompt(
 
     Data that does not fit the prompt interior and K_t (:func:`_check_data`), or a
     ``cfg`` that leaves fewer than K_t slots, fails before the first step as a ConfigError.
-    Each epoch's record holds the accuracies on ``eval_dataset`` (the
-    training set when None); ``adv_acc`` is taken under the sign attack
-    at ``metrics_epsilon`` and reads 0.0, "not measured", when that is 0.
+    Each epoch's record holds the accuracies on ``eval_dataset`` (the training
+    set when None) that :func:`_score` states: ``adv_acc`` under the sign attack
+    at ``metrics_epsilon``, or 0.0, "not measured", when that is 0.
     With ``final_eval_only=True`` only the last epoch is evaluated: every
     earlier record reads ``std_acc = adv_acc = 0.0``, which means "not
     measured", and its other fields are unchanged.

@@ -50,12 +50,17 @@ def fingerprint() -> dict:
 
 def expected() -> dict[str, str] | None:
     """The manifest's digests, or None under ``--update``; skips the calling
-    test when the manifest was made with another fingerprint."""
+    test when the manifest was made with another fingerprint, naming the
+    variable that selects the manifest's BLAS kernel."""
     if UPDATE:
         return None
     manifest = json.loads(MANIFEST.read_text())
     if manifest["fingerprint"] != fingerprint():
-        pytest.skip(f"{MANIFEST.name} was made with {manifest['fingerprint']}, this environment is {fingerprint()}")
+        pytest.skip(
+            f"{MANIFEST.name} was made with {manifest['fingerprint']}, this environment is {fingerprint()}; "
+            "on a CPU that can run the OpenBLAS kernel the manifest's blas entry names, "
+            "OPENBLAS_CORETYPE=<that kernel> selects it"
+        )
     return manifest["sha256"]
 
 

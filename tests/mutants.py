@@ -1,0 +1,186 @@
+"""Mutation checks that outlive the change that proved them.
+
+Each entry of :data:`MUTANTS` names a file, an exact text in it, the text
+that replaces it, the test files that must fail once it is replaced, and
+one line of why.  ``python tests/mutants.py`` applies one mutant at a time
+to a fresh copy of ``src/``, ``tests/`` and ``pyproject.toml`` in a
+temporary directory, so the copy's ``pythonpath = ["src"]`` cannot load the
+unmutated package, runs the named test files there with ``-x``, and prints
+killed or survived; it exits 1 if a mutant survived or its tests could not
+run.
+
+``tests/test_mutants.py`` checks that each old text still occurs exactly
+once in its file, so a refactor that moves one updates its entry here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "pyproject.toml")
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # relative to the repository root
+    old: str  # occurs exactly once in ``file``
+    new: str
+    tests: tuple[str, ...]  # test files, relative to the repository root, that must fail
+    why: str
+
+
+MUTANTS = [
+    # an attack differentiates only its input
+    Mutant(
+        "attack-graph-without-wrt",
+        "src/promptlab/attack.py",
+        "with Graph(wrt=xt) as g:",
+        "with Graph() as g:",
+        ("tests/test_attack.py",),
+        "an attack pass must form only the input gradient, whoever calls it",
+    ),
+    Mutant(
+        "needs-grad-without-wrt",
+        "src/promptlab/tensor.py",
+        "return g is not None and x.requires_grad and (g.wrt is None or x is g.wrt or made_here)",
+        "return g is not None and x.requires_grad",
+        ("tests/test_tensor.py",),
+        "a wrt graph must neither keep what, nor fill gradients that, only other leaves need",
+    ),
+    Mutant(
+        "conv2d-reads-the-kernel-flag",
+        "src/promptlab/tensor.py",
+        "if _needs_grad(kernel) else None",
+        "if kernel.requires_grad else None",
+        ("tests/test_tensor.py",),
+        "conv2d under Graph(wrt=x) must keep no patches for a kernel that requires grad",
+    ),
+    Mutant(
+        "add-row-bias-reads-the-bias-flag",
+        "src/promptlab/tensor.py",
+        """(K,), got {x.data.shape} and {bias.data.shape}"
+        )
+    x_grad, bias_grad = _needs_grad(x), _needs_grad(bias)""",
+        """(K,), got {x.data.shape} and {bias.data.shape}"
+        )
+    x_grad, bias_grad = _needs_grad(x), bias.requires_grad""",
+        ("tests/test_tensor.py",),
+        "add_row_bias under Graph(wrt=x) must form no bias gradient",
+    ),
+    Mutant(
+        "record-op-reads-the-input-flags",
+        "src/promptlab/tensor.py",
+        "out.requires_grad = any(map(_needs_grad, inputs)) if _GRAPH_STACK",
+        "out.requires_grad = any(t.requires_grad for t in inputs) if _GRAPH_STACK",
+        ("tests/test_tensor.py",),
+        "an op's output must require grad only when an input needs a gradient from the open graph",
+    ),
+    # trainability is one fact
+    Mutant(
+        "backward-fills-every-flagged-leaf",
+        "src/promptlab/tensor.py",
+        "elif _needs_grad(src, self):",
+        "elif src.requires_grad:",
+        ("tests/test_tensor.py",),
+        "backward must drop the gradients a custom op forms for leaves other than wrt",
+    ),
+    Mutant(
+        "copy-thaws-by-default",
+        "src/promptlab/nets.py",
+        "requires_grad=t.requires_grad if frozen is None else not frozen",
+        "requires_grad=True if frozen is None else not frozen",
+        ("tests/test_nets.py",),
+        "copy() must keep each tensor's flag unless told to freeze or thaw",
+    ),
+    Mutant(
+        "frozen-when-any-flag-is-off",
+        "src/promptlab/nets.py",
+        "return not any(t.requires_grad for t in self.tensors.values())",
+        "return not all(t.requires_grad for t in self.tensors.values())",
+        ("tests/test_nets.py", "tests/test_train.py", "tests/test_checkpoint.py"),
+        "a bundle is frozen only when no tensor requires grad",
+    ),
+    Mutant(
+        "labels-not-checked-whole",
+        "src/promptlab/data.py",
+        "if not np.array_equal(self.labels, labels):",
+        "if False:",
+        ("tests/test_data.py",),
+        "a label that is not a whole number must be refused, not truncated",
+    ),
+    # an epoch is scored one way
+    Mutant(
+        "score-reports-the-protocol-figure-at-zero",
+        "src/promptlab/train.py",
+        "report.adversarial_accuracy if metrics_epsilon > 0.0 else 0.0",
+        "report.adversarial_accuracy",
+        ("tests/test_train.py",),
+        "adv_acc must read 0.0, not measured, when metrics_epsilon is 0 (the protocol reads 1.0 there)",
+    ),
+    Mutant(
+        "worker-drops-the-sent-mapping",
+        "src/promptlab/train.py",
+        """    if mapping is not None:
+        pipeline.mapping = mapping
+    return _score(""",
+        """    return _score(""",
+        ("tests/test_train.py",),
+        "the worker must score an ILM epoch under the mapping that epoch left",
+    ),
+]
+
+
+def mutated(mutant: Mutant, text: str) -> str:
+    """``text`` with the mutant's old text replaced; a ValueError unless it occurs exactly once."""
+    count = text.count(mutant.old)
+    if count != 1:
+        raise ValueError(f"{mutant.name}: its old text occurs {count} times in {mutant.file}, not once")
+    return text.replace(mutant.old, mutant.new)
+
+
+def run(mutant: Mutant) -> tuple[str, str]:
+    """Run the mutant's tests on a mutated copy of the repository: ("killed",
+    the first failure pytest names) or ("survived", its summary line), or
+    ("error", its output tail) when pytest could not run them."""
+    with tempfile.TemporaryDirectory(prefix="promptlab-mutant-") as tmp:
+        root = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
+        for name in COPIED:
+            if (ROOT / name).is_dir():
+                shutil.copytree(ROOT / name, root / name, ignore=skip)
+            else:
+                shutil.copy2(ROOT / name, root / name)
+        path = root / mutant.file
+        path.write_text(mutated(mutant, path.read_text()))
+        env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests]
+        done = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines() or [done.stderr.strip()]
+    verdict = {0: "survived", 1: "killed"}.get(done.returncode, "error")
+    if verdict == "error":
+        return verdict, "\n".join(lines[-20:])
+    return verdict, next((line for line in lines if line.startswith("FAILED ")), lines[-1])
+
+
+def main() -> int:
+    failed = 0
+    for mutant in MUTANTS:
+        start = time.perf_counter()
+        verdict, last = run(mutant)
+        failed += verdict != "killed"
+        print(f"{verdict:<8} {mutant.name} ({mutant.file}, {time.perf_counter() - start:.1f} s): {last}", flush=True)
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

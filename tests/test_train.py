@@ -124,12 +124,44 @@ def test_records_are_well_formed():
         assert r.adv_acc == 0.0  # no metrics attack requested
 
 
-def test_metrics_epsilon_turns_on_adversarial_column():
+@pytest.mark.parametrize("epsilon", [0.0, 0.05])
+def test_metrics_epsilon_turns_on_adversarial_column(monkeypatch, epsilon):
+    """At ``metrics_epsilon`` 0 no epoch runs an attack and ``adv_acc``
+    reads 0.0; above 0 the epochs are attacked.  Attacks are counted in
+    the caller and in the evaluation worker alike."""
+    import promptlab.attack as attack
+
+    attacks = multiprocessing.get_context("fork").Value("i", 0)
+    real = attack._gradient_sign
+
+    def counted(*args, **kwargs):
+        with attacks.get_lock():
+            attacks.value += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(attack, "_gradient_sign", counted)
     params = init_params(SOURCE_SPEC, seed=2)
     _, records = train_standard(
-        params, source_data(spc=4), TrainHyper(2, 8, 0.05, 0.9, 7), metrics_epsilon=0.05
+        params, source_data(spc=4), TrainHyper(2, 8, 0.05, 0.9, 7), metrics_epsilon=epsilon
     )
-    assert all(0.0 <= r.adv_acc <= 1.0 for r in records)
+    if epsilon == 0.0:
+        assert attacks.value == 0
+        assert [r.adv_acc for r in records] == [0.0, 0.0]
+    else:
+        assert attacks.value > 0
+        assert all(0.0 <= r.adv_acc <= 1.0 for r in records)
+
+
+@pytest.mark.parametrize("epsilon", [-0.05, float("nan")])
+def test_metrics_epsilon_is_refused_before_the_first_step(monkeypatch, epsilon):
+    """A ``metrics_epsilon`` no attack can run at fails before training,
+    not at the first scored epoch."""
+    steps = []
+    monkeypatch.setattr(train, "sgd_step", lambda *args: steps.append(1))
+    with pytest.raises(ConfigError, match="epsilon must be >= 0"):
+        train_standard(init_params(SOURCE_SPEC, seed=2), source_data(spc=4), TrainHyper(2, 8, 0.05, 0.9, 7),
+                       metrics_epsilon=epsilon)
+    assert steps == []
 
 
 def test_epoch_metrics_make_one_clean_pass(monkeypatch):
@@ -611,13 +643,13 @@ def test_training_error_stops_the_worker(frozen_source, monkeypatch, cpus):
 @pytest.mark.skipif(blas.thread_count() is None, reason="NumPy's BLAS exports no OpenBLAS thread entry point")
 def test_evaluation_worker_runs_one_blas_thread(frozen_source, monkeypatch, cpus):
     seen = multiprocessing.SimpleQueue()
-    real = train.standard_accuracy
+    real = train._score
 
     def recording(*args, **kwargs):
         seen.put((os.getpid(), blas.thread_count()))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(train, "standard_accuracy", recording)
+    monkeypatch.setattr(train, "_score", recording)
     cpus(2)
     train_ilm_prompt(frozen_source, metrics_epsilon=0.0)
     got = [seen.get() for _ in range(3)]  # all sent: the caller had every result back
