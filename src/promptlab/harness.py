@@ -254,7 +254,7 @@ class ExperimentConfig:
     prompt_hyper: TrainHyper
     prompt_adversarial: bool
     prompt_attack: AttackConfig
-    epsilon_grid: list[float]
+    epsilon_grid: list[AttackConfig]
     metrics_epsilon: float
     splits: dict[str, SynthSpec | Path]  # a generator recipe or a VPDS file per split
     derived_seeds: dict[str, int]
@@ -281,7 +281,7 @@ class ExperimentConfig:
         if pr["lm"] not in ("rlm", "ilm"):
             raise ConfigError(f"prompt.lm must be 'rlm' or 'ilm', got {pr['lm']!r}")
         seeds = _parse("seed", _derive_seeds, raw["seed"])
-        eps_grid = [_parse(f"eval.epsilon_grid[{i}]", _attack, e).epsilon for i, e in enumerate(ev["epsilon_grid"])]
+        eps_grid = [_parse(f"eval.epsilon_grid[{i}]", _attack, e) for i, e in enumerate(ev["epsilon_grid"])]
         if "files" in data:
             splits = {key: _parse(f"data.files.{key}", _existing, data["files"][key]) for key in _SPLITS}
         else:
@@ -524,16 +524,6 @@ def train_and_save_prompt(cfg: ExperimentConfig, data: dict[str, Dataset], sourc
     return clf, records
 
 
-def _eval_grid(pipeline, dataset, grid) -> list[dict]:
-    """The ``report.json`` rows of ``pipeline`` on ``dataset`` at each ε of
-    ``grid``, from :func:`adversarial_accuracies` (one clean pass), in
-    process.  A forked worker would only move the grid's peak RSS out of
-    this process: nothing runs beside it, and the worker's own pages add
-    to the run's footprint while this process waits."""
-    reports = adversarial_accuracies(pipeline, dataset, [AttackConfig(eps) for eps in grid])
-    return [{"epsilon": eps, **asdict(report)} for eps, report in zip(grid, reports)]
-
-
 def run_experiment(config) -> dict:
     """Full pipeline: source phase, prompt phase, evaluation sweep.
 
@@ -543,11 +533,14 @@ def run_experiment(config) -> dict:
     with session(config) as (cfg, data, source, timing):
         clf, records = train_and_save_prompt(cfg, data, source, timing)
         t0 = time.perf_counter()
+        # the grid runs in process, over one clean pass: a forked worker would only move its peak RSS
+        # out of this process, as nothing runs beside it and the worker's pages add to the run's footprint
+        reports = adversarial_accuracies(clf, data["downstream_test"], cfg.epsilon_grid)
         report = {
             "seed": cfg.seed,
             "temperature": cfg.temperature,
             "label_mapping": {"kind": cfg.lm, "indices": list(clf.mapping.indices)},
-            "prompt_eval": _eval_grid(clf, data["downstream_test"], cfg.epsilon_grid),
+            "prompt_eval": [{"epsilon": budget.epsilon, **asdict(r)} for budget, r in zip(cfg.epsilon_grid, reports)],
             "final_std_acc": records[-1].std_acc,
             "final_adv_acc": records[-1].adv_acc,
         }

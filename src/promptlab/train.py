@@ -77,29 +77,29 @@ def _can_fork() -> bool:
 _evaluator = None  # set in the evaluation worker only, by _start_evaluator
 
 
-def _start_evaluator(target, pipeline, eval_ds, metrics_epsilon) -> None:
+def _start_evaluator(target, pipeline, eval_ds, budget) -> None:
     """Initialise a forked evaluation worker: it keeps its inherited copy
     of ``target``'s tensors, and what :func:`_score` reads."""
     global _evaluator
-    _evaluator = ([t for _, t in target.named_tensors()], pipeline, eval_ds, metrics_epsilon)
+    _evaluator = ([t for _, t in target.named_tensors()], pipeline, eval_ds, budget)
 
 
 def _evaluate_epoch(values, mapping) -> tuple[float, float]:
     """Write the values an epoch of training left (and its label mapping)
     into the worker's copy of the target, and score it (:func:`_score`)."""
-    tensors, pipeline, eval_ds, metrics_epsilon = _evaluator
+    tensors, pipeline, eval_ds, budget = _evaluator
     for t, value in zip(tensors, values):
         t.data[...] = value
     if mapping is not None:
         pipeline.mapping = mapping
-    return _score(pipeline, eval_ds, metrics_epsilon)
+    return _score(pipeline, eval_ds, budget)
 
 
-def _score(pipeline, dataset: Dataset, metrics_epsilon: float) -> tuple[float, float]:
-    """An epoch's ``(std_acc, adv_acc)`` on ``dataset``, from one :func:`adversarial_accuracy` call at
-    ``metrics_epsilon``; at ε = 0 the protocol runs no attack, and ``adv_acc`` reads 0.0, "not measured"."""
-    report = adversarial_accuracy(pipeline, dataset, AttackConfig(metrics_epsilon))
-    return report.standard_accuracy, (report.adversarial_accuracy if metrics_epsilon > 0.0 else 0.0)
+def _score(pipeline, dataset: Dataset, budget: AttackConfig) -> tuple[float, float]:
+    """An epoch's ``(std_acc, adv_acc)`` on ``dataset``, from one :func:`adversarial_accuracy` call at the
+    phase's ``budget``; at ε = 0 the protocol runs no attack, and ``adv_acc`` reads 0.0, "not measured"."""
+    report = adversarial_accuracy(pipeline, dataset, budget)
+    return report.standard_accuracy, (report.adversarial_accuracy if budget.epsilon > 0.0 else 0.0)
 
 
 def _phase_bounds(spec: ConvNetSpec, prompt: VisualPrompt | None = None, k_t: int = 0) -> tuple:
@@ -168,7 +168,8 @@ def _train_engine(
     last step and before its evaluation, ``post_step`` after every step.
     ``target``'s gradients are cleared once, before the first step: each step clears them, and no attack forms one.
     Each epoch is scored on ``eval_dataset`` after it trains (only the last one with
-    ``final_eval_only``) by :func:`_score`, the one statement of an epoch's accuracies.
+    ``final_eval_only``) by :func:`_score`, the one statement of an epoch's accuracies,
+    at the phase's budget ``AttackConfig(metrics_epsilon)``, built once before the first step.
     When more than one epoch is scored and at least two CPUs are usable, every epoch
     but the last is scored by a one-process ``ProcessPoolExecutor``, forked at the first
     submitted epoch, while the next epoch trains; the records are the same either way.
@@ -177,7 +178,7 @@ def _train_engine(
     """
     rng = np.random.Generator(np.random.PCG64(hyper.seed))
     opt = SgdOptimizer(hyper.learning_rate, hyper.momentum)
-    AttackConfig(metrics_epsilon)  # refuses an ε that _score could not attack at, before the first step
+    budget = AttackConfig(metrics_epsilon)  # refuses a bad ε before the first step and before any fork
     eval_ds = eval_dataset if eval_dataset is not None else dataset
     persistent = _persistent_bytes(target)
     n = len(dataset)
@@ -190,7 +191,7 @@ def _train_engine(
 
         # fork, not spawn: the worker inherits the pipeline, the frozen
         # source and the evaluation set, and is sent only what training changed
-        state = (target, pipeline, eval_ds, metrics_epsilon)
+        state = (target, pipeline, eval_ds, budget)
         pool = ProcessPoolExecutor(1, multiprocessing.get_context("fork"), initializer=_start_evaluator, initargs=state)
     records: list[MetricsRecord] = []
     futures = []
@@ -227,7 +228,7 @@ def _train_engine(
                 futures.append(pool.submit(_evaluate_epoch, values, getattr(pipeline, "mapping", None)))
                 std_acc, adv_acc = 0.0, 0.0  # replaced by the worker's results below
             else:
-                std_acc, adv_acc = _score(pipeline, eval_ds, metrics_epsilon)
+                std_acc, adv_acc = _score(pipeline, eval_ds, budget)
             records.append(
                 MetricsRecord(
                     epoch=epoch,
@@ -281,7 +282,7 @@ def train_prompt(
     source: ModelParams,
     dataset: Dataset,
     lm: str,
-    cfg: PblConfig | None,
+    pbl: PblConfig | None,
     hyper: TrainHyper,
     attack: AttackConfig | None = None,
     pad_width: int = 4,
@@ -296,7 +297,7 @@ def train_prompt(
     mapping from the run seed and keeps it; ``"ilm"`` re-derives the
     mapping from prediction frequencies before training and again after
     every epoch, before that epoch is evaluated: ``epochs + 1`` tallies
-    over ``dataset`` in all.  ``cfg=None`` removes the reduction stage
+    over ``dataset`` in all.  ``pbl=None`` removes the reduction stage
     entirely; note that temperature 1 keeps the stage but makes it an
     identity, so both run the same objective.  With an ``attack``, each batch is
     perturbed by the sign attack at its budget through the full pipeline
@@ -304,7 +305,7 @@ def train_prompt(
     None, training is clean.
 
     Data that does not fit the prompt interior and K_t (:func:`_check_data`), or a
-    ``cfg`` that leaves fewer than K_t slots, fails before the first step as a ConfigError.
+    ``pbl`` that leaves fewer than K_t slots, fails before the first step as a ConfigError.
     Each epoch's record holds the accuracies on ``eval_dataset`` (the training
     set when None) that :func:`_score` states: ``adv_acc`` under the sign attack
     at ``metrics_epsilon``, or 0.0, "not measured", when that is 0.
@@ -323,9 +324,9 @@ def train_prompt(
     k_t = dataset.n_classes
     prompt = VisualPrompt(source.spec.input_size, pad_width)
     _check_phase(dataset, eval_dataset, _phase_bounds(source.spec, prompt, k_t))
-    t = cfg.temperature if cfg is not None else 1  # no reduction stage reduces as T = 1 does
+    t = pbl.temperature if pbl is not None else 1  # no reduction stage reduces as T = 1 does
     m = _check_reduction(t, source.spec.n_classes, k_t)
-    clf = PromptedClassifier(source, prompt, mapping=None, pbl=cfg)
+    clf = PromptedClassifier(source, prompt, mapping=None, pbl=pbl)
 
     def refresh_mapping():
         clf.mapping = ilm_update(prediction_frequencies(clf.reduced_fn, dataset))

@@ -121,7 +121,7 @@ MUTANTS = [
     Mutant(
         "score-reports-the-protocol-figure-at-zero",
         "src/promptlab/train.py",
-        "report.adversarial_accuracy if metrics_epsilon > 0.0 else 0.0",
+        "report.adversarial_accuracy if budget.epsilon > 0.0 else 0.0",
         "report.adversarial_accuracy",
         ("tests/test_train.py",),
         "adv_acc must read 0.0, not measured, when metrics_epsilon is 0 (the protocol reads 1.0 there)",
@@ -135,6 +135,67 @@ MUTANTS = [
         """    return _score(""",
         ("tests/test_train.py",),
         "the worker must score an ILM epoch under the mapping that epoch left",
+    ),
+    # an ε is parsed once
+    Mutant(
+        "engine-scores-at-zero",
+        "src/promptlab/train.py",
+        "budget = AttackConfig(metrics_epsilon)",
+        "budget = AttackConfig(0.0)",
+        ("tests/test_train.py",),
+        "a phase must refuse, and score every epoch at, the metrics_epsilon it was given",
+    ),
+    # README contracts that name a test
+    Mutant(
+        "save-writes-a-nan-payload",
+        "src/promptlab/checkpoint.py",
+        """        if not np.isfinite(arr).all():
+            raise CheckpointError(f"NaN or Inf in entry '{name}'")
+        entries.append""",
+        """        entries.append""",
+        ("tests/test_checkpoint.py",),
+        "the VPCK writer must refuse what the reader would (test_save_refuses_what_load_refuses)",
+    ),
+    Mutant(
+        "read-exact-trusts-the-count",
+        "src/promptlab/fileio.py",
+        "if count > os.fstat(fh.fileno()).st_size - fh.tell():",
+        "if False:",
+        ("tests/test_checkpoint.py", "tests/test_data.py"),
+        "a truncated VPCK or VPDS file must fail as its own format error (the truncation fuzz tests)",
+    ),
+    Mutant(
+        "step-in-ball-drops-the-bit-step",
+        "src/promptlab/attack.py",
+        "if not (up.any() or down.any()):",
+        "if True:",
+        ("tests/test_attack.py",),
+        "fgsm must return a batch inside the float32 eps-ball (test_fgsm_ball_and_range_hold_exactly)",
+    ),
+    Mutant(
+        "protocol-scores-over-every-sample",
+        "src/promptlab/attack.py",
+        "EvalReport(std_acc, s / n_correct if n_correct else 0.0",
+        "EvalReport(std_acc, s / n_total if n_correct else 0.0",
+        ("tests/test_attack.py",),
+        "robust accuracy counts survivors among the initially correct (test_restricted_protocol_scores_survivors_only)",
+    ),
+    Mutant(
+        "vpds-truncates-pixels",
+        "src/promptlab/data.py",
+        "pixels = np.rint(dataset.images * 255.0).astype(np.uint8)",
+        "pixels = (dataset.images * 255.0).astype(np.uint8)",
+        ("tests/test_data.py",),
+        "a VPDS pixel comes back as round(255 v) / 255 (test_round_trip_quantizes_arbitrary_floats)",
+    ),
+    Mutant(
+        "pin-sets-two-threads",
+        "src/promptlab/blas.py",
+        "set_threads(1)",
+        "set_threads(2)",
+        ("tests/test_blas.py",),
+        "importing promptlab pins the BLAS to one thread; test_artifacts_do_not_depend_on_blas_threads alone "
+        "misses this, as both its runs then use two",
     ),
 ]
 

@@ -236,7 +236,8 @@ def test_config_validation_messages(mutate, fragment):
 
 def test_number_leaves_accept_integers():
     cfg = ExperimentConfig.from_dict(small_config(eval__epsilon_grid=[0, 0.05], source__attack={"epsilon": 0}))
-    assert cfg.epsilon_grid == [0.0, 0.05] and type(cfg.epsilon_grid[0]) is float
+    assert [budget.epsilon for budget in cfg.epsilon_grid] == [0.0, 0.05]
+    assert all(type(budget.epsilon) is float for budget in cfg.epsilon_grid)  # report.json writes 0.0, not 0
     assert cfg.source_attack.epsilon == 0.0
 
 

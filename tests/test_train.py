@@ -392,10 +392,10 @@ def test_temperature_one_equals_no_reduction(frozen_source):
     unreduced objective step for step."""
     hyper = TrainHyper(2, 8, 0.2, 0.9, 5)
     p_none, _, recs_none = train_prompt(
-        frozen_source, downstream_data(), "rlm", None, hyper, pad_width=3
+        frozen_source, downstream_data(), "rlm", pbl=None, hyper=hyper, pad_width=3
     )
     p_t1, _, recs_t1 = train_prompt(
-        frozen_source, downstream_data(), "rlm", PblConfig(1), hyper, pad_width=3
+        frozen_source, downstream_data(), "rlm", pbl=PblConfig(1), hyper=hyper, pad_width=3
     )
     assert [r.loss for r in recs_t1] == [r.loss for r in recs_none]
     assert p_t1.params.data.tobytes() == p_none.params.data.tobytes()
