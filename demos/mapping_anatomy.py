@@ -59,7 +59,7 @@ def main() -> None:
     show(freq0, ilm_update(freq0), downstream.n_classes)
 
     _, clf, records = train_prompt(
-        source, downstream, "ilm", pbl, TrainHyper(args.epochs, 16, 0.2, 0.9, 5)
+        source, downstream, "ilm", pbl, TrainHyper(args.epochs, 16, 0.2, 0.9, 5), eval_dataset=downstream
     )
     freq1 = prediction_frequencies(clf.reduced_fn, downstream)
     print(f"after {args.epochs} epochs (loss {records[0].loss:.3f} -> {records[-1].loss:.3f}, "

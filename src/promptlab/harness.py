@@ -36,7 +36,7 @@ from .mapping import PblConfig
 from .metrics import write_metrics
 from .nets import ConvNetSpec, ModelParams, init_params
 from .prompt import VisualPrompt
-from .train import TrainHyper, _check_data, _check_reduction, _phase_bounds, usable_cpus
+from .train import TrainHyper, _check_data, _check_reduction, _phase_bounds, _score, usable_cpus
 from .train import train_adversarial, train_prompt, train_standard
 
 __all__ = [
@@ -256,7 +256,7 @@ class ExperimentConfig:
     prompt_attack: AttackConfig
     epsilon_grid: list[AttackConfig]
     metrics_epsilon: float
-    splits: dict[str, SynthSpec | Path]  # a generator recipe or a VPDS file per split
+    splits: dict[str, SynthSpec | Path]  # a generator recipe or a VPDS file per split the run reads
     derived_seeds: dict[str, int]
     # source.checkpoint as validation loaded it, frozen; the run uses it instead of reading the file again
     source_params: ModelParams | None = field(default=None, compare=False, repr=False)
@@ -282,14 +282,15 @@ class ExperimentConfig:
             raise ConfigError(f"prompt.lm must be 'rlm' or 'ilm', got {pr['lm']!r}")
         seeds = _parse("seed", _derive_seeds, raw["seed"])
         eps_grid = [_parse(f"eval.epsilon_grid[{i}]", _attack, e) for i, e in enumerate(ev["epsilon_grid"])]
-        if "files" in data:
-            splits = {key: _parse(f"data.files.{key}", _existing, data["files"][key]) for key in _SPLITS}
-        else:
-            splits = {}
-            for key in _SPLITS:
-                block = key.split("_")[0]
-                splits[key] = _parse(f"data.{block}", _synth, data[block], key, seeds[f"{key}_data"])
         ckpt = src.get("checkpoint", shape["source"]["checkpoint"])
+        ckpt = _parse("source.checkpoint", _existing, ckpt) if ckpt is not None else None
+        splits = {}
+        for key in _SPLITS if ckpt is None else _SPLITS[2:]:  # a loaded source reads no source split
+            block = key.split("_")[0]
+            if "files" in data:
+                splits[key] = _parse(f"data.files.{key}", _existing, data["files"][key])
+            else:
+                splits[key] = _parse(f"data.{block}", _synth, data[block], key, seeds[f"{key}_data"])
         grid = pr.get("temperature_grid", shape["prompt"]["temperature_grid"])
         cfg = cls(
             raw=raw,
@@ -303,7 +304,7 @@ class ExperimentConfig:
                 if "at_hyper" in src else None
             ),
             source_attack=_parse("source.attack", _attack, src["attack"]["epsilon"]),
-            source_checkpoint=_parse("source.checkpoint", _existing, ckpt) if ckpt is not None else None,
+            source_checkpoint=ckpt,
             pad_width=pr["pad_width"],
             lm=pr["lm"],
             temperature=pr["temperature"],
@@ -332,17 +333,12 @@ class ExperimentConfig:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
         return cls.from_dict(raw, seed_override=seed_override, out_override=out_override)
 
-    def _read_splits(self) -> tuple[str, ...]:
-        """The splits the run reads: all four, or only the downstream pair
-        when the source is loaded from ``source.checkpoint``."""
-        return _SPLITS if self.source_checkpoint is None else _SPLITS[2:]
-
     def datasets(self) -> dict[str, Dataset]:
-        """Generate or load the splits ``from_dict`` described that the run reads."""
+        """Generate or load the splits ``from_dict`` described: all four, or
+        only the downstream pair when the source is loaded from ``source.checkpoint``."""
         return {
             key: (generate_synthetic if isinstance(src, SynthSpec) else load_raw)(src)
             for key, src in self.splits.items()
-            if key in self._read_splits()
         }
 
     def _split_shape(self, key: str) -> tuple[int, int, tuple[int, int, int]]:
@@ -377,7 +373,7 @@ class ExperimentConfig:
                 raise CheckpointError(f"source.checkpoint: {exc}") from None
         k_t = self._split_shape("downstream_train")[1]
         prompt = None  # the source splits come first, and are checked against the source phase
-        for key in self._read_splits():
+        for key in self.splits:
             block = key.split("_")[0]
             if block == "downstream" and prompt is None:  # the run's frame: built once the source pair fits the canvas
                 prompt = _parse("prompt.pad_width", VisualPrompt, spec.input_size, self.pad_width)
@@ -483,7 +479,7 @@ def session(config):
     _write_json(cfg.output_dir / "timing.json", timing)
 
 
-def _train_prompt_phase(cfg, source, data, temperature, adversarial, final_eval_only=False):
+def _train_prompt_phase(cfg, source, data, temperature, adversarial, eval_dataset=None):
     return train_prompt(
         source,
         data["downstream_train"],
@@ -492,21 +488,24 @@ def _train_prompt_phase(cfg, source, data, temperature, adversarial, final_eval_
         cfg.prompt_hyper,
         attack=cfg.prompt_attack if adversarial else None,
         pad_width=cfg.pad_width,
-        eval_dataset=data["downstream_test"],
+        eval_dataset=eval_dataset,
         metrics_epsilon=cfg.metrics_epsilon,
-        final_eval_only=final_eval_only,
     )
 
 
 def _train_cells(cfg, source, data, cells, timing):
     """Train one sweep or ablation prompt per ``(temperature, adversarial)``
-    cell, each evaluated after its last epoch only (the tables read no
-    earlier accuracy), and append each cell's seconds to
-    ``timing["prompt_cells_s"]``; returns the metrics records in cell order."""
+    cell with no per-epoch scoring (the tables read no epoch's accuracy),
+    then score its final prompt once on downstream_test at
+    ``eval.metrics_epsilon`` (``train._score``), and append each cell's
+    seconds, training and scoring, to ``timing["prompt_cells_s"]``; returns
+    ``((std_acc, adv_acc), metrics records)`` in cell order."""
+    budget = AttackConfig(cfg.metrics_epsilon)
     out = []
     for temperature, adversarial in cells:
         t0 = time.perf_counter()
-        out.append(_train_prompt_phase(cfg, source, data, temperature, adversarial, final_eval_only=True)[2])
+        _, clf, records = _train_prompt_phase(cfg, source, data, temperature, adversarial)
+        out.append((_score(clf, data["downstream_test"], budget), records))
         timing.setdefault("prompt_cells_s", []).append(time.perf_counter() - t0)
     return out
 
@@ -515,7 +514,9 @@ def train_and_save_prompt(cfg: ExperimentConfig, data: dict[str, Dataset], sourc
     """Train the configured prompt and write prompt_metrics.csv,
     prompt.ckpt and prompt.ppm; returns (classifier, metrics records)."""
     t0 = time.perf_counter()
-    prompt, clf, records = _train_prompt_phase(cfg, source, data, cfg.temperature, cfg.prompt_adversarial)
+    prompt, clf, records = _train_prompt_phase(
+        cfg, source, data, cfg.temperature, cfg.prompt_adversarial, data["downstream_test"]
+    )
     timing["prompt_train_s"] = time.perf_counter() - t0
     out = cfg.output_dir
     write_metrics(records, out / "prompt_metrics.csv")
@@ -556,23 +557,23 @@ def sweep_temperature(config) -> list[dict]:
     Trains the source once, then a baseline prompt at temperature 1, which
     reduces nothing, and one prompt per temperature of
     ``prompt.temperature_grid``, the one place that sets the grid, all with
-    identical seeds.  Each row holds its run's final-epoch metrics, and each
-    prompt is evaluated only after its last epoch; deltas are relative to
-    the baseline, so a T=1 row is exactly zero.
+    identical seeds.  Each row holds the accuracies of its final prompt,
+    scored once after training; deltas are relative to the baseline, so a
+    T=1 row is exactly zero.
     """
     with session(config) as (cfg, data, source, timing):
         cells = [(t, cfg.prompt_adversarial) for t in [1, *cfg.temperature_grid]]
-        base, *finals = [records[-1] for records in _train_cells(cfg, source, data, cells, timing)]
+        (base_std, base_adv), *finals = [scores for scores, _ in _train_cells(cfg, source, data, cells, timing)]
         rows = [
             {
                 "T": t,
                 "m": PblConfig(t).m(cfg.source_spec.n_classes),
-                "std_acc": last.std_acc,
-                "adv_acc": last.adv_acc,
-                "std_delta": last.std_acc - base.std_acc,
-                "adv_delta": last.adv_acc - base.adv_acc,
+                "std_acc": std_acc,
+                "adv_acc": adv_acc,
+                "std_delta": std_acc - base_std,
+                "adv_delta": adv_acc - base_adv,
             }
-            for t, last in zip(cfg.temperature_grid, finals)
+            for t, (std_acc, adv_acc) in zip(cfg.temperature_grid, finals)
         ]
         write_table(
             cfg.output_dir / "sweep.csv",
@@ -586,8 +587,8 @@ def sweep_temperature(config) -> list[dict]:
 def run_ablation_grid(config) -> list[dict]:
     """The four-cell {with/without reduction} x {with/without AT} grid.
 
-    One source model serves all four prompt runs.  Each cell reports
-    final accuracies (evaluated after its last epoch only) plus mean
+    One source model serves all four prompt runs.  Each cell reports the
+    accuracies of its final prompt, scored once after training, plus mean
     per-epoch work and peak-memory figures.
     """
     with session(config) as (cfg, data, source, timing):
@@ -597,10 +598,10 @@ def run_ablation_grid(config) -> list[dict]:
             for use_at in (False, True)
         ]
         cells = [(row["T"], row["at"]) for row in rows]
-        for row, records in zip(rows, _train_cells(cfg, source, data, cells, timing)):
+        for row, ((std_acc, adv_acc), records) in zip(rows, _train_cells(cfg, source, data, cells, timing)):
             row.update(
-                std_acc=records[-1].std_acc,
-                adv_acc=records[-1].adv_acc,
+                std_acc=std_acc,
+                adv_acc=adv_acc,
                 wall_ms_per_epoch=sum(r.wall_ms for r in records) / len(records),
                 peak_mem_bytes=max(r.peak_mem_bytes for r in records),
             )

@@ -158,7 +158,6 @@ def _train_engine(
     *,
     after_epoch=None,
     post_step=None,
-    final_eval_only: bool = False,
 ) -> list[MetricsRecord]:
     """Train ``target`` through ``pipeline``; returns one record per epoch.
 
@@ -167,9 +166,10 @@ def _train_engine(
     step; with None, training is clean.  ``after_epoch`` runs after each epoch's
     last step and before its evaluation, ``post_step`` after every step.
     ``target``'s gradients are cleared once, before the first step: each step clears them, and no attack forms one.
-    Each epoch is scored on ``eval_dataset`` after it trains (only the last one with
-    ``final_eval_only``) by :func:`_score`, the one statement of an epoch's accuracies,
-    at the phase's budget ``AttackConfig(metrics_epsilon)``, built once before the first step.
+    Each epoch is scored on ``eval_dataset`` after it trains by :func:`_score`, the one
+    statement of an epoch's accuracies, at the phase's budget ``AttackConfig(metrics_epsilon)``,
+    built once before the first step; with no ``eval_dataset`` no epoch is scored, and every
+    record's accuracies read 0.0, "not measured".
     When more than one epoch is scored and at least two CPUs are usable, every epoch
     but the last is scored by a one-process ``ProcessPoolExecutor``, forked at the first
     submitted epoch, while the next epoch trains; the records are the same either way.
@@ -179,19 +179,18 @@ def _train_engine(
     rng = np.random.Generator(np.random.PCG64(hyper.seed))
     opt = SgdOptimizer(hyper.learning_rate, hyper.momentum)
     budget = AttackConfig(metrics_epsilon)  # refuses a bad ε before the first step and before any fork
-    eval_ds = eval_dataset if eval_dataset is not None else dataset
     persistent = _persistent_bytes(target)
     n = len(dataset)
     last = hyper.epochs - 1
 
     pool = None
-    if not final_eval_only and last > 0 and usable_cpus() >= 2 and _can_fork():
+    if eval_dataset is not None and last > 0 and usable_cpus() >= 2 and _can_fork():
         import multiprocessing  # imported here: `import promptlab` should not pay for it
         from concurrent.futures import ProcessPoolExecutor
 
         # fork, not spawn: the worker inherits the pipeline, the frozen
         # source and the evaluation set, and is sent only what training changed
-        state = (target, pipeline, eval_ds, budget)
+        state = (target, pipeline, eval_dataset, budget)
         pool = ProcessPoolExecutor(1, multiprocessing.get_context("fork"), initializer=_start_evaluator, initargs=state)
     records: list[MetricsRecord] = []
     futures = []
@@ -221,14 +220,14 @@ def _train_engine(
                 conf_sum += _mean_top1_prob(logits.data) * len(idx)
             if after_epoch is not None:
                 after_epoch()
-            if final_eval_only and epoch < last:
+            if eval_dataset is None:
                 std_acc, adv_acc = 0.0, 0.0  # not measured
             elif pool is not None and epoch < last:
                 values = [t.data.copy() for _, t in target.named_tensors()]  # sent later, as the next epoch trains
                 futures.append(pool.submit(_evaluate_epoch, values, getattr(pipeline, "mapping", None)))
                 std_acc, adv_acc = 0.0, 0.0  # replaced by the worker's results below
             else:
-                std_acc, adv_acc = _score(pipeline, eval_ds, budget)
+                std_acc, adv_acc = _score(pipeline, eval_dataset, budget)
             records.append(
                 MetricsRecord(
                     epoch=epoch,
@@ -288,8 +287,6 @@ def train_prompt(
     pad_width: int = 4,
     eval_dataset: Dataset | None = None,
     metrics_epsilon: float = 0.0,
-    *,
-    final_eval_only: bool = False,
 ) -> tuple[VisualPrompt, PromptedClassifier, list[MetricsRecord]]:
     """Learn a border frame (and label mapping) over a frozen source.
 
@@ -306,14 +303,11 @@ def train_prompt(
 
     Data that does not fit the prompt interior and K_t (:func:`_check_data`), or a
     ``pbl`` that leaves fewer than K_t slots, fails before the first step as a ConfigError.
-    Each epoch's record holds the accuracies on ``eval_dataset`` (the training
-    set when None) that :func:`_score` states: ``adv_acc`` under the sign attack
-    at ``metrics_epsilon``, or 0.0, "not measured", when that is 0.
-    With ``final_eval_only=True`` only the last epoch is evaluated: every
-    earlier record reads ``std_acc = adv_acc = 0.0``, which means "not
-    measured", and its other fields are unchanged.
-    Evaluation reads no RNG and changes no training state, so the
-    prompt, the mapping and the last record are the same either way.
+    Each epoch's record holds the accuracies on ``eval_dataset`` that :func:`_score`
+    states: ``adv_acc`` under the sign attack at ``metrics_epsilon``, or 0.0, "not
+    measured", when that is 0; with no ``eval_dataset`` both read 0.0, "not measured".
+    Evaluation reads no RNG and changes no training state, so the prompt, the
+    mapping, the losses and the work columns are the same with or without it.
     Evaluation may overlap training in a forked worker (:func:`_train_engine`);
     the records are the same either way.
     """
@@ -345,6 +339,5 @@ def train_prompt(
         metrics_epsilon,
         after_epoch=refresh_mapping if lm == "ilm" else None,
         post_step=prompt.project,
-        final_eval_only=final_eval_only,
     )
     return prompt, clf, records

@@ -94,6 +94,14 @@ MUTANTS = [
         "backward must drop the gradients a custom op forms for leaves other than wrt",
     ),
     Mutant(
+        "backward-overwrites-a-fan-out-gradient",
+        "src/promptlab/tensor.py",
+        "if src in grads:",
+        "if False:",
+        ("tests/test_tensor.py",),
+        "an op output that feeds two inputs must get the sum of both gradients, not the last one",
+    ),
+    Mutant(
         "copy-thaws-by-default",
         "src/promptlab/nets.py",
         "requires_grad=t.requires_grad if frozen is None else not frozen",
@@ -145,6 +153,15 @@ MUTANTS = [
         ("tests/test_train.py",),
         "a phase must refuse, and score every epoch at, the metrics_epsilon it was given",
     ),
+    # a phase scores only the set it is given
+    Mutant(
+        "cells-score-the-training-split",
+        "src/promptlab/harness.py",
+        '_score(clf, data["downstream_test"], budget)',
+        '_score(clf, data["downstream_train"], budget)',
+        ("tests/test_harness.py",),
+        "the sweep and the ablation score each cell's final prompt on downstream_test",
+    ),
     # README contracts that name a test
     Mutant(
         "save-writes-a-nan-payload",
@@ -194,8 +211,25 @@ MUTANTS = [
         "set_threads(1)",
         "set_threads(2)",
         ("tests/test_blas.py",),
-        "importing promptlab pins the BLAS to one thread; test_artifacts_do_not_depend_on_blas_threads alone "
-        "misses this, as both its runs then use two",
+        "importing promptlab pins the BLAS to one thread (test_artifacts_do_not_depend_on_blas_threads reads "
+        "each run's recorded pin, as both its runs would otherwise agree at two)",
+    ),
+    Mutant(
+        "write-in-place",
+        "src/promptlab/fileio.py",
+        'tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")',
+        "tmp = path",
+        ("tests/test_fileio.py",),
+        "a write goes to a temporary file renamed over the target (test_failed_write_keeps_previous_contents)",
+    ),
+    Mutant(
+        "grid-attacks-at-zero",
+        "src/promptlab/attack.py",
+        "attacked = [k for k, cfg in enumerate(budgets) if cfg.epsilon != 0.0]",
+        "attacked = list(range(len(budgets)))",
+        ("tests/test_attack.py",),
+        "an epsilon grid makes one clean pass and attacks only where epsilon > 0 "
+        "(test_epsilon_grid_shares_one_clean_pass)",
     ),
 ]
 

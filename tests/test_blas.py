@@ -47,10 +47,15 @@ run_experiment(cfg)
 
 
 def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    """Runs started with one and with two BLAS threads in the environment
+    write the same bytes, and each ran pinned to one thread where the
+    entry point exists."""
     outs = {}
     for threads in (1, 2):
         outs[threads] = tmp_path / f"threads{threads}"
         _run_python(_TINY_RUN.format(out=str(outs[threads])), threads=threads)
+        if blas.thread_count() is not None:
+            assert json.loads((outs[threads] / "timing.json").read_text())["blas"]["threads"] == 1, threads
     for name in ("source.ckpt", "prompt.ckpt", "source_metrics.csv", "prompt_metrics.csv", "report.json"):
         assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from promptlab import (
+    AttackConfig,
     CheckpointError,
     ConfigError,
     ConvNetSpec,
@@ -631,7 +632,7 @@ def test_checkpointed_config_reads_only_the_downstream_splits(experiment_run, tm
     synthetic = ExperimentConfig.from_dict(small_config()).datasets()
     garbage = tmp_path / "garbage.vpds"
     garbage.write_bytes(b"not a dataset")
-    files = {"source_train": str(garbage), "source_test": str(garbage)}
+    files = {"source_train": str(garbage), "source_test": str(tmp_path / "missing.vpds")}  # read, or need, neither
     for key in ("downstream_train", "downstream_test"):
         files[key] = str(tmp_path / f"{key}.vpds")
         save_raw(files[key], synthetic[key])
@@ -687,24 +688,30 @@ def test_sweep_t1_delta_is_exactly_zero(tmp_path):
 
 
 @pytest.mark.parametrize("metrics_epsilon", [0.05, 0.0])
-def test_sweep_rows_are_the_final_epoch_records(tmp_path, monkeypatch, metrics_epsilon):
+def test_sweep_rows_score_each_final_prompt(tmp_path, monkeypatch, metrics_epsilon):
+    """Each row holds the accuracies ``train._score`` gives its cell's final
+    prompt on downstream_test; no cell scores an epoch while it trains."""
     import promptlab.harness as harness
+    from promptlab.train import _score
 
-    finals = []
+    trained = []
     real = harness.train_prompt
 
     def recording(*args, **kwargs):
         result = real(*args, **kwargs)
-        finals.append(result[2][-1])
+        trained.append(result)
         return result
 
     monkeypatch.setattr(harness, "train_prompt", recording)
-    rows = sweep_temperature(small_config(out=tmp_path, eval__metrics_epsilon=metrics_epsilon))
-    base, *cells = finals  # the T=1 baseline trains first
+    cfg = ExperimentConfig.from_dict(small_config(out=tmp_path, eval__metrics_epsilon=metrics_epsilon))
+    rows = sweep_temperature(cfg)
+    test_set = cfg.datasets()["downstream_test"]
+    assert all(r.std_acc == r.adv_acc == 0.0 for _, _, records in trained for r in records)  # not measured
+    base, *cells = [_score(clf, test_set, AttackConfig(metrics_epsilon)) for _, clf, _ in trained]  # T=1 first
     assert len(cells) == len(rows) == 3
-    for row, last in zip(rows, cells):
-        assert (row["std_acc"], row["adv_acc"]) == (last.std_acc, last.adv_acc)
-        assert (row["std_delta"], row["adv_delta"]) == (last.std_acc - base.std_acc, last.adv_acc - base.adv_acc)
+    for row, (std_acc, adv_acc) in zip(rows, cells):
+        assert (row["std_acc"], row["adv_acc"]) == (std_acc, adv_acc)
+        assert (row["std_delta"], row["adv_delta"]) == (std_acc - base[0], adv_acc - base[1])
     if metrics_epsilon == 0.0:
         assert all(row["adv_acc"] == 0.0 for row in rows)  # not measured
 
@@ -741,8 +748,8 @@ def test_ablation_grid_cells_and_costs(tmp_path):
     ids=["run_experiment", "sweep_temperature", "run_ablation_grid"],
 )
 def test_prompt_evaluations_per_entry_point(experiment_run, tmp_path, monkeypatch, cpus, entry, evaluations, forks):
-    """The sweep and the ablation evaluate each prompt after its last epoch
-    only, in-process; run_experiment evaluates after every epoch, in a
+    """The sweep and the ablation score each cell's final prompt once,
+    in-process; run_experiment evaluates after every epoch, in a
     forked worker for all but the last when two CPUs are usable, so the
     count is kept in shared memory."""
     import promptlab.train as train

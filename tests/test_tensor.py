@@ -283,6 +283,17 @@ def test_fan_in_gradient_sums_both_paths():
     np.testing.assert_allclose(x.grad, [2.0, 2.0])
 
 
+def test_fan_out_of_an_op_output_sums_both_paths():
+    """A tensor made inside the graph that feeds two inputs gets the sum of
+    both gradients before its own op's backward runs."""
+    x = Tensor([-1.0, 0.5, 2.0], requires_grad=True)
+    with Graph() as g:
+        y = relu(x)
+        loss = tensor_sum(add(y, y))
+    g.backward(loss)
+    np.testing.assert_array_equal(x.grad, 2.0 * (x.data > 0))
+
+
 def test_no_grad_inputs_get_no_buffers():
     x = Tensor(np.ones((2, 2)))  # requires_grad=False
     with Graph() as g:

@@ -142,7 +142,7 @@ def test_metrics_epsilon_turns_on_adversarial_column(monkeypatch, epsilon):
     monkeypatch.setattr(attack, "_gradient_sign", counted)
     params = init_params(SOURCE_SPEC, seed=2)
     _, records = train_standard(
-        params, source_data(spc=4), TrainHyper(2, 8, 0.05, 0.9, 7), metrics_epsilon=epsilon
+        params, source_data(spc=4), TrainHyper(2, 8, 0.05, 0.9, 7), source_data(spc=4), metrics_epsilon=epsilon
     )
     if epsilon == 0.0:
         assert attacks.value == 0
@@ -434,28 +434,41 @@ def test_adversarial_prompt_training_costs_more(frozen_source):
     ],
     ids=["ilm-adv-metrics", "ilm-clean-metrics", "rlm-adversarial-prompt"],
 )
-def test_final_eval_only_changes_only_the_earlier_accuracies(frozen_source, lm, cfg, adversarial, metrics_epsilon):
-    """Skipping the per-epoch evaluations leaves the prompt, the mapping,
-    the last record and every work column as they were."""
+def test_evaluation_set_changes_only_the_accuracies(frozen_source, lm, cfg, adversarial, metrics_epsilon):
+    """Training without an ``eval_dataset`` gives the prompt, the mapping,
+    the losses and every work column of training with one; every accuracy
+    then reads 0.0, "not measured"."""
     hyper = TrainHyper(3, 8, 0.2, 0.9, 5)
-    kwargs = dict(
-        attack=AttackConfig(0.05) if adversarial else None,
-        pad_width=3,
-        eval_dataset=downstream_data(spc=6, seed=43),
-        metrics_epsilon=metrics_epsilon,
+    kwargs = dict(attack=AttackConfig(0.05) if adversarial else None, pad_width=3, metrics_epsilon=metrics_epsilon)
+    p_eval, clf_eval, recs_eval = train_prompt(
+        frozen_source, downstream_data(), lm, cfg, hyper, eval_dataset=downstream_data(spc=6, seed=43), **kwargs
     )
-    p_all, clf_all, recs_all = train_prompt(frozen_source, downstream_data(), lm, cfg, hyper, **kwargs)
-    p_last, clf_last, recs_last = train_prompt(
-        frozen_source, downstream_data(), lm, cfg, hyper, final_eval_only=True, **kwargs
-    )
-    assert p_last.params.data.tobytes() == p_all.params.data.tobytes()
-    assert clf_last.mapping == clf_all.mapping
-    assert recs_last[-1] == recs_all[-1]
-    assert recs_all[-1].std_acc > 0.0
-    for early_all, early_last in zip(recs_all[:-1], recs_last[:-1]):
-        assert (early_last.std_acc, early_last.adv_acc) == (0.0, 0.0)  # not measured
-        assert early_last == replace(early_all, std_acc=0.0, adv_acc=0.0)
-    assert len(recs_last) == len(recs_all) == 3
+    p_none, clf_none, recs_none = train_prompt(frozen_source, downstream_data(), lm, cfg, hyper, **kwargs)
+    assert p_none.params.data.tobytes() == p_eval.params.data.tobytes()
+    assert clf_none.mapping == clf_eval.mapping
+    assert recs_eval[-1].std_acc > 0.0
+    assert [(r.std_acc, r.adv_acc) for r in recs_none] == [(0.0, 0.0)] * 3  # not measured
+    assert recs_none == [replace(r, std_acc=0.0, adv_acc=0.0) for r in recs_eval]
+
+
+@pytest.mark.parametrize("phase", ["standard", "adversarial", "prompt"])
+def test_no_evaluation_set_scores_nothing_and_forks_nothing(frozen_source, monkeypatch, cpus, phase):
+    """With no ``eval_dataset`` a phase makes no scoring call and starts no
+    worker, even where two CPUs would let it."""
+    calls, real = [], train.adversarial_accuracy
+    monkeypatch.setattr(train, "adversarial_accuracy", lambda *args: calls.append(args) or real(*args))
+    started = cpus(2)
+    hyper = TrainHyper(3, 8, 0.05, 0.9, 7)
+    if phase == "standard":
+        _, records = train_standard(init_params(SOURCE_SPEC, seed=2), source_data(spc=4), hyper)
+    elif phase == "adversarial":
+        _, records = train_adversarial(init_params(SOURCE_SPEC, seed=2), source_data(spc=4), hyper, AttackConfig(0.05))
+    else:
+        _, _, records = train_prompt(frozen_source, downstream_data(), "ilm", PblConfig(2), hyper, pad_width=3,
+                                     metrics_epsilon=0.05)
+    assert calls == []
+    assert started == []
+    assert [(r.std_acc, r.adv_acc) for r in records] == [(0.0, 0.0)] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +560,9 @@ def test_evaluation_differentiates_only_the_input(monkeypatch, cpus, fails):
     hyper = TrainHyper(2, 8, 0.05, 0.9, 7)
     if fails:
         with pytest.raises(NumericsError, match="injected in evaluation"):
-            train_standard(params, source_data(spc=4), hyper, metrics_epsilon=0.05)
+            train_standard(params, source_data(spc=4), hyper, source_data(spc=4), metrics_epsilon=0.05)
     else:  # epoch 1 trains after epoch 0's evaluation
-        train_standard(params, source_data(spc=4), hyper, metrics_epsilon=0.05)
+        train_standard(params, source_data(spc=4), hyper, source_data(spc=4), metrics_epsilon=0.05)
     assert seen == [[True] * len(tensors)] * (1 if fails else 2)
     assert all(t.requires_grad for t in tensors)
 
