@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor
 from .errors import ConfigError, GraphError, ShapeError
 from .tensor import Graph, Tensor, _check_finite, softmax_cross_entropy
 
@@ -23,8 +24,6 @@ __all__ = [
     "adversarial_accuracy",
     "adversarial_accuracies",
 ]
-
-_EVAL_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -119,9 +118,10 @@ def _step_in_ball(x: np.ndarray, direction: np.ndarray, eps: np.float32) -> np.n
 
 def _predict(pipeline, images: np.ndarray) -> np.ndarray:
     """Argmax class per sample; numpy argmax already ties to lowest index."""
+    batch = tensor._EVAL_BATCH
     preds = []
-    for start in range(0, images.shape[0], _EVAL_BATCH):
-        logits = pipeline.logits(Tensor(images[start : start + _EVAL_BATCH]))
+    for start in range(0, images.shape[0], batch):
+        logits = pipeline.logits(Tensor(images[start : start + batch]))
         preds.append(logits.data.argmax(axis=1))
     return np.concatenate(preds)
 
@@ -142,7 +142,9 @@ def adversarial_accuracies(pipeline, dataset, budgets) -> list[EvalReport]:
     The attack direction does not depend on ε, so each batch of correct
     samples takes one gradient pass, shared by every budget.  At ε = 0
     the attack is the identity, so every correct sample survives by
-    construction and no attacked pass is run.
+    construction and no attacked pass is run.  Each batch of correct
+    samples is gathered from the dataset by index, so no pass holds more
+    than one batch of them.
     """
     if len(dataset) == 0:
         raise ShapeError("cannot evaluate on an empty dataset")
@@ -151,13 +153,13 @@ def adversarial_accuracies(pipeline, dataset, budgets) -> list[EvalReport]:
     n_total = len(dataset)
     n_correct = int(correct.sum())
     std_acc = n_correct / n_total
-    images = dataset.images[correct]
-    labels = dataset.labels[correct]
+    picked = np.flatnonzero(correct)
+    batch = tensor._EVAL_BATCH
     attacked = [k for k, cfg in enumerate(budgets) if cfg.epsilon != 0.0]
     survived = [n_correct if cfg.epsilon == 0.0 else 0 for cfg in budgets]
-    for start in range(0, n_correct if attacked else 0, _EVAL_BATCH):
-        xb = images[start : start + _EVAL_BATCH]
-        yb = labels[start : start + _EVAL_BATCH]
+    for start in range(0, n_correct if attacked else 0, batch):
+        rows = picked[start : start + batch]
+        xb, yb = dataset.images[rows], dataset.labels[rows]
         direction = _gradient_sign(pipeline, xb, yb)
         for k in attacked:
             adv = Tensor(_step_in_ball(xb, direction, np.float32(budgets[k].epsilon)))

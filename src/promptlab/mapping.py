@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor
 from .errors import ConfigError, ShapeError
 from .tensor import Tensor, record_op
 
@@ -28,8 +29,6 @@ __all__ = [
     "prediction_frequencies",
     "ilm_update",
 ]
-
-_TALLY_BATCH = 256  # images per reduced_fn call in prediction_frequencies
 
 
 @dataclass(frozen=True)
@@ -145,15 +144,16 @@ def prediction_frequencies(reduced_fn, dataset) -> FrequencyMatrix:
 
     ``reduced_fn`` maps an image batch (ndarray) to reduced logits
     (N, m) — the pipeline with the label-mapping stage left off.  It is
-    called once per batch of ``_TALLY_BATCH`` images; ``m`` is read from
-    the first batch's output.
+    called once per evaluation batch (``tensor._EVAL_BATCH`` images);
+    ``m`` is read from the first batch's output.
     """
     if len(dataset) == 0:
         raise ShapeError("cannot tally frequencies over an empty dataset")
+    batch = tensor._EVAL_BATCH
     counts = None
-    for start in range(0, len(dataset), _TALLY_BATCH):
-        xb = dataset.images[start : start + _TALLY_BATCH]
-        yb = dataset.labels[start : start + _TALLY_BATCH]
+    for start in range(0, len(dataset), batch):
+        xb = dataset.images[start : start + batch]
+        yb = dataset.labels[start : start + batch]
         reduced = reduced_fn(xb)
         if counts is None:
             counts = np.zeros((dataset.n_classes, reduced.shape[1]), dtype=np.int64)

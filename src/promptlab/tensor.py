@@ -261,6 +261,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 _COL_SLICE = 32  # examples per patch gather and per column-gradient GEMM in conv2d
+# Examples per pass in the evaluation protocols and the ILM tally.  A batch of 64
+# held 1.3 MB less at eval-std run_s x1.05 (BENCH_34.json); 128 kept the run time.
+_EVAL_BATCH = 128
 
 
 @functools.lru_cache(maxsize=64)

@@ -231,6 +231,25 @@ MUTANTS = [
         "an epsilon grid makes one clean pass and attacks only where epsilon > 0 "
         "(test_epsilon_grid_shares_one_clean_pass)",
     ),
+    # evaluation holds one batch at a time
+    Mutant(
+        "protocol-copies-the-correct-subset",
+        "src/promptlab/attack.py",
+        "xb, yb = dataset.images[rows], dataset.labels[rows]",
+        "xb, yb = dataset.images[correct][start : start + batch], dataset.labels[rows]",
+        ("tests/test_attack.py",),
+        "the protocol gathers each batch of correct examples by index, never the whole correct subset "
+        "(test_scoring_memory_is_bounded_by_the_batch)",
+    ),
+    Mutant(
+        "eval-batch-256",
+        "src/promptlab/tensor.py",
+        "_EVAL_BATCH = 128",
+        "_EVAL_BATCH = 256",
+        ("tests/test_attack.py", "tests/test_mapping.py"),
+        "scoring and the ILM tally run 128 examples at a time (test_scoring_memory_is_bounded_by_the_batch, "
+        "test_tally_memory_is_bounded_by_the_batch)",
+    ),
 ]
 
 

@@ -18,6 +18,7 @@ from promptlab import (
     attack,
     fgsm,
     standard_accuracy,
+    tensor,
 )
 
 
@@ -302,7 +303,7 @@ def test_epsilon_grid_takes_one_gradient_per_batch(rng, monkeypatch):
     labels[::4] = (labels[::4] + 1) % 3  # a quarter start out wrong
     ds = Dataset(images=images, labels=labels, n_classes=3)
     budgets = [AttackConfig(e) for e in (0.02, 0.05, 0.1)]
-    monkeypatch.setattr(attack, "_EVAL_BATCH", 16)
+    monkeypatch.setattr(tensor, "_EVAL_BATCH", 16)
     backward = Graph.backward
     passes = []
     monkeypatch.setattr(Graph, "backward", lambda g, loss: passes.append(1) or backward(g, loss))
@@ -334,48 +335,39 @@ def _frozen_default_source(n):
     return SourceClassifier(params), x, gen.integers(0, spec.n_classes, size=n)
 
 
-def test_gradient_pass_holds_at_most_twice_a_forward_pass():
+def traced_peak(run):
+    """The tracemalloc peak of a second call of ``run``; the first warms the cached gather indices."""
+    import tracemalloc
+
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gradient_pass_holds_at_most_twice_a_forward_pass(monkeypatch):
     """Backward keeps only what it reads: no patch matrix for a frozen
     kernel, the column gradient a slice at a time, each tape entry freed
     once its gradients are formed, the batch wrapped, not copied."""
-    import tracemalloc
-
+    monkeypatch.setattr(tensor, "_EVAL_BATCH", 256)  # the clean pass in one batch, like the gradient pass
     clf, x, y = _frozen_default_source(256)
-
-    def peak(run):
-        run()  # warm the cached gather indices
-        tracemalloc.start()
-        try:
-            run()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    forward = peak(lambda: attack._predict(clf, x))
-    gradient = peak(lambda: attack._gradient_sign(clf, x, y))
+    forward = traced_peak(lambda: attack._predict(clf, x))
+    gradient = traced_peak(lambda: attack._gradient_sign(clf, x, y))
     assert gradient <= 2 * forward, (gradient, forward)
 
 
-def test_forward_and_gradient_passes_keep_only_what_backward_reads():
+def test_forward_and_gradient_passes_keep_only_what_backward_reads(monkeypatch):
     """At batch 256 on the default frozen source, a forward pass gathers
     patches a slice at a time and keeps no activation its caller dropped,
     so it peaks below the first layer's patch matrix plus its output; the
     gradient pass adds only the masks and gradients backward reads."""
-    import tracemalloc
-
+    monkeypatch.setattr(tensor, "_EVAL_BATCH", 256)  # the clean pass in one batch, like the gradient pass
     clf, x, y = _frozen_default_source(256)
-
-    def peak(run):
-        run()  # warm the cached gather indices
-        tracemalloc.start()
-        try:
-            run()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    forward = peak(lambda: attack._predict(clf, x))
-    gradient = peak(lambda: attack._gradient_sign(clf, x, y))
+    forward = traced_peak(lambda: attack._predict(clf, x))
+    gradient = traced_peak(lambda: attack._gradient_sign(clf, x, y))
     spec = clf.params.spec
     c, h, w = spec.input_size
     f, k, s = spec.conv_blocks[0]
@@ -383,6 +375,23 @@ def test_forward_and_gradient_passes_keep_only_what_backward_reads():
     patches, output = 256 * positions * c * k * k * 4, 256 * f * positions * 4
     assert forward < patches + output, (forward, patches + output)
     assert gradient <= 1.25 * forward, (gradient, forward)
+
+
+def test_scoring_memory_is_bounded_by_the_batch():
+    """The restricted protocol holds one batch of 128 examples at a time:
+    it gathers each batch of correct examples by index, never a copy of
+    the whole correct subset, so scoring 512 examples, all correct,
+    peaks about where scoring one batch does."""
+    clf, x, _ = _frozen_default_source(512)
+    y = attack._predict(clf, x)  # every example correct: every one is attacked
+    n_classes = clf.params.spec.n_classes
+
+    def scoring_peak(n):
+        ds = Dataset(images=x[:n].copy(), labels=y[:n].copy(), n_classes=n_classes)
+        return traced_peak(lambda: adversarial_accuracies(clf, ds, [AttackConfig(0.05)]))
+
+    many, one = scoring_peak(512), scoring_peak(128)
+    assert many <= 1.15 * one, (many, one)
 
 
 def test_gradient_sign_leaves_its_input_unchanged():

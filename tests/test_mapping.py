@@ -20,7 +20,7 @@ from promptlab import (
     rlm_init,
     tensor_sum,
 )
-from promptlab import mapping
+from promptlab import tensor
 
 from gradcheck import ref_block_reduce
 
@@ -175,11 +175,11 @@ def test_prediction_frequencies_tallies_argmax_per_class(monkeypatch):
         flag = (batch[:, 0, 0, 0] >= 0.25).astype(np.float32)
         return np.stack([1.0 - flag, np.zeros_like(flag), flag], axis=1)
 
-    monkeypatch.setattr(mapping, "_TALLY_BATCH", 4)
+    monkeypatch.setattr(tensor, "_EVAL_BATCH", 4)
     freq = prediction_frequencies(reduced_fn, ds)
     np.testing.assert_array_equal(freq.counts, [[3, 0, 0], [0, 0, 3]])
     # batch size must not matter
-    monkeypatch.setattr(mapping, "_TALLY_BATCH", 1)
+    monkeypatch.setattr(tensor, "_EVAL_BATCH", 1)
     np.testing.assert_array_equal(prediction_frequencies(reduced_fn, ds).counts, freq.counts)
 
 
@@ -239,12 +239,43 @@ def test_prediction_frequencies_calls_reduced_fn_once_per_batch(monkeypatch, n, 
         calls.append(len(batch))
         return np.tile(np.array([0.0, 1.0, 0.0], dtype=np.float32), (len(batch), 1))
 
-    monkeypatch.setattr(mapping, "_TALLY_BATCH", batch_size)
+    monkeypatch.setattr(tensor, "_EVAL_BATCH", batch_size)
     freq = prediction_frequencies(reduced_fn, ds)
     assert len(calls) == -(-n // batch_size)
     assert sum(calls) == n
     assert freq.counts.shape == (2, 3)
     np.testing.assert_array_equal(freq.counts[:, 1], np.bincount(ds.labels, minlength=2))
+
+
+def test_tally_memory_is_bounded_by_the_batch():
+    """The ILM tally runs the pipeline on one batch of 128 images at a
+    time, so tallying 512 images on the default frozen source peaks about
+    where tallying one batch does."""
+    import tracemalloc
+
+    from promptlab import ExperimentConfig, SourceClassifier, default_config, init_params
+
+    spec = ExperimentConfig.from_dict(default_config()).source_spec
+    params = init_params(spec, seed=0)
+    params.freeze()
+    clf = SourceClassifier(params)
+    gen = np.random.default_rng(0)
+    x = gen.uniform(0.0, 1.0, size=(512, *spec.input_size)).astype(np.float32)
+    y = gen.integers(0, spec.n_classes, size=512)
+
+    def tally_peak(n):
+        ds = Dataset(images=x[:n].copy(), labels=y[:n].copy(), n_classes=spec.n_classes)
+        tally = lambda: prediction_frequencies(lambda batch: clf.logits(Tensor(batch)).data, ds)
+        tally()  # warm the cached gather indices
+        tracemalloc.start()
+        try:
+            tally()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    many, one = tally_peak(512), tally_peak(128)
+    assert many <= 1.15 * one, (many, one)
 
 
 def test_prediction_frequencies_rejects_an_empty_dataset():
