@@ -1,6 +1,9 @@
 """Exception hierarchy shared across the package.  Each class's ``code`` is
 its category, which the command line prints as ``error[code] message``."""
 
+__all__ = ["PromptLabError", "ShapeError", "GraphError", "NumericsError",
+           "CheckpointError", "DataFormatError", "ConfigError"]
+
 
 class PromptLabError(Exception):
     """Base class for all promptlab errors."""

@@ -7,7 +7,10 @@ kernel.  ``python tests/kernels.py`` runs ``tests/test_acceptance.py`` once
 per kernel, each in its own subprocess with ``OPENBLAS_CORETYPE`` set only in
 that child's environment, and prints a criterion x kernel table read from
 the ``criterion N PASS|FAIL`` summary lines, with the golden test's status
-(passed, skipped or failed) under each kernel, then every FAIL line in full.
+(passed, skipped or failed) under each kernel, then the per-seed effect
+sizes criteria 6 and 7 record on their ``deltas seed S criterion N:`` lines
+(criterion 6: robust minus standard source; criterion 7: the best T minus
+T = 1), then every FAIL line in full.
 
 The kernels come from NumPy's ``__cpu_features__``: AVX512F -> SkylakeX,
 AVX2 -> Haswell, AVX -> Sandybridge, SSE4.2 -> Nehalem.  A kernel whose
@@ -36,6 +39,10 @@ GOLDEN = "test_normative_files_match_the_golden_manifest"
 KERNELS = (("SkylakeX", "AVX512F"), ("Haswell", "AVX2"), ("Sandybridge", "AVX"), ("Nehalem", "SSE42"))
 
 CRITERION = re.compile(r"^criterion\s+(\d+) (PASS|FAIL)\b")
+DELTAS = re.compile(r"^deltas seed (\d+) criterion (\d+): (.*)$")
+# the per-seed table's columns: (criterion, key on its deltas line, heading)
+DELTA_COLUMNS = ((6, "adv_delta", "c6 adv Δ"), (6, "clean_delta", "c6 clean Δ"), (7, "best_T", "c7 best T"),
+                 (7, "clean_delta", "c7 clean Δ"), (7, "adv_delta", "c7 adv Δ"))
 STATUS = re.compile(rf"::{GOLDEN} (PASSED|SKIPPED|FAILED|ERROR)\b")
 
 
@@ -47,10 +54,11 @@ def cpu_features() -> dict[str, bool]:
     return __cpu_features__
 
 
-def run(kernel: str) -> tuple[dict[int, str], str, list[str], str | None]:
+def run(kernel: str) -> tuple[dict[int, str], str, dict[tuple[int, int], dict[str, str]], list[str], str | None]:
     """Run the acceptance tests under ``kernel``: ``(verdict per criterion,
-    golden test status, FAIL lines, None)``, or an error text as the last
-    item when the child could not run."""
+    golden test status, {(seed, criterion): {key: value}} from the deltas
+    lines, FAIL lines, None)``, or an error text as the last item when the
+    child could not run."""
     env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "PYTHONDONTWRITEBYTECODE": "1"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     command = [sys.executable, "-m", "pytest", "-v", "-p", "no:cacheprovider", str(HERE / "test_acceptance.py")]
@@ -58,10 +66,12 @@ def run(kernel: str) -> tuple[dict[int, str], str, list[str], str | None]:
     lines = done.stdout.splitlines()
     verdicts = {int(m[1]): m[2] for m in map(CRITERION.match, lines) if m}
     golden = next((m[1].lower() for m in map(STATUS.search, lines) if m), "not reported")
+    deltas = {(int(m[1]), int(m[2])): dict(pair.split("=", 1) for pair in m[3].split())
+              for m in map(DELTAS.match, lines) if m}
     fails = [line for line in lines if CRITERION.match(line) and " FAIL " in line]
     if done.returncode not in (0, 1) or not verdicts:
-        return verdicts, golden, fails, "\n".join((lines or done.stderr.splitlines())[-20:])
-    return verdicts, golden, fails, None
+        return verdicts, golden, deltas, fails, "\n".join((lines or done.stderr.splitlines())[-20:])
+    return verdicts, golden, deltas, fails, None
 
 
 def main() -> int:
@@ -74,7 +84,7 @@ def main() -> int:
         start = time.perf_counter()
         results[kernel] = run(kernel)
         print(f"{kernel}: {time.perf_counter() - start:.1f} s", flush=True)
-        error = results[kernel][3]
+        error = results[kernel][4]
         if error is not None:
             errors += 1
             print(f"{kernel}: the child could not run\n{error}", flush=True)
@@ -86,7 +96,15 @@ def main() -> int:
         cells = [results[k][0].get(n, "-") if k in results else "not run" for k, _ in KERNELS]
         print(f"| {n} | " + " | ".join(cells) + " |")
     print("| golden test | " + " | ".join(results[k][1] if k in results else "not run" for k, _ in KERNELS) + " |")
-    for kernel, (_, _, fails, _) in results.items():
+    seeds = sorted({seed for _, _, deltas, *_ in results.values() for seed, _ in deltas})
+    print()
+    print("| seed | kernel | " + " | ".join(heading for *_, heading in DELTA_COLUMNS) + " |")
+    print("|---" * (len(DELTA_COLUMNS) + 2) + "|")
+    for seed in seeds:
+        for kernel, (_, _, deltas, *_) in results.items():
+            cells = [deltas.get((seed, n), {}).get(key, "-") for n, key, _ in DELTA_COLUMNS]
+            print(f"| {seed} | {kernel} | " + " | ".join(cells) + " |")
+    for kernel, (*_, fails, _) in results.items():
         for line in fails:
             print(f"{kernel}: {line}")
     return 1 if errors else 0

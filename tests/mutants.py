@@ -1,13 +1,13 @@
 """Mutation checks that outlive the change that proved them.
 
 Each entry of :data:`MUTANTS` names a file, an exact text in it, the text
-that replaces it, the test files that must fail once it is replaced, and
-one line of why.  ``python tests/mutants.py`` applies one mutant at a time
-to a fresh copy of ``src/``, ``tests/`` and ``pyproject.toml`` in a
-temporary directory, so the copy's ``pythonpath = ["src"]`` cannot load the
-unmutated package, runs the named test files there with ``-x``, and prints
-killed or survived; it exits 1 if a mutant survived or its tests could not
-run.
+that replaces it, the test files or test ids (``file::name``) that must fail
+once it is replaced, and one line of why.  ``python tests/mutants.py``
+applies one mutant at a time to a fresh copy of ``src/``, ``tests/`` and
+``pyproject.toml`` in a temporary directory, so the copy's ``pythonpath =
+["src"]`` cannot load the unmutated package, runs the named tests there
+with ``-x``, and prints killed or survived; it exits 1 if a mutant survived
+or its tests could not run.
 
 ``tests/test_mutants.py`` checks that each old text still occurs exactly
 once in its file, so a refactor that moves one updates its entry here.
@@ -34,7 +34,7 @@ class Mutant:
     file: str  # relative to the repository root
     old: str  # occurs exactly once in ``file``
     new: str
-    tests: tuple[str, ...]  # test files, relative to the repository root, that must fail
+    tests: tuple[str, ...]  # test files or test ids, relative to the repository root, that must fail
     why: str
 
 
@@ -249,6 +249,44 @@ MUTANTS = [
         ("tests/test_attack.py", "tests/test_mapping.py"),
         "scoring and the ILM tally run 128 examples at a time (test_scoring_memory_is_bounded_by_the_batch, "
         "test_tally_memory_is_bounded_by_the_batch)",
+    ),
+    # harness contracts
+    Mutant(
+        "session-makes-the-directory-before-the-data",
+        "src/promptlab/harness.py",
+        """    data = cfg.datasets()  # before the output directory exists: a VPDS payload fault leaves none behind
+    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+""",
+        """    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    data = cfg.datasets()  # before the output directory exists: a VPDS payload fault leaves none behind
+""",
+        ("tests/test_harness.py::test_a_truncated_split_fails_before_the_output_directory",),
+        "a run loads every split before it creates the output directory, so a payload fault leaves none",
+    ),
+    Mutant(
+        "checkpointed-config-needs-the-source-splits",
+        "src/promptlab/harness.py",
+        "for key in _SPLITS if ckpt is None else _SPLITS[2:]:",
+        "for key in _SPLITS:",
+        ("tests/test_harness.py::test_checkpointed_config_reads_only_the_downstream_splits",),
+        "a config that loads its source from source.checkpoint neither reads nor needs a source split",
+    ),
+    Mutant(
+        "config-json-does-not-load-back",
+        "src/promptlab/harness.py",
+        """        raw.pop("derived_seeds", None)  # a run's own config.json records them; re-derived below
+""",
+        "",
+        ("tests/test_harness.py::test_optional_keys_default_and_stay_out_of_config_json",),
+        "a run's own config.json, derived_seeds and all, loads back as its config",
+    ),
+    Mutant(
+        "config-json-drops-the-derived-seeds",
+        "src/promptlab/harness.py",
+        '{**cfg.raw, "derived_seeds": cfg.derived_seeds}',
+        "cfg.raw",
+        ("tests/test_harness.py::test_derived_seed_oracle",),
+        "config.json records the per-stage seeds derived from the top-level seed",
     ),
 ]
 

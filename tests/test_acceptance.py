@@ -55,6 +55,14 @@ def criterion(num: int, label: str):
     conftest.ACCEPTANCE_LINES.append(f"criterion {num:2d} PASS {label}")
 
 
+def record_deltas(seed: int, num: int, **deltas):
+    """Record one seed's effect sizes under criterion ``num`` as a summary line
+    of its own, ``deltas seed S criterion N: key=value ...``, which
+    ``tests/kernels.py`` tabulates per kernel; a float is written signed."""
+    values = " ".join(f"{k}={v:+.4f}" if isinstance(v, float) else f"{k}={v}" for k, v in deltas.items())
+    conftest.ACCEPTANCE_LINES.append(f"deltas seed {seed} criterion {num}: {values}")
+
+
 # ---------------------------------------------------------------------------
 # shared fixtures
 
@@ -206,6 +214,8 @@ def test_criterion_06_robust_source_inheritance(grid_runs):
         for seed in (0, 1, 2):
             std_run = runs[(seed, "standard")][1]
             adv_run = runs[(seed, "adversarial")][1]
+            record_deltas(seed, 6, adv_delta=adv_run["final_adv_acc"] - std_run["final_adv_acc"],
+                          clean_delta=adv_run["final_std_acc"] - std_run["final_std_acc"])
             gained_robustness = adv_run["final_adv_acc"] > std_run["final_adv_acc"]
             paid_clean = adv_run["final_std_acc"] < std_run["final_std_acc"]
             if gained_robustness and paid_clean:
@@ -232,10 +242,16 @@ def robust_sweeps(grid_runs, tmp_path_factory):
 
 def test_criterion_07_reduction_benefit(robust_sweeps):
     with criterion(7, "best reduction temperature helps clean accuracy"):
+        tables = robust_sweeps["tables"]
+        best_ts = {seed: max((2, 4), key=lambda t: rows[t]["std_acc"]) for seed, rows in tables.items()}
+        for seed, rows in tables.items():  # every seed's line, before an assertion can end the loop
+            best, t1 = rows[best_ts[seed]], rows[1]
+            record_deltas(seed, 7, best_T=best_ts[seed], clean_delta=best["std_acc"] - t1["std_acc"],
+                          adv_delta=best["adv_acc"] - t1["adv_acc"])
         strict = []
-        for seed, rows in robust_sweeps["tables"].items():
+        for seed, rows in tables.items():
             t1 = rows[1]
-            best_t = max((2, 4), key=lambda t: rows[t]["std_acc"])
+            best_t = best_ts[seed]
             best = rows[best_t]
             assert best["std_acc"] >= t1["std_acc"] - 0.005, (
                 f"seed {seed}: best T={best_t} std {best['std_acc']:.4f} under "

@@ -116,11 +116,10 @@ def test_overrides_replace_seed_and_output(tmp_path):
     assert cfg.output_dir == tmp_path / "x"
 
 
-def test_derived_seed_oracle():
+def seed_oracle(seed):
     """Slot layout: one generate_state call on the master sequence."""
-    cfg = ExperimentConfig.from_dict(small_config(seed=17))
-    state = np.random.SeedSequence(17).generate_state(8, dtype=np.uint64)
-    expected = {
+    state = np.random.SeedSequence(seed).generate_state(8, dtype=np.uint64)
+    return {
         "source_train_data": int(state[0]),
         "source_test_data": int(state[1]),
         "downstream_train_data": int(state[2]),
@@ -130,8 +129,15 @@ def test_derived_seed_oracle():
         "prompt_train": int(state[6]),
         "source_at": int(state[7]),
     }
-    assert cfg.derived_seeds == expected
+
+
+def test_derived_seed_oracle(experiment_run):
+    """The seeds derive by the slot layout, and a run's config.json records them."""
+    expected = seed_oracle(17)
+    assert ExperimentConfig.from_dict(small_config(seed=17)).derived_seeds == expected
     assert len(set(expected.values())) == 8  # no slot collisions
+    out, _ = experiment_run  # seed 0
+    assert json.loads((out / "config.json").read_text())["derived_seeds"] == seed_oracle(0)
 
 
 def test_hyper_accessors_bind_derived_seeds():
