@@ -13,6 +13,7 @@ that is excluded from that guarantee.
 from __future__ import annotations
 
 import json
+import os
 import platform
 import time
 from contextlib import contextmanager
@@ -36,7 +37,7 @@ from .mapping import PblConfig
 from .metrics import write_metrics
 from .nets import ConvNetSpec, ModelParams, init_params
 from .prompt import VisualPrompt
-from .train import TrainHyper, _check_data, _check_reduction, _phase_bounds, _score, usable_cpus
+from .train import TrainHyper, _check_data, _check_reduction, _phase_bounds, _score
 from .train import train_adversarial, train_prompt, train_standard
 
 __all__ = [
@@ -424,19 +425,22 @@ def _prepare_source(cfg: ExperimentConfig, data: dict[str, Dataset], timing: dic
     return params
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity mask where
+    the platform has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _rusage() -> dict | None:
     """Minor page faults, user and system CPU seconds and peak RSS
-    (``ru_maxrss``, KiB on Linux) so far, of this process and of its
-    joined children; None without ``resource`` (Windows)."""
+    (``ru_maxrss``, KiB on Linux) of this process so far; None without
+    ``resource`` (Windows)."""
     if resource is None:
         return None
-    usage = {}
-    for who, kind in (("self", resource.RUSAGE_SELF), ("children", resource.RUSAGE_CHILDREN)):
-        ru = resource.getrusage(kind)
-        usage[who] = {
-            "minflt": ru.ru_minflt, "utime_s": ru.ru_utime, "stime_s": ru.ru_stime, "maxrss": ru.ru_maxrss,
-        }
-    return usage
+    ru = resource.getrusage(resource.RUSAGE_SELF)
+    return {"minflt": ru.ru_minflt, "utime_s": ru.ru_utime, "stime_s": ru.ru_stime, "maxrss": ru.ru_maxrss}
 
 
 @contextmanager
@@ -450,11 +454,10 @@ def session(config):
     block completes, with the phase seconds, the outcome of the BLAS
     thread pin under ``blas`` and of the malloc thresholds under
     ``malloc``, the Python and NumPy versions and the machine type, the
-    number of CPUs the run could use under ``cpus`` (with two or more,
-    per-epoch evaluation overlaps training), and under ``rusage`` the
-    minor page faults and CPU seconds the block cost this process
-    (``self``) and the workers it joined (``children``), with each one's
-    peak RSS at the end of the block (``maxrss``, KiB on Linux).
+    number of CPUs the run could use under ``cpus``, and under ``rusage``
+    ``self`` the minor page faults and CPU seconds the block cost this
+    process, with its peak RSS at the end of the block (``maxrss``, KiB
+    on Linux).
     """
     cfg = config if isinstance(config, ExperimentConfig) else ExperimentConfig.from_dict(config)
     usage = _rusage()
@@ -473,8 +476,7 @@ def session(config):
     if usage is not None:
         end = _rusage()
         timing["rusage"] = {  # deltas, but maxrss is a high-water mark, so its end value
-            who: {key: end[who][key] - (0 if key == "maxrss" else start) for key, start in fields.items()}
-            for who, fields in usage.items()
+            "self": {key: end[key] - (0 if key == "maxrss" else start) for key, start in usage.items()}
         }
     _write_json(cfg.output_dir / "timing.json", timing)
 

@@ -8,8 +8,7 @@ OS when freed and are faulted in again, page by page, on the next
 epoch, which makes page faults the largest source of system time in a
 run.  Importing ``promptlab`` calls :func:`fix_thresholds` once, which
 sets both thresholds for the whole process through ``mallopt`` (setting
-either one turns the moving thresholds off, so both are set), and
-forked evaluation workers inherit them.
+either one turns the moving thresholds off, so both are set).
 
 Without glibc (no ``mallopt``, or a ``mallopt`` that refuses) nothing is
 set and nothing is said: no artifact depends on the allocator.  The

@@ -8,8 +8,7 @@ metrics.  Everything is deterministic in the hyperparameter seed.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,44 +54,6 @@ def _mean_top1_prob(logits: np.ndarray) -> float:
 def _persistent_bytes(target) -> int:
     # parameter data + gradient + velocity high-water estimate
     return sum(3 * t.data.nbytes for _, t in target.named_tensors())
-
-
-def usable_cpus() -> int:
-    """The number of CPUs this process may run on: its affinity mask where
-    the platform has one, else the machine's CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _can_fork() -> bool:
-    """Whether this process can fork an evaluation worker: the platform has
-    fork, and the process is not daemonic (a ``multiprocessing.Pool``
-    worker is), since a daemonic process may not have children."""
-    import multiprocessing  # imported here: `import promptlab` should not pay for it
-
-    return "fork" in multiprocessing.get_all_start_methods() and not multiprocessing.current_process().daemon
-
-
-_evaluator = None  # set in the evaluation worker only, by _start_evaluator
-
-
-def _start_evaluator(target, pipeline, eval_ds, budget) -> None:
-    """Initialise a forked evaluation worker: it keeps its inherited copy
-    of ``target``'s tensors, and what :func:`_score` reads."""
-    global _evaluator
-    _evaluator = ([t for _, t in target.named_tensors()], pipeline, eval_ds, budget)
-
-
-def _evaluate_epoch(values, mapping) -> tuple[float, float]:
-    """Write the values an epoch of training left (and its label mapping)
-    into the worker's copy of the target, and score it (:func:`_score`)."""
-    tensors, pipeline, eval_ds, budget = _evaluator
-    for t, value in zip(tensors, values):
-        t.data[...] = value
-    if mapping is not None:
-        pipeline.mapping = mapping
-    return _score(pipeline, eval_ds, budget)
 
 
 def _score(pipeline, dataset: Dataset, budget: AttackConfig) -> tuple[float, float]:
@@ -167,84 +128,60 @@ def _train_engine(
     last step and before its evaluation, ``post_step`` after every step.
     ``target``'s gradients are cleared once, before the first step: each step clears them, and no attack forms one.
     Each epoch is scored on ``eval_dataset`` after it trains by :func:`_score`, the one
-    statement of an epoch's accuracies, at the phase's budget ``AttackConfig(metrics_epsilon)``,
-    built once before the first step; with no ``eval_dataset`` no epoch is scored, and every
-    record's accuracies read 0.0, "not measured".
-    When more than one epoch is scored and at least two CPUs are usable, every epoch
-    but the last is scored by a one-process ``ProcessPoolExecutor``, forked at the first
-    submitted epoch, while the next epoch trains; the records are the same either way.
-    If the phase fails, the epochs not yet handed to the worker are cancelled; a dead
-    worker raises ``BrokenProcessPool``.
+    statement of an epoch's accuracies: every epoch but the last in one clean pass, with
+    ``adv_acc`` 0.0, "not measured", and the last at the phase's budget
+    ``AttackConfig(metrics_epsilon)``, built before the first step; with no ``eval_dataset``
+    no epoch is scored, and every record's accuracies read 0.0, "not measured".
     """
     rng = np.random.Generator(np.random.PCG64(hyper.seed))
     opt = SgdOptimizer(hyper.learning_rate, hyper.momentum)
-    budget = AttackConfig(metrics_epsilon)  # refuses a bad ε before the first step and before any fork
+    budget = AttackConfig(metrics_epsilon)  # refuses a bad ε before the first step
+    clean = AttackConfig(0.0)
     persistent = _persistent_bytes(target)
     n = len(dataset)
     last = hyper.epochs - 1
 
-    pool = None
-    if eval_dataset is not None and last > 0 and usable_cpus() >= 2 and _can_fork():
-        import multiprocessing  # imported here: `import promptlab` should not pay for it
-        from concurrent.futures import ProcessPoolExecutor
-
-        # fork, not spawn: the worker inherits the pipeline, the frozen
-        # source and the evaluation set, and is sent only what training changed
-        state = (target, pipeline, eval_dataset, budget)
-        pool = ProcessPoolExecutor(1, multiprocessing.get_context("fork"), initializer=_start_evaluator, initargs=state)
     records: list[MetricsRecord] = []
-    futures = []
     zero_grad(target)  # a caller may hand in a target with stale gradients
-    try:
-        for epoch in range(hyper.epochs):
-            meter = WorkMeter(persistent_bytes=persistent)
-            order = rng.permutation(n)
-            loss_sum = 0.0
-            conf_sum = 0.0
-            for start in range(0, n, hyper.batch_size):
-                idx = order[start : start + hyper.batch_size]
-                xb = dataset.images[idx]
-                yb = dataset.labels[idx]
-                if attack is not None:
-                    xb = fgsm(pipeline, Tensor(xb), yb, attack, meter=meter).data
-                with Graph() as g:
-                    logits = pipeline.logits(Tensor(xb))
-                    loss = softmax_cross_entropy(logits, yb)
-                g.backward(loss)
-                sgd_step(target, opt)
-                if post_step is not None:
-                    post_step()
-                meter.add_graph(g)
-                meter.end_step()
-                loss_sum += loss.item() * len(idx)
-                conf_sum += _mean_top1_prob(logits.data) * len(idx)
-            if after_epoch is not None:
-                after_epoch()
-            if eval_dataset is None:
-                std_acc, adv_acc = 0.0, 0.0  # not measured
-            elif pool is not None and epoch < last:
-                values = [t.data.copy() for _, t in target.named_tensors()]  # sent later, as the next epoch trains
-                futures.append(pool.submit(_evaluate_epoch, values, getattr(pipeline, "mapping", None)))
-                std_acc, adv_acc = 0.0, 0.0  # replaced by the worker's results below
-            else:
-                std_acc, adv_acc = _score(pipeline, eval_dataset, budget)
-            records.append(
-                MetricsRecord(
-                    epoch=epoch,
-                    loss=loss_sum / n,
-                    std_acc=std_acc,
-                    adv_acc=adv_acc,
-                    mean_confidence=conf_sum / n,
-                    wall_ms=meter.wall_ms(),
-                    peak_mem_bytes=meter.peak_bytes,
-                )
+    for epoch in range(hyper.epochs):
+        meter = WorkMeter(persistent_bytes=persistent)
+        order = rng.permutation(n)
+        loss_sum = 0.0
+        conf_sum = 0.0
+        for start in range(0, n, hyper.batch_size):
+            idx = order[start : start + hyper.batch_size]
+            xb = dataset.images[idx]
+            yb = dataset.labels[idx]
+            if attack is not None:
+                xb = fgsm(pipeline, Tensor(xb), yb, attack, meter=meter).data
+            with Graph() as g:
+                logits = pipeline.logits(Tensor(xb))
+                loss = softmax_cross_entropy(logits, yb)
+            g.backward(loss)
+            sgd_step(target, opt)
+            if post_step is not None:
+                post_step()
+            meter.add_graph(g)
+            meter.end_step()
+            loss_sum += loss.item() * len(idx)
+            conf_sum += _mean_top1_prob(logits.data) * len(idx)
+        if after_epoch is not None:
+            after_epoch()
+        if eval_dataset is None:
+            std_acc, adv_acc = 0.0, 0.0  # not measured
+        else:
+            std_acc, adv_acc = _score(pipeline, eval_dataset, budget if epoch == last else clean)
+        records.append(
+            MetricsRecord(
+                epoch=epoch,
+                loss=loss_sum / n,
+                std_acc=std_acc,
+                adv_acc=adv_acc,
+                mean_confidence=conf_sum / n,
+                wall_ms=meter.wall_ms(),
+                peak_mem_bytes=meter.peak_bytes,
             )
-        for i, future in enumerate(futures):
-            std_acc, adv_acc = future.result()
-            records[i] = replace(records[i], std_acc=std_acc, adv_acc=adv_acc)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        )
     return records
 
 
@@ -304,12 +241,11 @@ def train_prompt(
     Data that does not fit the prompt interior and K_t (:func:`_check_data`), or a
     ``pbl`` that leaves fewer than K_t slots, fails before the first step as a ConfigError.
     Each epoch's record holds the accuracies on ``eval_dataset`` that :func:`_score`
-    states: ``adv_acc`` under the sign attack at ``metrics_epsilon``, or 0.0, "not
-    measured", when that is 0; with no ``eval_dataset`` both read 0.0, "not measured".
+    states.  Only the last epoch is attacked, at ``metrics_epsilon``; every other epoch's
+    ``adv_acc``, and the last one's when ``metrics_epsilon`` is 0, reads 0.0, "not
+    measured" (:func:`_train_engine`).  With no ``eval_dataset`` both accuracies read 0.0.
     Evaluation reads no RNG and changes no training state, so the prompt, the
     mapping, the losses and the work columns are the same with or without it.
-    Evaluation may overlap training in a forked worker (:func:`_train_engine`);
-    the records are the same either way.
     """
     if not source.frozen:
         raise GraphError("prompt training requires a frozen source model")

@@ -21,9 +21,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """``cpus(k)`` makes promptlab see ``k`` usable CPUs and returns a list
-    that gets the pid of every ``os.fork`` made from then on, so a test can
-    tell whether an evaluation worker started."""
+    """``cpus(k)`` makes promptlab see ``k`` usable CPUs (``timing.json``
+    ``cpus``) and returns a list that gets the pid of every ``os.fork`` made
+    from then on, so a test can tell that no process started."""
     forks = []
     real_fork = os.fork
 

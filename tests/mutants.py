@@ -131,18 +131,24 @@ MUTANTS = [
         "src/promptlab/train.py",
         "report.adversarial_accuracy if budget.epsilon > 0.0 else 0.0",
         "report.adversarial_accuracy",
-        ("tests/test_train.py",),
+        ("tests/test_train.py::test_metrics_epsilon_turns_on_adversarial_column",),
         "adv_acc must read 0.0, not measured, when metrics_epsilon is 0 (the protocol reads 1.0 there)",
     ),
     Mutant(
-        "worker-drops-the-sent-mapping",
+        "every-epoch-attacked",
         "src/promptlab/train.py",
-        """    if mapping is not None:
-        pipeline.mapping = mapping
-    return _score(""",
-        """    return _score(""",
-        ("tests/test_train.py",),
-        "the worker must score an ILM epoch under the mapping that epoch left",
+        "budget if epoch == last else clean",
+        "budget",
+        ("tests/test_train.py::test_metrics_epsilon_turns_on_adversarial_column",),
+        "every epoch but a phase's last is scored clean, with adv_acc 0.0, not measured",
+    ),
+    Mutant(
+        "last-epoch-clean",
+        "src/promptlab/train.py",
+        "budget if epoch == last else clean",
+        "clean",
+        ("tests/test_train.py::test_metrics_epsilon_turns_on_adversarial_column",),
+        "a phase's last epoch is attacked at metrics_epsilon",
     ),
     # an ε is parsed once
     Mutant(
@@ -150,8 +156,8 @@ MUTANTS = [
         "src/promptlab/train.py",
         "budget = AttackConfig(metrics_epsilon)",
         "budget = AttackConfig(0.0)",
-        ("tests/test_train.py",),
-        "a phase must refuse, and score every epoch at, the metrics_epsilon it was given",
+        ("tests/test_train.py::test_metrics_epsilon_turns_on_adversarial_column",),
+        "a phase must refuse, and score its last epoch at, the metrics_epsilon it was given",
     ),
     # a phase scores only the set it is given
     Mutant(
@@ -227,7 +233,7 @@ MUTANTS = [
         "src/promptlab/attack.py",
         "attacked = [k for k, cfg in enumerate(budgets) if cfg.epsilon != 0.0]",
         "attacked = list(range(len(budgets)))",
-        ("tests/test_attack.py",),
+        ("tests/test_attack.py::test_epsilon_grid_shares_one_clean_pass",),
         "an epsilon grid makes one clean pass and attacks only where epsilon > 0 "
         "(test_epsilon_grid_shares_one_clean_pass)",
     ),
@@ -237,7 +243,7 @@ MUTANTS = [
         "src/promptlab/attack.py",
         "xb, yb = dataset.images[rows], dataset.labels[rows]",
         "xb, yb = dataset.images[correct][start : start + batch], dataset.labels[rows]",
-        ("tests/test_attack.py",),
+        ("tests/test_attack.py::test_scoring_memory_is_bounded_by_the_batch",),
         "the protocol gathers each batch of correct examples by index, never the whole correct subset "
         "(test_scoring_memory_is_bounded_by_the_batch)",
     ),
@@ -246,7 +252,10 @@ MUTANTS = [
         "src/promptlab/tensor.py",
         "_EVAL_BATCH = 128",
         "_EVAL_BATCH = 256",
-        ("tests/test_attack.py", "tests/test_mapping.py"),
+        (
+            "tests/test_attack.py::test_scoring_memory_is_bounded_by_the_batch",
+            "tests/test_mapping.py::test_tally_memory_is_bounded_by_the_batch",
+        ),
         "scoring and the ILM tally run 128 examples at a time (test_scoring_memory_is_bounded_by_the_batch, "
         "test_tally_memory_is_bounded_by_the_batch)",
     ),

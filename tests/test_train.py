@@ -2,9 +2,7 @@
 equivalence between temperature-1 reduction and no reduction at all."""
 
 import multiprocessing
-import os
 import re
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +21,7 @@ from promptlab import (
     SourceClassifier,
     SynthSpec,
     TrainHyper,
-    blas,
+    adversarial_accuracy,
     generate_synthetic,
     ilm_update,
     init_params,
@@ -126,30 +124,35 @@ def test_records_are_well_formed():
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.05])
 def test_metrics_epsilon_turns_on_adversarial_column(monkeypatch, epsilon):
-    """At ``metrics_epsilon`` 0 no epoch runs an attack and ``adv_acc``
-    reads 0.0; above 0 the epochs are attacked.  Attacks are counted in
-    the caller and in the evaluation worker alike."""
+    """Every epoch but the last is scored clean, and its ``adv_acc`` reads
+    0.0, "not measured".  The last epoch is attacked at ``metrics_epsilon``,
+    one input gradient per batch of its correctly classified examples; at 0
+    no epoch is attacked and every ``adv_acc`` reads 0.0."""
     import promptlab.attack as attack
 
-    attacks = multiprocessing.get_context("fork").Value("i", 0)
+    attacked = []
     real = attack._gradient_sign
 
-    def counted(*args, **kwargs):
-        with attacks.get_lock():
-            attacks.value += 1
-        return real(*args, **kwargs)
+    def counted(pipeline, x, *args, **kwargs):
+        attacked.append(len(x))
+        return real(pipeline, x, *args, **kwargs)
 
     monkeypatch.setattr(attack, "_gradient_sign", counted)
     params = init_params(SOURCE_SPEC, seed=2)
+    eval_ds = source_data(spc=4)
     _, records = train_standard(
-        params, source_data(spc=4), TrainHyper(2, 8, 0.05, 0.9, 7), source_data(spc=4), metrics_epsilon=epsilon
+        params, source_data(spc=4), TrainHyper(3, 8, 0.05, 0.9, 7), eval_ds, metrics_epsilon=epsilon
     )
+    assert [r.adv_acc for r in records[:-1]] == [0.0, 0.0]
     if epsilon == 0.0:
-        assert attacks.value == 0
-        assert [r.adv_acc for r in records] == [0.0, 0.0]
+        assert attacked == []
+        assert records[-1].adv_acc == 0.0
     else:
-        assert attacks.value > 0
-        assert all(0.0 <= r.adv_acc <= 1.0 for r in records)
+        n_correct = round(records[-1].std_acc * len(eval_ds))
+        assert 0 < n_correct <= 128  # one batch of the last epoch's correct examples
+        assert attacked == [n_correct]
+        report = attack.adversarial_accuracy(SourceClassifier(params), eval_ds, AttackConfig(epsilon))
+        assert records[-1].adv_acc == report.adversarial_accuracy
 
 
 @pytest.mark.parametrize("epsilon", [-0.05, float("nan")])
@@ -270,7 +273,7 @@ def test_prompt_rejects_overcompressed_reduction(frozen_source):
 
 def refused_before_the_first_step(monkeypatch, cpus, source, phase, train_set, eval_set, match, lm="ilm"):
     """``phase`` on ``train_set`` and ``eval_set`` raises the ConfigError
-    ``match`` under two CPUs, before any step and before any fork."""
+    ``match`` before any step, and starts no process."""
     steps = []
     monkeypatch.setattr(train, "sgd_step", lambda *args: steps.append(args))
     started = cpus(2)
@@ -296,7 +299,7 @@ def test_malformed_eval_dataset_is_refused_before_the_first_step(frozen_source, 
     """An evaluation set with no examples, with images of another size than
     the phase takes (the source input, a prompt's interior), or with more
     classes than the phase scores (the source head's 6, a prompt's K_t = 3),
-    fails before the first step, also where a worker would evaluate it."""
+    fails before the first step."""
     if phase == "prompt":
         train_set = downstream_data()
         size_is, bound = "do not fill the prompt interior (1, 6, 6) (canvas (1, 12, 12), pad_width 3)", "K_t=3"
@@ -454,7 +457,7 @@ def test_evaluation_set_changes_only_the_accuracies(frozen_source, lm, cfg, adve
 @pytest.mark.parametrize("phase", ["standard", "adversarial", "prompt"])
 def test_no_evaluation_set_scores_nothing_and_forks_nothing(frozen_source, monkeypatch, cpus, phase):
     """With no ``eval_dataset`` a phase makes no scoring call and starts no
-    worker, even where two CPUs would let it."""
+    process."""
     calls, real = [], train.adversarial_accuracy
     monkeypatch.setattr(train, "adversarial_accuracy", lambda *args: calls.append(args) or real(*args))
     started = cpus(2)
@@ -472,7 +475,7 @@ def test_no_evaluation_set_scores_nothing_and_forks_nothing(frozen_source, monke
 
 
 # ---------------------------------------------------------------------------
-# the evaluation worker
+# evaluation
 
 
 def train_ilm_prompt(source, epochs=3, metrics_epsilon=0.05):
@@ -482,11 +485,47 @@ def train_ilm_prompt(source, epochs=3, metrics_epsilon=0.05):
     )
 
 
+def scored_budgets(monkeypatch):
+    """A list that gets the ε of every ``train._score`` call from then on."""
+    budgets, real = [], train._score
+    monkeypatch.setattr(train, "_score", lambda pipeline, ds, budget: budgets.append(budget.epsilon) or real(pipeline, ds, budget))
+    return budgets
+
+
+@pytest.mark.parametrize("phase", ["standard", "adversarial", "ilm-prompt", "rlm-prompt"])
+def test_only_a_phase_last_epoch_is_attacked(frozen_source, monkeypatch, phase):
+    """Each phase scores every epoch but its last clean, with ``adv_acc``
+    0.0, "not measured", and its last at ``metrics_epsilon``: the figures of
+    scoring the phase's final pipeline at that budget by hand."""
+    budgets = scored_budgets(monkeypatch)
+    hyper = TrainHyper(3, 8, 0.05, 0.9, 7)
+    if phase in ("standard", "adversarial"):
+        eval_ds = source_data(spc=4, seed=32)
+        params = init_params(SOURCE_SPEC, seed=2)
+        if phase == "standard":
+            params, records = train_standard(params, source_data(spc=4), hyper, eval_ds, metrics_epsilon=0.05)
+        else:
+            params, records = train_adversarial(
+                params, source_data(spc=4), hyper, AttackConfig(0.05), eval_ds, metrics_epsilon=0.05
+            )
+        pipeline = SourceClassifier(params)
+    else:
+        eval_ds = downstream_data(spc=6, seed=43)
+        _, pipeline, records = train_prompt(
+            frozen_source, downstream_data(), phase[:3], PblConfig(2), hyper,
+            pad_width=3, eval_dataset=eval_ds, metrics_epsilon=0.05,
+        )
+    assert budgets == [0.0, 0.0, 0.05]
+    assert [r.adv_acc for r in records[:-1]] == [0.0, 0.0]
+    report = adversarial_accuracy(pipeline, eval_ds, AttackConfig(0.05))
+    assert (records[-1].std_acc, records[-1].adv_acc) == (report.standard_accuracy, report.adversarial_accuracy)
+
+
 @pytest.mark.parametrize("k", [1, 2], ids=["one-cpu", "two-cpus"])
 def test_evaluation_error_reaches_the_caller(frozen_source, monkeypatch, cpus, k):
-    """An evaluation that raises at its second call (epoch 1, which the
-    worker evaluates when two CPUs are usable) raises the same exception
-    in the caller, and leaves no process behind."""
+    """An evaluation that raises at its second call (epoch 1) raises the
+    same exception in the caller, which starts no process, with one usable
+    CPU or two."""
     calls = []
     real = train.adversarial_accuracy
 
@@ -500,8 +539,33 @@ def test_evaluation_error_reaches_the_caller(frozen_source, monkeypatch, cpus, k
     started = cpus(k)
     with pytest.raises(NumericsError, match="^injected at the second evaluation$"):
         train_ilm_prompt(frozen_source)
-    assert len(started) == k - 1
-    assert multiprocessing.active_children() == []
+    assert started == []
+
+
+def test_daemonic_caller_evaluates_in_process(frozen_source, cpus):
+    """A daemonic process, such as a multiprocessing.Pool worker, may not
+    have children; a phase run there records what it records in the caller."""
+    cpus(2)
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=lambda: sender.send(train_ilm_prompt(frozen_source)[2]), daemon=True)
+    child.start()
+    sender.close()
+    assert receiver.poll(60)
+    records = receiver.recv()
+    child.join(timeout=60)
+    assert child.exitcode == 0
+    assert records == train_ilm_prompt(frozen_source)[2]
+
+
+def test_one_epoch_prompt_starts_no_process(frozen_source, monkeypatch, cpus):
+    """A phase of one epoch scores that epoch as its last, at
+    ``metrics_epsilon``, and starts no process."""
+    budgets = scored_budgets(monkeypatch)
+    started = cpus(2)
+    train_ilm_prompt(frozen_source, epochs=1)
+    assert budgets == [0.05]
+    assert started == []
 
 
 def attack_graphs(monkeypatch, call, *args, **kwargs):
@@ -535,8 +599,8 @@ def grad_bytes(tensors):
 
 
 @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
-def test_evaluation_differentiates_only_the_input(monkeypatch, cpus, fails):
-    """An in-process evaluation sees the target's flags unchanged, leaves
+def test_evaluation_differentiates_only_the_input(monkeypatch, fails):
+    """An evaluation sees the target's flags unchanged, leaves
     its gradients as training left them, and returns the report and graph
     sizes of an evaluation with the flags cleared by hand: it formed no
     parameter gradient.  Training goes on after it returns or raises."""
@@ -556,7 +620,6 @@ def test_evaluation_differentiates_only_the_input(monkeypatch, cpus, fails):
         return report
 
     monkeypatch.setattr(train, "adversarial_accuracy", checked)
-    cpus(1)
     hyper = TrainHyper(2, 8, 0.05, 0.9, 7)
     if fails:
         with pytest.raises(NumericsError, match="injected in evaluation"):
@@ -568,7 +631,7 @@ def test_evaluation_differentiates_only_the_input(monkeypatch, cpus, fails):
 
 
 @pytest.mark.parametrize("target", ["source", "rlm-prompt"])
-def test_training_attack_differentiates_only_the_input(frozen_source, monkeypatch, cpus, target):
+def test_training_attack_differentiates_only_the_input(frozen_source, monkeypatch, target):
     """The training attack of ``train_adversarial`` and of an adversarial
     prompt sees the target's flags unchanged, leaves its gradients as they
     were, and returns the bytes and graph size of an attack with the flags
@@ -588,7 +651,6 @@ def test_training_attack_differentiates_only_the_input(frozen_source, monkeypatc
         return adv
 
     monkeypatch.setattr(train, "fgsm", checked)
-    cpus(1)
     hyper = TrainHyper(2, 8, 0.2, 0.9, 5)
     if target == "source":
         trained, _ = train_adversarial(init_params(SOURCE_SPEC, seed=2), source_data(spc=4), hyper, AttackConfig(0.05))
@@ -601,92 +663,3 @@ def test_training_attack_differentiates_only_the_input(frozen_source, monkeypatc
     tensors = [t for _, t in trained.named_tensors()]
     assert seen == [[True] * len(tensors)] * steps
     assert all(t.requires_grad for t in tensors)
-
-
-def test_worker_that_dies_fails_the_caller(frozen_source, monkeypatch, cpus):
-    caller, real = os.getpid(), train.adversarial_accuracy
-    exit_in_worker = lambda *a, **k: real(*a, **k) if os.getpid() == caller else os._exit(3)  # noqa: E731
-    monkeypatch.setattr(train, "adversarial_accuracy", exit_in_worker)
-    started = cpus(2)
-    with pytest.raises(BrokenProcessPool):
-        train_ilm_prompt(frozen_source)
-    assert len(started) == 1
-    assert multiprocessing.active_children() == []
-
-
-def test_evaluation_error_that_does_not_pickle_fails_the_caller(frozen_source, monkeypatch, cpus):
-    """An exception raised in the worker that cannot be sent back still
-    fails the caller, naming its class, and leaves no process behind."""
-
-    class UnpicklableEvalError(Exception):
-        pass
-
-    caller, real = os.getpid(), train.adversarial_accuracy
-
-    def failing_in_worker(*args, **kwargs):
-        if os.getpid() == caller:
-            return real(*args, **kwargs)
-        raise UnpicklableEvalError("raised in the worker")
-
-    monkeypatch.setattr(train, "adversarial_accuracy", failing_in_worker)
-    cpus(2)
-    with pytest.raises(Exception, match="UnpicklableEvalError"):
-        train_ilm_prompt(frozen_source)
-    assert multiprocessing.active_children() == []
-
-
-def test_training_error_stops_the_worker(frozen_source, monkeypatch, cpus):
-    steps = []
-    real = train.sgd_step
-
-    def failing_step(*args):
-        steps.append(1)
-        if len(steps) == 6:  # 4 steps an epoch: the second epoch's, after the first went to the worker
-            raise GraphError("injected in training")
-        return real(*args)
-
-    monkeypatch.setattr(train, "sgd_step", failing_step)
-    started = cpus(2)
-    with pytest.raises(GraphError, match="injected in training"):
-        train_ilm_prompt(frozen_source)
-    assert len(started) == 1
-    assert multiprocessing.active_children() == []
-
-
-@pytest.mark.skipif(blas.thread_count() is None, reason="NumPy's BLAS exports no OpenBLAS thread entry point")
-def test_evaluation_worker_runs_one_blas_thread(frozen_source, monkeypatch, cpus):
-    seen = multiprocessing.SimpleQueue()
-    real = train._score
-
-    def recording(*args, **kwargs):
-        seen.put((os.getpid(), blas.thread_count()))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(train, "_score", recording)
-    cpus(2)
-    train_ilm_prompt(frozen_source, metrics_epsilon=0.0)
-    got = [seen.get() for _ in range(3)]  # all sent: the caller had every result back
-    assert sorted(pid == os.getpid() for pid, _ in got) == [False, False, True]  # the caller scores the last epoch
-    assert [threads for _, threads in got] == [1, 1, 1]
-
-
-def test_daemonic_caller_evaluates_in_process(frozen_source, cpus):
-    """A daemonic process, such as a multiprocessing.Pool worker, may not
-    have children, so a phase run there keeps its evaluation in-process."""
-    cpus(2)
-    ctx = multiprocessing.get_context("fork")
-    receiver, sender = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=lambda: sender.send(train_ilm_prompt(frozen_source)[2]), daemon=True)
-    child.start()
-    sender.close()
-    assert receiver.poll(60)
-    records = receiver.recv()
-    child.join(timeout=60)
-    assert child.exitcode == 0
-    assert records == train_ilm_prompt(frozen_source)[2]
-
-
-def test_one_epoch_prompt_starts_no_process(frozen_source, cpus):
-    started = cpus(2)
-    train_ilm_prompt(frozen_source, epochs=1)
-    assert started == []
