@@ -54,14 +54,14 @@ def main() -> None:
 
     # untrained prompt: the tallies reflect only the source's habits
     blank = PromptedClassifier(source, VisualPrompt(spec.input_size, 4), mapping=None, pbl=pbl)
-    freq0 = prediction_frequencies(blank.reduced_fn, downstream)
+    freq0 = prediction_frequencies(blank.reduced, downstream)
     print(f"before training (T={args.temperature}, m={pbl.m(spec.n_classes)}):")
     show(freq0, ilm_update(freq0), downstream.n_classes)
 
     _, clf, records = train_prompt(
         source, downstream, "ilm", pbl, TrainHyper(args.epochs, 16, 0.2, 0.9, 5), eval_dataset=downstream
     )
-    freq1 = prediction_frequencies(clf.reduced_fn, downstream)
+    freq1 = prediction_frequencies(clf.reduced, downstream)
     print(f"after {args.epochs} epochs (loss {records[0].loss:.3f} -> {records[-1].loss:.3f}, "
           f"train acc {records[-1].std_acc:.3f}):")
     show(freq1, clf.mapping, downstream.n_classes)

@@ -33,6 +33,8 @@ class AttackConfig:
     epsilon: float
 
     def __post_init__(self):
+        if isinstance(self.epsilon, (bool, np.bool_)):
+            raise ConfigError(f"epsilon must be a number, not a bool, got {self.epsilon!r}")
         if not (self.epsilon >= 0.0):
             raise ConfigError(f"epsilon must be >= 0, got {self.epsilon}")
         if not np.isfinite(self.epsilon):

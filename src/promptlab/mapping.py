@@ -38,6 +38,8 @@ class PblConfig:
     temperature: int
 
     def __post_init__(self):
+        if isinstance(self.temperature, bool) or not isinstance(self.temperature, (int, np.integer)):
+            raise ConfigError(f"temperature must be an integer, got {self.temperature!r}")
         if self.temperature < 1:
             raise ConfigError(f"temperature must be >= 1, got {self.temperature}")
 
@@ -110,7 +112,7 @@ def map_labels(i_logits: Tensor, mapping: LabelMapping) -> Tensor:
 
     def bwd(g):
         gi = np.zeros(shape, dtype=np.float32)
-        np.add.at(gi, (slice(None), cols), g)
+        gi[:, cols] = g  # LabelMapping refuses repeated indices: no collisions
         return (gi,)
 
     return record_op(out_data, (i_logits,), bwd, flops=out_data.size)
@@ -139,25 +141,25 @@ class FrequencyMatrix:
             raise ConfigError("frequency counts must be non-negative")
 
 
-def prediction_frequencies(reduced_fn, dataset) -> FrequencyMatrix:
+def prediction_frequencies(reduced, dataset) -> FrequencyMatrix:
     """Tally reduced-logit argmax per downstream class over a dataset.
 
-    ``reduced_fn`` maps an image batch (ndarray) to reduced logits
-    (N, m) — the pipeline with the label-mapping stage left off.  It is
-    called once per evaluation batch (``tensor._EVAL_BATCH`` images);
-    ``m`` is read from the first batch's output.
+    ``reduced`` maps a :class:`Tensor` image batch to a :class:`Tensor` of
+    reduced logits (N, m), for example ``PromptedClassifier.reduced``, the
+    pipeline with the label-mapping stage left off.  It is called once per
+    evaluation batch (``tensor._EVAL_BATCH`` images); ``m`` is read from
+    the first batch's output.
     """
     if len(dataset) == 0:
         raise ShapeError("cannot tally frequencies over an empty dataset")
     batch = tensor._EVAL_BATCH
     counts = None
     for start in range(0, len(dataset), batch):
-        xb = dataset.images[start : start + batch]
+        logits = reduced(Tensor(dataset.images[start : start + batch])).data
         yb = dataset.labels[start : start + batch]
-        reduced = reduced_fn(xb)
         if counts is None:
-            counts = np.zeros((dataset.n_classes, reduced.shape[1]), dtype=np.int64)
-        np.add.at(counts, (yb, reduced.argmax(axis=1)), 1)
+            counts = np.zeros((dataset.n_classes, logits.shape[1]), dtype=np.int64)
+        np.add.at(counts, (yb, logits.argmax(axis=1)), 1)
     return FrequencyMatrix(counts)
 
 

@@ -6,8 +6,6 @@ the attack and accuracy protocols are written against that interface.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import ConfigError
 from .mapping import LabelMapping, PblConfig, block_reduce, map_labels
 from .nets import ModelParams, forward
@@ -58,10 +56,6 @@ class PromptedClassifier:
         if self.pbl is None:
             return v
         return block_reduce(v, self.pbl)
-
-    def reduced_fn(self, images: np.ndarray) -> np.ndarray:
-        """ndarray-in/ndarray-out view of :meth:`reduced` (no graph)."""
-        return self.reduced(Tensor(images)).data
 
     def logits(self, x: Tensor) -> Tensor:
         if self.mapping is None:

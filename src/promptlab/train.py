@@ -150,12 +150,12 @@ def _train_engine(
         conf_sum = 0.0
         for start in range(0, n, hyper.batch_size):
             idx = order[start : start + hyper.batch_size]
-            xb = dataset.images[idx]
+            xb = Tensor(dataset.images[idx])
             yb = dataset.labels[idx]
             if attack is not None:
-                xb = fgsm(pipeline, Tensor(xb), yb, attack, meter=meter).data
+                xb = fgsm(pipeline, xb, yb, attack, meter=meter)
             with Graph() as g:
-                logits = pipeline.logits(Tensor(xb))
+                logits = pipeline.logits(xb)
                 loss = softmax_cross_entropy(logits, yb)
             g.backward(loss)
             sgd_step(target, opt)
@@ -259,7 +259,7 @@ def train_prompt(
     clf = PromptedClassifier(source, prompt, mapping=None, pbl=pbl)
 
     def refresh_mapping():
-        clf.mapping = ilm_update(prediction_frequencies(clf.reduced_fn, dataset))
+        clf.mapping = ilm_update(prediction_frequencies(clf.reduced, dataset))
 
     if lm == "ilm":
         refresh_mapping()

@@ -89,6 +89,13 @@ def test_attack_config_rejects_a_non_finite_epsilon(epsilon, message):
         AttackConfig(epsilon)
 
 
+@pytest.mark.parametrize("epsilon", [True, False, np.bool_(True)])
+def test_attack_config_rejects_a_bool_epsilon(epsilon):
+    """``True`` is no budget, though it compares as 1.0."""
+    with pytest.raises(ConfigError, match="^epsilon must be a number, not a bool"):
+        AttackConfig(epsilon)
+
+
 def test_eval_report_validates_counts():
     with pytest.raises(ConfigError):
         EvalReport(0.5, 0.5, 10, 5, 6)  # more survivors than correct

@@ -16,6 +16,7 @@ from promptlab import (
     block_reduce,
     ilm_update,
     map_labels,
+    matmul,
     prediction_frequencies,
     rlm_init,
     tensor_sum,
@@ -65,6 +66,14 @@ def test_pbl_config_validation_and_m():
     assert PblConfig(temperature=3).m(10) == 4  # 10 = 3+3+3+1
     assert PblConfig(temperature=5).m(10) == 2
     assert PblConfig(temperature=20).m(10) == 1
+    assert PblConfig(temperature=np.int64(3)).m(10) == 4  # a NumPy integer is an integer
+
+
+@pytest.mark.parametrize("temperature", [2.5, 2.0, True, "2", None])
+def test_pbl_config_refuses_a_temperature_that_is_not_an_integer(temperature):
+    """Refused when built, not at the first block_reduce, which cannot reshape by a float."""
+    with pytest.raises(ConfigError, match="^temperature must be an integer"):
+        PblConfig(temperature)
 
 
 def test_block_reduce_matches_oracle_including_ragged_tail(rng):
@@ -136,10 +145,11 @@ def test_map_labels_selects_columns_and_checks_range(rng):
 
 def test_map_labels_gradient_scatters_to_source_columns():
     v = Tensor(np.zeros((2, 4), dtype=np.float32), requires_grad=True)
+    weights = Tensor(np.array([[1.0], [2.0]], dtype=np.float32))  # class c's logit has gradient c + 1
     with Graph() as g:
-        loss = tensor_sum(map_labels(v, LabelMapping((2, 0))))
+        loss = tensor_sum(matmul(map_labels(v, LabelMapping((2, 0))), weights))
     g.backward(loss)
-    np.testing.assert_array_equal(v.grad, [[1.0, 0.0, 1.0, 0.0]] * 2)
+    np.testing.assert_array_equal(v.grad, [[2.0, 0.0, 1.0, 0.0]] * 2)
 
 
 def test_rlm_is_seeded_injective_and_covers():
@@ -170,17 +180,17 @@ def test_prediction_frequencies_tallies_argmax_per_class(monkeypatch):
     labels = np.array([0, 0, 0, 1, 1, 1])
     ds = Dataset(images=images, labels=labels, n_classes=2)
 
-    def reduced_fn(batch):
+    def reduced(batch):
         # argmax index = 0 if the corner pixel < 0.25 else 2
-        flag = (batch[:, 0, 0, 0] >= 0.25).astype(np.float32)
-        return np.stack([1.0 - flag, np.zeros_like(flag), flag], axis=1)
+        flag = (batch.data[:, 0, 0, 0] >= 0.25).astype(np.float32)
+        return Tensor(np.stack([1.0 - flag, np.zeros_like(flag), flag], axis=1))
 
     monkeypatch.setattr(tensor, "_EVAL_BATCH", 4)
-    freq = prediction_frequencies(reduced_fn, ds)
+    freq = prediction_frequencies(reduced, ds)
     np.testing.assert_array_equal(freq.counts, [[3, 0, 0], [0, 0, 3]])
     # batch size must not matter
     monkeypatch.setattr(tensor, "_EVAL_BATCH", 1)
-    np.testing.assert_array_equal(prediction_frequencies(reduced_fn, ds).counts, freq.counts)
+    np.testing.assert_array_equal(prediction_frequencies(reduced, ds).counts, freq.counts)
 
 
 def test_ilm_update_matches_bruteforce_on_small_grid():
@@ -226,7 +236,7 @@ def test_ilm_update_rejects_narrow_matrix():
 
 
 @pytest.mark.parametrize("n, batch_size", [(1, 4), (6, 4), (8, 4), (9, 256), (3, 1)])
-def test_prediction_frequencies_calls_reduced_fn_once_per_batch(monkeypatch, n, batch_size):
+def test_prediction_frequencies_calls_reduced_once_per_batch(monkeypatch, n, batch_size):
     """No probe pass: ``m`` comes from the first batch's output."""
     ds = Dataset(
         images=np.zeros((n, 1, 2, 2), dtype=np.float32),
@@ -235,12 +245,13 @@ def test_prediction_frequencies_calls_reduced_fn_once_per_batch(monkeypatch, n, 
     )
     calls = []
 
-    def reduced_fn(batch):
-        calls.append(len(batch))
-        return np.tile(np.array([0.0, 1.0, 0.0], dtype=np.float32), (len(batch), 1))
+    def reduced(batch):
+        assert isinstance(batch, Tensor)
+        calls.append(len(batch.data))
+        return Tensor(np.tile(np.array([0.0, 1.0, 0.0], dtype=np.float32), (len(batch.data), 1)))
 
     monkeypatch.setattr(tensor, "_EVAL_BATCH", batch_size)
-    freq = prediction_frequencies(reduced_fn, ds)
+    freq = prediction_frequencies(reduced, ds)
     assert len(calls) == -(-n // batch_size)
     assert sum(calls) == n
     assert freq.counts.shape == (2, 3)
@@ -265,7 +276,7 @@ def test_tally_memory_is_bounded_by_the_batch():
 
     def tally_peak(n):
         ds = Dataset(images=x[:n].copy(), labels=y[:n].copy(), n_classes=spec.n_classes)
-        tally = lambda: prediction_frequencies(lambda batch: clf.logits(Tensor(batch)).data, ds)
+        tally = lambda: prediction_frequencies(clf.logits, ds)
         tally()  # warm the cached gather indices
         tracemalloc.start()
         try:
@@ -281,4 +292,4 @@ def test_tally_memory_is_bounded_by_the_batch():
 def test_prediction_frequencies_rejects_an_empty_dataset():
     empty = Dataset(np.zeros((0, 1, 2, 2), np.float32), np.zeros(0, np.int64), 2)
     with pytest.raises(ShapeError, match="empty"):
-        prediction_frequencies(lambda batch: np.zeros((len(batch), 3)), empty)
+        prediction_frequencies(lambda batch: Tensor(np.zeros((len(batch.data), 3))), empty)

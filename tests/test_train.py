@@ -376,7 +376,7 @@ def test_ilm_final_mapping_matches_final_frequencies(frozen_source):
     data = downstream_data()
     _, clf, _ = train_prompt(frozen_source, data, "ilm", None,
                              TrainHyper(3, 8, 0.2, 0.9, 5), pad_width=3)
-    expected = ilm_update(prediction_frequencies(clf.reduced_fn, data))
+    expected = ilm_update(prediction_frequencies(clf.reduced, data))
     assert np.array_equal(clf.mapping.indices, expected.indices)
 
 
